@@ -286,28 +286,23 @@ def cmd_propagate(args) -> int:
     specs = [_parse_noise(raw, args.clip) for raw in args.noise]
     if args.depth < 1 or args.width < 1:
         raise UsageError("depth and width must be positive")
+    if args.trials < 1:
+        raise UsageError("trials must be positive")
     report = robustness_sweep(
         schemes, specs, depth=args.depth, width=args.width,
         trials=args.trials, seed=args.seed,
     )
     if args.format == "json":
-        rows = []
-        scheme_ids: dict[tuple, int] = {}
-        for cell in report.cells:
-            key = (cell.scheme.alphas, cell.scheme.beta)
-            rows.append(
-                {
-                    "scheme_id": scheme_ids.setdefault(key, len(scheme_ids)),
-                    "alphas": [_jnum(a) for a in cell.scheme.alphas],
-                    "beta": _jnum(cell.scheme.beta),
-                    "zero_stable": cell.zero_stable,
-                    "noise_kind": cell.noise.kind,
-                    "noise_param": _jnum(cell.noise.parameter()),
-                    "mean_gap": _jnum(cell.mean_gap),
-                    "std_gap": _jnum(cell.std_gap),
-                    "blew_up_fraction": _jnum(cell.blew_up_fraction),
-                }
+        rows = [
+            dict(
+                zip(
+                    report.CSV_COLUMNS,
+                    [scheme_id, [_jnum(a) for a in alphas], _jnum(beta),
+                     zero_stable, kind, *map(_jnum, numbers)],
+                )
             )
+            for scheme_id, alphas, beta, zero_stable, kind, *numbers in report.rows()
+        ]
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
         _emit(report.to_csv(), args.out)

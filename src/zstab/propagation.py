@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -60,18 +61,17 @@ class BlockMap:
         object.__setattr__(self, "weights", w)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        v = np.maximum(self.weights @ y, 0.0)
-        std = float(np.std(v))
-        if std < _STD_FLOOR:
-            return np.zeros_like(v)
-        return self.scale * (v - np.mean(v)) / std
+        return _standardize(np.maximum(self.weights @ y, 0.0), self.scale)
 
 
-class _ZeroBlock:
-    """Block whose output is identically zero; disables the activation path."""
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros_like(y)
+def _standardize(v: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (v - mean) / std along the last axis; rows whose std is
+    below the floor map to zeros."""
+    mean = np.mean(v, axis=-1, keepdims=True)
+    std = np.std(v, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = scale * (v - mean) / std
+    return np.where(std < _STD_FLOOR, 0.0, out)
 
 
 def make_block(seed: int, width: int, scale: float = 1.0) -> BlockMap:
@@ -180,6 +180,39 @@ def inject_noise(y: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
     return out
 
 
+def _recur(
+    alphas: Sequence,
+    coef,
+    history,
+    depth: int,
+    block: Callable[[int, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * block(n, y_n).
+
+    The single recurrence loop of this module.  ``history`` holds at least
+    ``len(alphas)`` states of shape (..., width), oldest first, and every
+    new state is appended to it (a bounded deque keeps only the last few).
+    Every axis but the last indexes an independent run, a *row* (a scalar
+    state is one row); the coefficients broadcast against the state, so one
+    call advances many runs at once.  Returns, per row, the first depth at
+    which the row turned non-finite (0 if it never did).  Once every row has
+    blown up the loop stops without appending the non-finite state.
+    Overflow inside a run is reported only through that return value, never
+    as a warning.
+    """
+    blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
+    with np.errstate(all="ignore"):
+        for n in range(depth):
+            nxt = sum(a * history[-1 - i] for i, a in enumerate(alphas))
+            nxt = nxt + coef * block(n, history[-1])
+            bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
+            blew = np.where(bad & (blew == 0), n + 1, blew)
+            if np.all(blew):
+                break
+            history.append(nxt)
+    return blew
+
+
 def propagate(
     s: Scheme,
     blocks: Sequence,
@@ -189,8 +222,9 @@ def propagate(
 ) -> tuple[np.ndarray, list[np.ndarray], Optional[int]]:
     """Iterate y_{n+1} = sum_i alpha_i y_{n-i} + h*beta*B_n(y_n) to ``depth``.
 
-    Returns (final state, full state history, blow-up depth or None).
-    ``blocks`` supplies one callable per depth (it is cycled if shorter).
+    Returns (final state, full state history, blow-up depth or None); the
+    run stops at the first depth whose state is not finite.  ``blocks``
+    supplies one callable per depth (it is cycled if shorter).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -201,17 +235,10 @@ def propagate(
     if not blocks:
         raise ValueError("need at least one block")
 
-    blew_up_at: Optional[int] = None
-    for n in range(depth):
-        block = blocks[n % len(blocks)]
-        history = states[-1 : -d - 1 : -1]
-        nxt = sum(a * y for a, y in zip(s.alphas, history))
-        nxt = nxt + h * s.beta * block(states[-1])
-        if not np.all(np.isfinite(nxt)):
-            blew_up_at = n + 1
-            break
-        states.append(nxt)
-    return states[-1], states, blew_up_at
+    blew = _recur(
+        s.alphas, h * s.beta, states, depth, lambda n, y: blocks[n % len(blocks)](y)
+    )
+    return states[-1], states, int(blew) or None
 
 
 @dataclass(frozen=True)
@@ -251,19 +278,24 @@ def compare_propagations(
             blew_up_at = b if blew_up_at is None else min(blew_up_at, b)
 
     start = fit_from if fit_from is not None else length // 2
-    usable = [(i, g) for i, g in enumerate(gaps) if i >= start and g > 0]
-    slope: Optional[float] = None
-    if len(usable) >= 10:
-        xs = np.asarray([i for i, _ in usable], dtype=float)
-        ys = np.log([g for _, g in usable])
-        slope = float(np.polyfit(xs, ys, 1)[0])
     final_gap = gaps[-1] if blew_up_at is None else math.inf
     return PropagationReport(
         per_depth_gap=gaps,
         final_gap=final_gap,
-        growth_slope=slope,
+        growth_slope=_log_slope(gaps, start),
         blew_up_at=blew_up_at,
     )
+
+
+def _log_slope(gaps: Sequence[float], start: int) -> Optional[float]:
+    """Least-squares slope of log gap against depth over the positive gaps
+    from index ``start`` on; None when fewer than 10 remain."""
+    usable = [(i, g) for i, g in enumerate(gaps) if i >= start and g > 0]
+    if len(usable) < 10:
+        return None
+    xs = np.asarray([i for i, _ in usable], dtype=float)
+    ys = np.log([g for _, g in usable])
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def growth_rate(s: Scheme, depth: int, width: int = 8, seed: int = 0) -> float:
@@ -275,21 +307,20 @@ def growth_rate(s: Scheme, depth: int, width: int = 8, seed: int = 0) -> float:
     """
     if depth < 20:
         raise ValueError("depth must be >= 20")
-    d = s.order
     rng = np.random.default_rng(seed)
-    clean = [np.zeros(width) for _ in range(d)]
     # Independent per-state perturbations so every characteristic mode is
     # excited (equal seed states would sit in the principal-root direction).
     noisy = []
-    for _ in range(d):
+    for _ in range(s.order):
         v = rng.standard_normal(width)
         noisy.append(v / np.max(np.abs(v)))
-    report = compare_propagations(
-        s, [_ZeroBlock()], clean, noisy, depth, h=1.0, fit_from=depth // 2
-    )
-    if report.growth_slope is None:
+    # A clean run started at zero stays exactly zero under zero blocks, so
+    # the clean-vs-noisy gap is the noisy state's sup norm.
+    _recur(s.alphas, s.beta, noisy, depth, lambda n, y: 0.0)
+    slope = _log_slope([float(np.max(np.abs(y))) for y in noisy], depth // 2)
+    if slope is None:
         raise RuntimeError("not enough finite gaps to fit a growth slope")
-    return report.growth_slope
+    return slope
 
 
 @dataclass(frozen=True)
@@ -328,24 +359,39 @@ class SweepReport:
         "blew_up_fraction",
     )
 
+    def rows(self) -> Iterator[tuple]:
+        """One tuple of ``CSV_COLUMNS`` values per cell, unformatted.
+
+        ``scheme_id`` numbers the distinct (alphas, beta) pairs in order of
+        first appearance; ``alphas`` is the scheme's tuple.
+        """
+        scheme_ids: dict[tuple, int] = {}
+        for cell in self.cells:
+            s = cell.scheme
+            yield (
+                scheme_ids.setdefault((s.alphas, s.beta), len(scheme_ids)),
+                s.alphas,
+                s.beta,
+                cell.zero_stable,
+                cell.noise.kind,
+                cell.noise.parameter(),
+                cell.mean_gap,
+                cell.std_gap,
+                cell.blew_up_fraction,
+            )
+
     def write_csv(self, stream: TextIO) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(self.CSV_COLUMNS)
-        scheme_ids: dict[tuple, int] = {}
-        for cell in self.cells:
-            key = (cell.scheme.alphas, cell.scheme.beta)
-            scheme_id = scheme_ids.setdefault(key, len(scheme_ids))
+        for scheme_id, alphas, beta, zero_stable, kind, *numbers in self.rows():
             writer.writerow(
                 [
                     scheme_id,
-                    ";".join(f"{a:.10g}" for a in cell.scheme.alphas),
-                    f"{cell.scheme.beta:.10g}",
-                    str(cell.zero_stable).lower(),
-                    cell.noise.kind,
-                    f"{cell.noise.parameter():.10g}",
-                    f"{cell.mean_gap:.10g}",
-                    f"{cell.std_gap:.10g}",
-                    f"{cell.blew_up_fraction:.10g}",
+                    ";".join(f"{a:.10g}" for a in alphas),
+                    f"{beta:.10g}",
+                    str(zero_stable).lower(),
+                    kind,
+                    *(f"{x:.10g}" for x in numbers),
                 ]
             )
 
@@ -375,63 +421,88 @@ def robustness_sweep(
 ) -> SweepReport:
     """Clean-vs-noisy final gap statistics for every (scheme, noise) pair.
 
-    Per trial, one clean input in [0, 1] and one per-depth block stack are
-    drawn from seeds derived from the master seed and the trial index only,
-    so every scheme and noise spec sees identical inputs and blocks and the
-    sweep is invariant to evaluation order.
+    Per trial, one clean input in [0, 1], one block seed and one noise seed
+    are drawn from ``default_rng([seed, t])`` only, so every scheme and
+    noise spec sees identical inputs and blocks and the sweep is invariant
+    to evaluation order.  The block at depth n of trial t is
+    ``make_block(block_seed_t + n, width)``.
+
+    All runs advance together through one recurrence whose state has shape
+    (trials, schemes, 1 + specs, width): index 0 on the third axis is the
+    clean run, computed once per (trial, scheme).  Schemes of lower order
+    are zero-padded to the largest order, which leaves their arithmetic
+    unchanged.  Each depth draws that depth's block for every trial just
+    before applying them as one batched matmul, so ``make_block`` is called
+    trials x depth times (fewer only if every run blows up before the last
+    depth) and at most one depth's weights are held at a time.  A noisy
+    input identical to the clean one gets gap 0 and the clean run's blow-up
+    status by construction.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
 
-    trial_inputs = []
-    trial_blocks = []
-    trial_noise_seeds = []
+    block_seeds = []
+    inputs = []  # per trial: the clean input, then one noisy input per spec
     for t in range(trials):
         base = np.random.default_rng([seed, t])
-        trial_inputs.append(base.uniform(0.0, 1.0, width))
-        block_seed_base = int(base.integers(0, 2**31))
-        trial_blocks.append(
-            [make_block(block_seed_base + n, width) for n in range(depth)]
-        )
-        trial_noise_seeds.append(int(base.integers(0, 2**31)))
+        clean = base.uniform(0.0, 1.0, width)
+        block_seeds.append(int(base.integers(0, 2**31)))
+        noise_seed = int(base.integers(0, 2**31))
+        inputs.append([clean] + [inject_noise(clean, spec, noise_seed) for spec in specs])
+    same_input = np.array(
+        [[np.array_equal(noisy, row[0]) for noisy in row[1:]] for row in inputs],
+        dtype=bool,
+    ).reshape(trials, 1, len(specs))
+
+    order = max((s.order for s in schemes), default=1)
+    alphas = np.zeros((len(schemes), order))
+    for i, s in enumerate(schemes):
+        alphas[i, : s.order] = s.alphas
+    betas = np.array([s.beta for s in schemes])
+    state = np.repeat(np.array(inputs)[:, None], len(schemes), axis=1)
+    history = deque([state] * order, maxlen=order)
+
+    def blocks(n: int, y: np.ndarray) -> np.ndarray:
+        weights = np.stack([make_block(b + n, width).weights for b in block_seeds])
+        # One call that makes a matrix-vector product per run: numpy runs
+        # each on the BLAS gemv kernel that BlockMap uses, so every run equals
+        # its 1-D propagation bit for bit.  A matrix-matrix product sums in
+        # another order, and the blocks amplify that rounding with depth.
+        v = weights[:, None] @ y.reshape(trials, -1, width, 1)
+        return _standardize(np.maximum(v[..., 0], 0.0), 1.0).reshape(y.shape)
+
+    blew = _recur(
+        [a[:, None, None] for a in alphas.T],
+        betas[:, None, None],
+        history,
+        depth,
+        blocks,
+    ) > 0
 
     stability = [root_condition(s).zero_stable for s in schemes]
-
     cells: list[SweepCell] = []
-    for s, zero_stable in zip(schemes, stability):
-        d = s.order
-        for spec in specs:
-            gaps: list[float] = []
-            blew = 0
-            for t in range(trials):
-                clean_input = trial_inputs[t]
-                noisy_input = inject_noise(clean_input, spec, trial_noise_seeds[t])
-                blocks = trial_blocks[t]
-                report = compare_propagations(
-                    s,
-                    blocks,
-                    [clean_input.copy() for _ in range(d)],
-                    [noisy_input.copy() for _ in range(d)],
-                    depth,
+    with np.errstate(all="ignore"):
+        final = history[-1]
+        gaps = np.max(np.abs(final[:, :, 1:] - final[:, :, :1]), axis=-1)
+        blown = blew[:, :, 1:] | blew[:, :, :1]
+        gaps = np.where(same_input, 0.0, gaps)
+        blown = np.where(same_input, blew[:, :, :1], blown)
+        gaps = np.where(blown, math.inf, gaps)
+        for i, (s, zero_stable) in enumerate(zip(schemes, stability)):
+            for k, spec in enumerate(specs):
+                finite = [float(g) for g in gaps[:, i, k] if math.isfinite(g)]
+                cells.append(
+                    SweepCell(
+                        scheme=s,
+                        zero_stable=zero_stable,
+                        noise=spec,
+                        mean_gap=float(np.mean(finite)) if finite else math.inf,
+                        std_gap=float(np.std(finite)) if finite else math.inf,
+                        blew_up_fraction=int(np.sum(blown[:, i, k])) / trials,
+                    )
                 )
-                if report.blew_up_at is not None:
-                    blew += 1
-                gaps.append(report.final_gap)
-            finite = [g for g in gaps if math.isfinite(g)]
-            mean_gap = float(np.mean(finite)) if finite else math.inf
-            std_gap = float(np.std(finite)) if finite else math.inf
-            cells.append(
-                SweepCell(
-                    scheme=s,
-                    zero_stable=zero_stable,
-                    noise=spec,
-                    mean_gap=mean_gap,
-                    std_gap=std_gap,
-                    blew_up_fraction=blew / trials,
-                )
-            )
     return SweepReport(
         cells=tuple(cells), depth=depth, width=width, trials=trials, seed=seed
     )

@@ -254,6 +254,35 @@ class TestPropagate:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_bad_trials(self, capsys, trials):
+        code, out, err = run(
+            capsys,
+            "propagate", "--lambda", "-1.8", "--noise", "none", "--trials", trials,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_json_matches_csv(self, capsys):
+        args = (
+            "propagate", "--table8", "--noise", "gaussian:0.02", "--noise", "none",
+            "--depth", "20", "--width", "8", "--trials", "2",
+        )
+        _, csv_out, _ = run(capsys, *args, "--format", "csv")
+        _, json_out, _ = run(capsys, *args, "--format", "json")
+        header, *rows = list(csv.reader(io.StringIO(csv_out)))
+        objs = json.loads(json_out)
+        assert [list(o) for o in objs] == [header] * len(rows)
+        for row, obj in zip(rows, objs):
+            assert int(row[0]) == obj["scheme_id"]
+            assert [float(a) for a in row[1].split(";")] == obj["alphas"]
+            assert row[3] == str(obj["zero_stable"]).lower()
+            assert row[4] == obj["noise_kind"]
+            assert [float(x) for x in (row[2], *row[5:])] == [
+                obj[k] for k in (header[2], *header[5:])
+            ]
+
 
 class TestOutputPlumbing:
     def test_out_file_byte_identical(self, capsys, tmp_path):

@@ -1,13 +1,18 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import zstab.propagation as propagation
 from zstab.propagation import (
     BlockMap,
     NoiseSpec,
+    SweepCell,
     SweepReport,
     compare_propagations,
     growth_rate,
@@ -17,13 +22,62 @@ from zstab.propagation import (
     propagate,
     robustness_sweep,
 )
-from zstab.schemes import first_order, make_scheme
+from zstab.schemes import first_order, make_scheme, root_condition
+from zstab.table8 import REFERENCE_ROWS
 from zstab.zerosnet import zerosnet_coeffs
 
 
 class _Zero:
     def __call__(self, y):
         return np.zeros_like(y)
+
+
+def _reference_sweep(schemes, specs, depth, width, trials, seed=1):
+    """The sweep as one clean and one noisy 1-D propagation per (scheme,
+    spec, trial), with the same per-trial seeding as robustness_sweep."""
+    trial_inputs = []
+    trial_blocks = []
+    trial_noise_seeds = []
+    for t in range(trials):
+        base = np.random.default_rng([seed, t])
+        trial_inputs.append(base.uniform(0.0, 1.0, width))
+        block_seed_base = int(base.integers(0, 2**31))
+        trial_blocks.append(
+            [make_block(block_seed_base + n, width) for n in range(depth)]
+        )
+        trial_noise_seeds.append(int(base.integers(0, 2**31)))
+
+    cells = []
+    for s in schemes:
+        zero_stable = root_condition(s).zero_stable
+        for spec in specs:
+            gaps = []
+            blew = 0
+            for t in range(trials):
+                clean_input = trial_inputs[t]
+                noisy_input = inject_noise(clean_input, spec, trial_noise_seeds[t])
+                report = compare_propagations(
+                    s,
+                    trial_blocks[t],
+                    [clean_input.copy() for _ in range(s.order)],
+                    [noisy_input.copy() for _ in range(s.order)],
+                    depth,
+                )
+                if report.blew_up_at is not None:
+                    blew += 1
+                gaps.append(report.final_gap)
+            finite = [g for g in gaps if math.isfinite(g)]
+            cells.append(
+                SweepCell(
+                    scheme=s,
+                    zero_stable=zero_stable,
+                    noise=spec,
+                    mean_gap=float(np.mean(finite)) if finite else math.inf,
+                    std_gap=float(np.std(finite)) if finite else math.inf,
+                    blew_up_fraction=blew / trials,
+                )
+            )
+    return cells
 
 
 class TestBlockMap:
@@ -67,6 +121,17 @@ class TestBlockMap:
 
 
 class TestPropagate:
+    def test_scalar_states(self):
+        s = make_scheme([0.5, 0.5], 2.0)
+        final, history, blew = propagate(s, [lambda y: 0.1 * y], [1.0, 2.0], 3)
+        expected = [1.0, 2.0]
+        for _ in range(3):
+            expected.append(0.5 * expected[-1] + 0.5 * expected[-2] + 0.2 * expected[-1])
+        assert blew is None
+        assert [float(y) for y in history] == pytest.approx(expected, rel=1e-15)
+        _, history, blew = propagate(first_order(1e200), [_Zero()], [1e200], 5)
+        assert blew == 1 and len(history) == 1
+
     def test_linear_recurrence_matches_companion_power(self):
         # With blocks outputting zero the update is the linear recurrence;
         # the stacked state evolves by kron(companion, identity)
@@ -233,3 +298,147 @@ class TestRobustnessSweep:
             robustness_sweep([first_order(1)], [NoiseSpec.none()], 10, 8, 0)
         with pytest.raises(ValueError):
             robustness_sweep([first_order(1)], [NoiseSpec.none()], 0, 8, 1)
+
+    def test_one_block_per_trial_and_depth(self, monkeypatch):
+        calls = []
+
+        def counted(seed, width, scale=1.0):
+            calls.append(seed)
+            return make_block(seed, width, scale)
+
+        monkeypatch.setattr(propagation, "make_block", counted)
+        robustness_sweep(
+            [first_order(1), zerosnet_coeffs(-9 / 5), make_scheme([0.5, 0.5], 1)],
+            [NoiseSpec.none(), NoiseSpec.gaussian(0.02)],
+            depth=7,
+            width=8,
+            trials=3,
+        )
+        assert len(calls) == 3 * 7
+
+    def test_identical_noisy_input_gives_exact_zero_gap(self):
+        # The non-zero-stable rows reach gaps of ~1e33 at this size, so a
+        # last-bit difference between two equal runs would show.
+        specs = [
+            NoiseSpec.none(),
+            NoiseSpec.gaussian(0.02),
+            NoiseSpec.constant(0.0),
+            NoiseSpec.gaussian(0.0),
+        ]
+        report = robustness_sweep(
+            [row.scheme() for row in REFERENCE_ROWS],
+            specs,
+            depth=56,
+            width=64,
+            trials=3,
+            seed=4,
+        )
+        assert max(c.mean_gap for c in report.cells) > 1e20
+        for cell in report.cells:
+            assert cell.blew_up_fraction == 0.0
+            if cell.noise.parameter() == 0.0:
+                assert cell.mean_gap == 0.0 and cell.std_gap == 0.0
+
+    def test_identical_noisy_input_shares_clean_blow_up(self):
+        report = robustness_sweep(
+            [make_scheme([10, 10, 10], 1), first_order(1)],
+            [NoiseSpec.gaussian(0.1), NoiseSpec.none()],
+            depth=320,
+            width=8,
+            trials=2,
+        )
+        blown_noisy, blown_none, finite_noisy, finite_none = report.cells
+        assert blown_noisy.blew_up_fraction == blown_none.blew_up_fraction == 1.0
+        assert math.isinf(blown_none.mean_gap)
+        assert finite_noisy.blew_up_fraction == finite_none.blew_up_fraction == 0.0
+        assert finite_none.mean_gap == finite_none.std_gap == 0.0
+
+    def test_blow_up_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness_sweep(
+                [make_scheme([10, 10, 10], 1), zerosnet_coeffs(-9 / 5)],
+                [NoiseSpec.gaussian(0.1)],
+                depth=320,
+                width=16,
+                trials=2,
+            )
+            seeds = [np.full(4, 1e300), np.zeros(4), np.zeros(4)]
+            _, _, blew = propagate(make_scheme([-3, 5, -1], 4), [_Zero()], seeds, 500)
+        assert [c.blew_up_fraction for c in report.cells] == [1.0, 0.0]
+        assert blew is not None
+
+    def test_rows_number_each_scheme_once(self):
+        a, b = first_order(1), zerosnet_coeffs(-9 / 5)
+        report = robustness_sweep(
+            [a, b, a],
+            [NoiseSpec.none(), NoiseSpec.gaussian(0.02)],
+            depth=5,
+            width=8,
+            trials=1,
+        )
+        rows = list(report.rows())
+        assert [r[0] for r in rows] == [0, 0, 1, 1, 0, 0]
+        assert all(len(r) == len(SweepReport.CSV_COLUMNS) for r in rows)
+        cell = report.cells[3]
+        assert rows[3][1:] == (
+            b.alphas, b.beta, cell.zero_stable, "gaussian", 0.02,
+            cell.mean_gap, cell.std_gap, cell.blew_up_fraction,
+        )
+
+
+_NOISE_CHOICES = (
+    NoiseSpec.none(),
+    NoiseSpec.gaussian(0.0),
+    NoiseSpec.constant(0.0),
+    NoiseSpec.gaussian(0.02),
+    NoiseSpec.uniform(-0.1, 0.1, clip=True),
+    NoiseSpec.constant(0.05),
+)
+
+_schemes = st.lists(
+    st.builds(
+        make_scheme,
+        st.lists(
+            st.one_of(st.floats(-2.5, 2.5), st.sampled_from([10.0, -10.0])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(-2.0, 2.0),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestSweepMatchesReference:
+    """The batched sweep against one 1-D propagation per (scheme, spec,
+    trial).  The engine makes the same matrix-vector products as the
+    per-trial path, so the cells are expected to be equal, not just close."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        schemes=_schemes,
+        specs=st.lists(st.sampled_from(_NOISE_CHOICES), min_size=1, max_size=3),
+        depth=st.integers(1, 320),
+        width=st.integers(4, 64),
+        trials=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        schemes=[make_scheme([10, 10, 10], 1), first_order(1), make_scheme([0.5, 0.5], 1)],
+        specs=[NoiseSpec.gaussian(0.02), NoiseSpec.none()],
+        depth=320,
+        width=16,
+        trials=2,
+        seed=1,
+    )
+    def test_cells_equal_reference(self, schemes, specs, depth, width, trials, seed):
+        report = robustness_sweep(schemes, specs, depth, width, trials, seed)
+        with np.errstate(all="ignore"):
+            reference = _reference_sweep(schemes, specs, depth, width, trials, seed)
+        assert list(report.cells) == reference

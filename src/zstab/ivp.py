@@ -7,14 +7,13 @@ convergence order from global-error decay on a list of step sizes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._table import csv_table
 from .schemes import Scheme
 
 __all__ = [
@@ -81,20 +80,17 @@ class Trajectory:
     step_size: float
     blew_up_at: Optional[int] = None
 
+    CSV_COLUMNS = ("n", "t", "y")
+
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def write_csv(self, stream: TextIO) -> None:
-        dim = self.states[0].size
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "t"] + [f"y{i}" for i in range(dim)])
-        for n, (t, y) in enumerate(zip(self.times, self.states)):
-            writer.writerow([n, f"{t:.10g}"] + [f"{v:.10g}" for v in np.atleast_1d(y)])
+    def rows(self) -> Iterator[tuple]:
+        """(n, t, state) per step; the 1-d state spreads into y0..y{dim-1}."""
+        return zip(range(len(self.times)), self.times, self.states)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_table(self.CSV_COLUMNS, self.rows())
 
 
 @dataclass(frozen=True)
@@ -111,16 +107,14 @@ class DivergenceSeries:
     ratio: float
     blew_up_at: Optional[int] = None
 
-    def write_csv(self, stream: TextIO) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "gap"])
-        for n, g in enumerate(self.per_step):
-            writer.writerow([n, f"{g:.10g}"])
+    CSV_COLUMNS = ("n", "gap")
+
+    def rows(self) -> Iterator[tuple]:
+        """(n, gap) per step."""
+        return enumerate(self.per_step)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_table(self.CSV_COLUMNS, self.rows())
 
 
 @dataclass(frozen=True)
@@ -150,8 +144,8 @@ def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if p.exact_solution is not None:
         return [
             np.atleast_1d(np.asarray(p.exact_solution(p.t_start + q * h), dtype=float))
@@ -170,8 +164,8 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
 
     Non-finite states stop the run and set ``blew_up_at`` on the result.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     d = s.order
@@ -229,8 +223,8 @@ def zero_stability_probe(
     every seed state, so runs are reproducible.  Gaps are sup-norm per step;
     the initial gap is the largest gap over the d seed states.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     d = s.order
     seed_states = startup_states(p, h, d) if (
         len(p.initial_states) < d or p.exact_solution is not None
@@ -270,8 +264,10 @@ def convergence_order(
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
         raise ValueError("need at least three step sizes")
-    if any(h <= 0 for h in h_list):
-        raise ValueError("step sizes must be positive")
+    if not all(0.0 < h < math.inf for h in h_list):
+        raise ValueError("step sizes must be positive and finite")
+    if len(set(h_list)) < len(h_list):
+        raise ValueError("step sizes must be distinct")
 
     span = p.t_end - p.t_start
     errors = []

@@ -10,15 +10,14 @@ observable that the root condition predicts.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._table import csv_table
 from .schemes import Scheme, root_condition
 
 __all__ = [
@@ -374,31 +373,14 @@ class SweepReport:
                 s.beta,
                 cell.zero_stable,
                 cell.noise.kind,
-                cell.noise.parameter(),
+                float(cell.noise.parameter()),
                 cell.mean_gap,
                 cell.std_gap,
                 cell.blew_up_fraction,
             )
 
-    def write_csv(self, stream: TextIO) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for scheme_id, alphas, beta, zero_stable, kind, *numbers in self.rows():
-            writer.writerow(
-                [
-                    scheme_id,
-                    ";".join(f"{a:.10g}" for a in alphas),
-                    f"{beta:.10g}",
-                    str(zero_stable).lower(),
-                    kind,
-                    *(f"{x:.10g}" for x in numbers),
-                ]
-            )
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_table(self.CSV_COLUMNS, self.rows())
 
     def group_means(self) -> dict[bool, float]:
         """Mean of cell means per zero-stability group (inf-aware)."""

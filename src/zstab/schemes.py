@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._table import fmt
 from .polyroots import (
     DEFAULT_CLUSTER_RADIUS,
     DEFAULT_RESIDUAL_TOL,
@@ -63,8 +64,8 @@ class Scheme:
         return {"alphas": list(self.alphas), "beta": self.beta, "order": self.order}
 
     def label(self) -> str:
-        alphas = ",".join(f"{a:.10g}" for a in self.alphas)
-        return f"alphas=[{alphas}] beta={self.beta:.10g}"
+        alphas = ",".join(map(fmt, self.alphas))
+        return f"alphas=[{alphas}] beta={fmt(self.beta)}"
 
 
 def make_scheme(alphas: Sequence[float], beta: float) -> Scheme:

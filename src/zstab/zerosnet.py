@@ -12,12 +12,11 @@ modulus is minimized (value 1/3) at lambda = -9/5.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Iterator, Optional
 
+from ._table import csv_table
 from .schemes import Scheme, make_scheme
 
 __all__ = [
@@ -136,22 +135,14 @@ class RegionScan:
         "zero_stable",
     )
 
-    def write_csv(self, stream: TextIO) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
+    def rows(self) -> Iterator[tuple]:
+        """One tuple of ``CSV_COLUMNS`` values per grid point, unformatted."""
         for point in self.grid:
             s = zerosnet_coeffs(point.lam)
-            writer.writerow(
-                [f"{point.lam:.10g}"]
-                + [f"{a:.10g}" for a in s.alphas]
-                + [f"{s.beta:.10g}", f"{point.max_modulus:.10g}",
-                   str(point.zero_stable).lower()]
-            )
+            yield (point.lam, *s.alphas, s.beta, point.max_modulus, point.zero_stable)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        return csv_table(self.CSV_COLUMNS, self.rows())
 
 
 def scan_region(lam_min: float, lam_max: float, step: float) -> RegionScan:

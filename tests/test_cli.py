@@ -201,6 +201,28 @@ class TestIntegrate:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--steps", "0"),
+            ("--h", "-0.01"),
+            ("--h", "nan"),
+            ("--rhs", "y/0"),
+            ("--orders", "0.1,0.05,-0.01"),
+            ("--orders", "0.1,0.1,0.1"),
+        ],
+        ids=["steps-0", "h-negative", "h-nan", "rhs-division", "orders-negative",
+             "orders-duplicate"],
+    )
+    def test_library_errors_are_usage_errors(self, capsys, extra):
+        code, _, err = run(
+            capsys,
+            "integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "5", *extra,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+
 class TestPropagate:
     def test_noise_free_zero_gap(self, capsys):
         code, out, _ = run(
@@ -332,6 +354,76 @@ class TestOutputPlumbing:
         code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == EXIT_OK
         assert round(float(kv(out)["beta"]), 4) == 1.7778
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alphas", "1"),
+            ("lambda-scan", "--min", "0.4", "--max", "0.6", "--step", "0.1"),
+            ("table-verify",),
+            ("integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "3"),
+            ("propagate", "--lambda", "-1.8", "--noise", "none",
+             "--depth", "2", "--width", "2", "--trials", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_under_a_file_is_usage_error(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, *argv, "--out", str(blocker / "report"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: cannot write --out")
+
+    def test_config_float_for_none_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=2\n")
+        code, out, _ = run(capsys, "analyze", "--alphas", "1", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert kv(out)["beta"] == "2"
+
+    def test_config_probe(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("probe=1e-3\n")
+        argv = ("integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "5")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (out, err) == run(capsys, *argv, "--probe", "1e-3")[1:]
+
+    def test_config_noise_appends(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise=gaussian:0.1\nnoise=none\nclip=true\n")
+        argv = ("propagate", "--lambda", "-1.8", "--depth", "4", "--width", "4")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        flags = ("--noise", "gaussian:0.1", "--noise", "none", "--clip")
+        assert (out, err) == run(capsys, *argv, *flags)[1:]
+
+    def test_command_line_noise_replaces_config_noise(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise=gaussian:0.1\n")
+        argv = ("propagate", "--lambda", "-1.8", "--depth", "4", "--width", "4",
+                "--noise", "none")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run(capsys, *argv)[1]
+
+    def test_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=two\n")
+        code, _, err = run(capsys, "analyze", "--alphas", "1", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "--beta" in err
+
+    def test_parser_built_once_and_config_leaves_it_unchanged(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=2\nstrict=true\n")
+        assert cli._shared_parser() is cli._shared_parser()
+        code, _, _ = run(capsys, "analyze", "--alphas", "2", "--config", str(cfg))
+        assert code == EXIT_NOT_STABLE
+        code, out, _ = run(capsys, "analyze", "--alphas", "2")
+        assert code == EXIT_OK
+        assert kv(out)["beta"] == "1"
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

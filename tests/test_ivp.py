@@ -130,6 +130,8 @@ class TestIntegrate:
             integrate(first_order(1), decay_problem(), 0.0, 1)
         with pytest.raises(ValueError):
             integrate(first_order(1), decay_problem(), 0.1, 0)
+        with pytest.raises(ValueError):
+            integrate(first_order(1), decay_problem(), math.nan, 1)
 
     def test_csv(self):
         traj = integrate(first_order(1), oscillator_problem(), 0.1, 3)
@@ -221,3 +223,11 @@ class TestConvergenceOrder:
     def test_requires_three_steps(self):
         with pytest.raises(ValueError):
             convergence_order(first_order(1), decay_problem(), [0.1, 0.05])
+
+    def test_rejects_duplicate_step_sizes(self):
+        with pytest.raises(ValueError, match="distinct"):
+            convergence_order(first_order(1), decay_problem(), [0.1, 0.1, 0.1])
+
+    def test_rejects_non_finite_step_sizes(self):
+        with pytest.raises(ValueError):
+            convergence_order(first_order(1), decay_problem(), [0.1, math.nan, 0.05])

@@ -4,7 +4,8 @@ Subcommands: analyze, lambda-scan, table-verify, integrate, propagate.
 Exit codes: 0 success, 1 verification failure, 2 not zero-stable under
 --strict, 64 usage error.  Input that the CLI or the library rejects (the
 library raises ValueError) and an --out path that cannot be written are
-usage errors.  Every report goes through the writers in ``zstab._table``,
+usage errors, and so is a scheme whose roots the solver cannot find
+(RootFindingError).  Every report goes through the writers in ``zstab._table``,
 so numbers carry 10 significant digits in CSV, JSON and text alike.
 
 A flat key=value config file (--config) supplies defaults; flags override
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import ivp
 from ._table import fmt, json_table, record
+from .polyroots import RootFindingError
 from .propagation import NoiseSpec, robustness_sweep
 from .schemes import Scheme, consistency_check, make_scheme, root_condition
 from .table8 import REFERENCE_ROWS, verify_reference_table
@@ -251,13 +253,13 @@ def _add_scheme_flags(parser) -> None:
     )
 
 
-def _add_common_flags(parser) -> None:
+def _add_common_flags(parser, formats: bool = True) -> None:
     parser.add_argument("--out", help="output file (resolved against ZSTAB_OUT_DIR)")
-    parser.add_argument(
-        "--format", choices=("text", "csv", "json"), help="output format",
-    )
+    if formats:
+        parser.add_argument(
+            "--format", choices=("text", "csv", "json"), help="output format",
+        )
     parser.add_argument("--config", help="flat key=value config file; flags override")
-    parser.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -289,8 +291,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_lambda_scan, format="csv")
 
     p = sub.add_parser("table-verify", help="recompute the reference moduli table")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_table_verify, format="text")
+    _add_common_flags(p, formats=False)
+    p.set_defaults(func=cmd_table_verify)
 
     p = sub.add_parser("integrate", help="integrate an initial-value problem")
     _add_scheme_flags(p)
@@ -304,6 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True, help="number of steps")
     p.add_argument("--probe", type=float, help="probe divergence with this epsilon")
     p.add_argument("--orders", help="comma-separated h list for an order estimate")
+    p.add_argument("--seed", type=int, default=1, help="probe direction seed (default 1)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_integrate, format="csv")
 
@@ -322,6 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=56)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_propagate, format="csv")
 
@@ -372,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tokens = _config_tokens(args, parser.commands[args.command].flags)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, RootFindingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._table import csv_table
-from .schemes import Scheme
+from .schemes import Scheme, _recur
 
 __all__ = [
     "IVPProblem",
@@ -162,40 +162,31 @@ def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
 def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     """Run the explicit recurrence for n_steps, yielding d + n_steps states.
 
-    Non-finite states stop the run and set ``blew_up_at`` on the result.
+    The d seed states come from startup_states and the steps from the
+    shared loop ``schemes._recur``.  Non-finite states stop the run and set
+    ``blew_up_at`` on the result.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError("h must be positive and finite")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     d = s.order
-    if len(p.initial_states) >= d and p.exact_solution is None:
-        seed = [np.array(y, dtype=float) for y in p.initial_states[:d]]
-    else:
-        seed = startup_states(p, h, d)
+    states = startup_states(p, h, d)
 
-    states: list[np.ndarray] = list(seed)
-    times = [p.t_start + q * h for q in range(d)]
-    blew_up_at: Optional[int] = None
-    alphas = np.asarray(s.alphas)
+    def f(step: int, y: np.ndarray) -> np.ndarray:
+        t_n = p.t_start + (d - 1 + step) * h
+        return np.atleast_1d(np.asarray(p.rhs(t_n, y), dtype=float))
 
-    for step in range(n_steps):
-        n = d - 1 + step
-        t_n = p.t_start + n * h
-        history = states[-1 : -d - 1 : -1]  # y_n, y_{n-1}, ..., y_{n-d+1}
-        nxt = sum(a * y for a, y in zip(alphas, history))
-        nxt = nxt + h * s.beta * np.atleast_1d(np.asarray(p.rhs(t_n, states[-1]), dtype=float))
-        if not np.all(np.isfinite(nxt)):
-            blew_up_at = n + 1
-            break
-        states.append(nxt)
-        times.append(t_n + h)
-
+    blew = int(_recur(s.alphas, h * s.beta, states, n_steps, f))
+    # State q sits at t_start + q*h; after the seeds the time is the previous
+    # step's time plus h, as the step itself computes it.
+    times = tuple(
+        p.t_start + q * h if q < d else (p.t_start + (q - 1) * h) + h
+        for q in range(len(states))
+    )
     return Trajectory(
-        times=tuple(times),
+        times=times,
         states=tuple(states),
         step_size=h,
-        blew_up_at=blew_up_at,
+        blew_up_at=d - 1 + blew if blew else None,
     )
 
 
@@ -226,10 +217,7 @@ def zero_stability_probe(
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     d = s.order
-    seed_states = startup_states(p, h, d) if (
-        len(p.initial_states) < d or p.exact_solution is not None
-    ) else [np.array(y, dtype=float) for y in p.initial_states[:d]]
-
+    seed_states = startup_states(p, h, d)
     direction = _unit_direction(p.dimension, seed)
     shifted = [y + eps * direction for y in seed_states]
 
@@ -238,15 +226,13 @@ def zero_stability_probe(
     clean = integrate(s, clean_problem, h, n_steps)
     noisy = integrate(s, noisy_problem, h, n_steps)
 
-    length = min(len(clean.states), len(noisy.states))
     gaps = tuple(
-        float(np.max(np.abs(clean.states[i] - noisy.states[i]))) for i in range(length)
+        float(np.max(np.abs(a - b))) for a, b in zip(clean.states, noisy.states)
     )
     initial_gap = max(gaps[:d])
-    blew_up_at = None
-    for t in (clean, noisy):
-        if t.blew_up_at is not None:
-            blew_up_at = t.blew_up_at if blew_up_at is None else min(blew_up_at, t.blew_up_at)
+    blew_up_at = min(
+        (t.blew_up_at for t in (clean, noisy) if t.blew_up_at is not None), default=None
+    )
     ratio = max(gaps) / initial_gap if initial_gap > 0 else math.inf
     if blew_up_at is not None:
         ratio = math.inf

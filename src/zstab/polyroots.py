@@ -164,23 +164,25 @@ def _aberth_iterates(
     # Iterate to step stagnation rather than stopping at the first residual
     # pass: near a multiple root the residual tolerance is met long before
     # the iterates are as close to the root as floating point allows.
-    for _ in range(max_iterations):
+    # Overflowing iterates fail the residual test: a RootFindingError, no warning.
+    with np.errstate(all="ignore"):
+        for _ in range(max_iterations):
+            pv = np.polyval(coeffs, z)
+            dv = np.polyval(deriv, z)
+            dv = np.where(dv == 0, np.finfo(float).eps, dv)
+            w = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            sums = np.sum(1.0 / diff, axis=1)
+            denom = 1.0 - w * sums
+            denom = np.where(denom == 0, np.finfo(float).eps, denom)
+            step = w / denom
+            z = z - step
+            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+                break
         pv = np.polyval(coeffs, z)
-        dv = np.polyval(deriv, z)
-        dv = np.where(dv == 0, np.finfo(float).eps, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        sums = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * sums
-        denom = np.where(denom == 0, np.finfo(float).eps, denom)
-        step = w / denom
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
-            break
-    pv = np.polyval(coeffs, z)
-    if np.all(np.abs(pv) <= tol * scale):
-        return z
+        if np.all(np.abs(pv) <= tol * scale):
+            return z
     raise RootFindingError(
         f"root finding did not converge within {max_iterations} iterations "
         f"(worst residual {float(np.max(np.abs(pv))):.3e})",

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ._table import csv_table
-from .schemes import Scheme, root_condition
+from .schemes import Scheme, _recur, root_condition
 
 __all__ = [
     "BlockMap",
@@ -179,39 +179,6 @@ def inject_noise(y: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
     return out
 
 
-def _recur(
-    alphas: Sequence,
-    coef,
-    history,
-    depth: int,
-    block: Callable[[int, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * block(n, y_n).
-
-    The single recurrence loop of this module.  ``history`` holds at least
-    ``len(alphas)`` states of shape (..., width), oldest first, and every
-    new state is appended to it (a bounded deque keeps only the last few).
-    Every axis but the last indexes an independent run, a *row* (a scalar
-    state is one row); the coefficients broadcast against the state, so one
-    call advances many runs at once.  Returns, per row, the first depth at
-    which the row turned non-finite (0 if it never did).  Once every row has
-    blown up the loop stops without appending the non-finite state.
-    Overflow inside a run is reported only through that return value, never
-    as a warning.
-    """
-    blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
-    with np.errstate(all="ignore"):
-        for n in range(depth):
-            nxt = sum(a * history[-1 - i] for i, a in enumerate(alphas))
-            nxt = nxt + coef * block(n, history[-1])
-            bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
-            blew = np.where(bad & (blew == 0), n + 1, blew)
-            if np.all(blew):
-                break
-            history.append(nxt)
-    return blew
-
-
 def propagate(
     s: Scheme,
     blocks: Sequence,
@@ -267,16 +234,10 @@ def compare_propagations(
     """
     _, hist_a, blew_a = propagate(s, blocks, init_a, depth, h)
     _, hist_b, blew_b = propagate(s, blocks, init_b, depth, h)
-    length = min(len(hist_a), len(hist_b))
-    gaps = tuple(
-        float(np.max(np.abs(hist_a[i] - hist_b[i]))) for i in range(length)
-    )
-    blew_up_at = None
-    for b in (blew_a, blew_b):
-        if b is not None:
-            blew_up_at = b if blew_up_at is None else min(blew_up_at, b)
+    gaps = tuple(float(np.max(np.abs(a - b))) for a, b in zip(hist_a, hist_b))
+    blew_up_at = min((b for b in (blew_a, blew_b) if b is not None), default=None)
 
-    start = fit_from if fit_from is not None else length // 2
+    start = fit_from if fit_from is not None else len(gaps) // 2
     final_gap = gaps[-1] if blew_up_at is None else math.inf
     return PropagationReport(
         per_depth_gap=gaps,

@@ -4,17 +4,20 @@ A scheme advances the recurrence
 
     y_{n+1} = sum_i alpha_i * y_{n-i} + h * beta * f(t_n, y_n)
 
-with i = 0 .. d-1.  Zero stability is decided by the root condition on the
-characteristic polynomial rho^d - sum_i alpha_i rho^{d-1-i}; beta plays no
-part in it.  Consistency requires sum(alpha) = 1 and
-beta - sum(i * alpha_i) = 1.
+with i = 0 .. d-1; ``_recur`` is the one loop that runs it, for the ODE
+solver and the block stack alike.  Zero stability is decided by the root
+condition on the characteristic polynomial rho^d - sum_i alpha_i
+rho^{d-1-i}; beta plays no part in it.  Consistency requires
+sum(alpha) = 1 and beta - sum(i * alpha_i) = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ._table import fmt
 from .polyroots import (
@@ -86,6 +89,41 @@ def first_order(alpha: float) -> Scheme:
 def lm_second_order(k: float) -> Scheme:
     """Two-step scheme y_{n+1} = (1-k)y_n + k*y_{n-1} + (2k+1)h*f."""
     return make_scheme([1.0 - k, k], 2.0 * k + 1.0)
+
+
+def _recur(
+    alphas: Sequence,
+    coef,
+    history,
+    depth: int,
+    f: Callable[[int, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * f(n, y_n).
+
+    The one multistep loop of the package: ``integrate``, ``propagate``,
+    ``growth_rate`` and ``robustness_sweep`` all run on it.  ``history``
+    holds at least ``len(alphas)`` states of shape (..., width), oldest
+    first, and every new state is appended to it (a bounded deque keeps only
+    the last few); ``n`` counts steps from 0.  Every axis but the last
+    indexes an independent run, a *row* (a single state is one row); the
+    coefficients broadcast against the state, so one call advances many runs
+    at once.  Returns, per row, the first step n + 1 at which the row turned
+    non-finite (0 if it never did).  Once every row has blown up the loop
+    stops without appending the non-finite state.  Overflow inside a run is
+    reported only through that return value, never as a warning.
+    """
+    blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
+    with np.errstate(all="ignore"):
+        for n in range(depth):
+            nxt = sum(a * history[-1 - i] for i, a in enumerate(alphas))
+            nxt = nxt + coef * f(n, history[-1])
+            if not np.isfinite(nxt).all():
+                bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
+                blew = np.where(bad & (blew == 0), n + 1, blew)
+                if np.all(blew):
+                    break
+            history.append(nxt)
+    return blew
 
 
 def characteristic_polynomial(s: Scheme) -> Polynomial:

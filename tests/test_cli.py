@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zstab
 import zstab.cli as cli
 from zstab.cli import EXIT_NOT_STABLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from zstab.table8 import REFERENCE_ROWS, verify_reference_table
@@ -65,6 +70,14 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         code, _, _ = run(capsys, "analyze")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("alphas", ["1e308,1e308", "10000,-1,0.5"])
+    def test_root_finding_failure_is_usage_error(self, capsys, alphas):
+        code, out, err = run(capsys, "analyze", "--alphas", alphas)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: root finding did not converge")
+        assert err.count("\n") == 1
 
     def test_json_csv_numeric_parity(self, capsys):
         _, json_out, _ = run(
@@ -191,6 +204,21 @@ class TestIntegrate:
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
         assert float(rows[-1][2]) == 0.9
+
+    def test_blow_up_is_one_stderr_line(self, capsys):
+        # A subprocess, so that a numpy warning would reach stderr as it
+        # does for a user rather than through the test's warning filter.
+        argv = ("integrate", "--alphas", "10,10,10", "--h", "0.1", "--steps", "1000")
+        env = dict(os.environ, PYTHONPATH=str(Path(zstab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zstab.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == "blow-up at step 299\n"
+        assert proc.stdout == run(capsys, *argv)[1]
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        assert len(rows) == 1 + 299 and rows[-1][0] == "298"
 
     def test_unknown_preset(self, capsys):
         code, _, _ = run(
@@ -434,6 +462,50 @@ class TestOutputPlumbing:
     def test_missing_config(self, capsys):
         code, _, _ = run(capsys, "analyze", "--alphas", "1", "--config", "/nope.cfg")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alphas", "1", "--seed", "5"),
+            ("lambda-scan", "--min", "0.4", "--max", "0.6", "--step", "0.1",
+             "--seed", "5"),
+            ("table-verify", "--seed", "5"),
+            ("table-verify", "--format", "json"),
+        ],
+        ids=["analyze-seed", "lambda-scan-seed", "table-verify-seed",
+             "table-verify-format"],
+    )
+    def test_flags_a_command_ignores_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments")
+
+    def test_seed_config_key_rejected_where_unread(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n")
+        code, out, err = run(capsys, "analyze", "--alphas", "1", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "'seed' matches no flag" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integrate", "--lambda", "-1.8", "--preset", "oscillator",
+             "--h", "0.1", "--steps", "20", "--probe", "1e-3"),
+            ("propagate", "--lambda", "-1.8", "--noise", "gaussian:0.1",
+             "--depth", "4", "--width", "4", "--trials", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_read_where_offered(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (out, err) == run(capsys, *argv, "--seed", "7")[1:]
+        assert (out, err) != run(capsys, *argv)[1:]  # the default seed is 1
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zstab.ivp import (
     IVPProblem,
+    Trajectory,
     constant_problem,
     convergence_order,
     decay_problem,
@@ -22,6 +25,37 @@ from zstab.schemes import (
     make_scheme,
 )
 from zstab.zerosnet import zerosnet_coeffs
+
+
+def _reference_integrate(s, p, h, n_steps):
+    """integrate as its own step loop, with its own seed-state choice and
+    blow-up rule: the oracle that the shared recurrence must equal."""
+    d = s.order
+    if len(p.initial_states) >= d and p.exact_solution is None:
+        seed = [np.array(y, dtype=float) for y in p.initial_states[:d]]
+    else:
+        seed = startup_states(p, h, d)
+
+    states = list(seed)
+    times = [p.t_start + q * h for q in range(d)]
+    blew_up_at = None
+    alphas = np.asarray(s.alphas)
+
+    for step in range(n_steps):
+        n = d - 1 + step
+        t_n = p.t_start + n * h
+        history = states[-1 : -d - 1 : -1]  # y_n, y_{n-1}, ..., y_{n-d+1}
+        nxt = sum(a * y for a, y in zip(alphas, history))
+        nxt = nxt + h * s.beta * np.atleast_1d(np.asarray(p.rhs(t_n, states[-1]), dtype=float))
+        if not np.all(np.isfinite(nxt)):
+            blew_up_at = n + 1
+            break
+        states.append(nxt)
+        times.append(t_n + h)
+
+    return Trajectory(
+        times=tuple(times), states=tuple(states), step_size=h, blew_up_at=blew_up_at
+    )
 
 
 def plain_decay():
@@ -231,3 +265,63 @@ class TestConvergenceOrder:
     def test_rejects_non_finite_step_sizes(self):
         with pytest.raises(ValueError):
             convergence_order(first_order(1), decay_problem(), [0.1, math.nan, 0.05])
+
+
+def _forced_problem():
+    """Time-dependent rhs, no exact solution, one initial state: every
+    scheme of order above one is bootstrapped by RK4, and a wrong t_n shows."""
+    return IVPProblem(
+        rhs=lambda t, y: np.cos(3.0 * t) - 0.5 * y,
+        t_start=0.3,
+        t_end=2.0,
+        initial_states=(np.array([0.7]),),
+    )
+
+
+def _many_seeds_problem():
+    """Five 2-d initial states, more than any drawn scheme needs."""
+    return IVPProblem(
+        rhs=lambda t, y: -t * y,
+        t_start=-1.0,
+        t_end=1.0,
+        initial_states=tuple(np.array([1.0 + k, 0.5 - k]) for k in range(5)),
+    )
+
+
+_PROBLEMS = {
+    "decay": decay_problem(),
+    "constant": constant_problem(value=2.5),
+    "oscillator": oscillator_problem(),
+    "forced": _forced_problem(),
+    "many_seeds": _many_seeds_problem(),
+}
+
+
+class TestIntegrateMatchesReference:
+    """integrate runs on the shared recurrence; its states, times and
+    blow-up step must equal the dedicated step loop's bit for bit,
+    including schemes whose +-10 coefficients overflow."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alphas=st.lists(
+            st.one_of(st.floats(-10.0, 10.0), st.sampled_from([10.0, -10.0])),
+            min_size=1,
+            max_size=4,
+        ),
+        beta=st.floats(-2.0, 2.0),
+        problem=st.sampled_from(sorted(_PROBLEMS)),
+        h=st.floats(1e-3, 0.5),
+        n_steps=st.integers(1, 400),
+    )
+    @example(alphas=[10.0, 10.0, 10.0], beta=1.0, problem="decay", h=0.1, n_steps=1000)
+    def test_equal_to_reference(self, alphas, beta, problem, h, n_steps):
+        s = make_scheme(alphas, beta)
+        p = _PROBLEMS[problem]
+        traj = integrate(s, p, h, n_steps)
+        with np.errstate(all="ignore"):
+            ref = _reference_integrate(s, p, h, n_steps)
+        assert traj.times == ref.times
+        assert traj.blew_up_at == ref.blew_up_at
+        assert [y.tobytes() for y in traj.states] == [y.tobytes() for y in ref.states]
+        assert [y.shape for y in traj.states] == [y.shape for y in ref.states]

@@ -25,7 +25,7 @@ for lam in (-2.0, -1.5, -0.5, 0.2, 0.4, 1.0):
 # Scan a wide interval.  Points too close to the singular value 0 and the
 # boundary values -1 and 1/3 are excluded and reported separately.
 scan = scan_region(-10.0, 10.0, 0.01)
-stable = sum(p.zero_stable for p in scan.grid)
+stable = int(scan.zero_stable.sum())
 print(f"\nscan of [-10, 10], step 0.01: {len(scan.grid)} points, "
       f"{stable} zero-stable, {len(scan.excluded)} excluded")
 print(f"argmin lambda={scan.argmin_lambda:.4g} "

@@ -103,10 +103,6 @@ class RootSet:
     roots: tuple[tuple[complex, int], ...]
     residuals: tuple[float, ...]
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
-
     def values(self) -> list[complex]:
         """Roots expanded with multiplicity."""
         out: list[complex] = []

@@ -63,9 +63,6 @@ class Scheme:
     def order(self) -> int:
         return len(self.alphas)
 
-    def to_dict(self) -> dict:
-        return {"alphas": list(self.alphas), "beta": self.beta, "order": self.order}
-
     def label(self) -> str:
         alphas = ",".join(map(fmt, self.alphas))
         return f"alphas=[{alphas}] beta={fmt(self.beta)}"
@@ -141,18 +138,6 @@ class StabilityReport:
     violations: tuple[str, ...]
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "moduli": list(self.moduli),
-            "roots": [
-                {"re": v.real, "im": v.imag, "multiplicity": m}
-                for v, m in self.roots.roots
-            ],
-            "zero_stable": self.zero_stable,
-            "violations": list(self.violations),
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -162,14 +147,6 @@ class ConsistencyReport:
     moment: float
     consistent: bool
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sum_alpha": self.sum_alpha,
-            "moment": self.moment,
-            "consistent": self.consistent,
-            "tolerance": self.tolerance,
-        }
 
 
 def root_condition(

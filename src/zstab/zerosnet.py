@@ -8,6 +8,10 @@ For a nonzero scalar lambda the update is
 It is consistent for every nonzero lambda, zero-stable exactly for
 lambda in (-inf, -1) union (1/3, +inf), and the maximum nonprincipal root
 modulus is minimized (value 1/3) at lambda = -9/5.
+
+Each closed form is written once for a float or a numpy array of lambdas:
+the scalar functions validate their lambda and call it, and ``scan_region``
+calls it once on the whole grid.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from ._table import csv_table
 from .schemes import Scheme, make_scheme
 
 __all__ = [
     "OPTIMAL_LAMBDA",
     "RegionScan",
-    "RegionPoint",
     "zerosnet_coeffs",
     "derive_from_pair",
     "closed_form_roots",
@@ -38,6 +43,46 @@ OPTIMAL_LAMBDA = -9.0 / 5.0
 EXCLUSION_RADIUS = 1e-9
 _SPECIAL_LAMBDAS = (0.0, -1.0, 1.0 / 3.0)
 
+# The most grid points one scan may plan, round((max - min) / step) + 1; a
+# step asking for more is rejected before anything is allocated.
+MAX_SCAN_POINTS = 10**6
+
+
+def _family(lam):
+    """(alpha0, alpha1, alpha2, beta) = (3(1+L)/(4L), -1/L, (1+L)/(4L), (3L-1)/(2L))."""
+    with np.errstate(all="ignore"):
+        return (
+            3.0 * (1.0 + lam) / (4.0 * lam),
+            -1.0 / lam,
+            (1.0 + lam) / (4.0 * lam),
+            (3.0 * lam - 1.0) / (2.0 * lam),
+        )
+
+
+def _rho(lam):
+    """rho1 and rho2 as (re1, re2, im), with max(|rho1|, |rho2|).
+
+    rho_{1,2} = (3 - L +/- sqrt((9+5L)(1-3L))) / (8L).  A nonnegative
+    discriminant gives two real roots with imaginary part +0.0; a negative
+    one gives the conjugates (3-L)/(8L) +/- i sqrt(-disc)/(8L), and ``im``
+    is rho1's imaginary part.
+    """
+    with np.errstate(all="ignore"):
+        disc = (9.0 + 5.0 * lam) * (1.0 - 3.0 * lam)
+        real = disc >= 0.0
+        sq = np.sqrt(np.abs(disc))
+        num, den = 3.0 - lam, 8.0 * lam
+        re1 = np.where(real, (num + sq) / den, num / den)
+        re2 = np.where(real, (num - sq) / den, num / den)
+        im = np.where(real, 0.0, sq / den)
+        # hypot, not np.abs of a complex array, which can differ in the last
+        # bit from abs(complex).
+        return re1, re2, im, np.maximum(np.hypot(re1, im), np.hypot(re2, im))
+
+
+def _in_region(lam):
+    return (lam < -1.0) | (lam > 1.0 / 3.0)
+
 
 def _require_nonzero(lam: float, name: str = "lambda") -> float:
     lam = float(lam)
@@ -50,11 +95,8 @@ def _require_nonzero(lam: float, name: str = "lambda") -> float:
 
 def zerosnet_coeffs(lam: float) -> Scheme:
     """Scheme([3(1+L)/(4L), -1/L, (1+L)/(4L)], (3L-1)/(2L)) for L != 0."""
-    lam = _require_nonzero(lam)
-    return make_scheme(
-        [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)],
-        (3.0 * lam - 1.0) / (2.0 * lam),
-    )
+    *alphas, beta = _family(_require_nonzero(lam))
+    return make_scheme(alphas, beta)
 
 
 def derive_from_pair(lam1: float, lam2: float) -> Scheme:
@@ -72,55 +114,37 @@ def derive_from_pair(lam1: float, lam2: float) -> Scheme:
 
 
 def closed_form_roots(lam: float) -> tuple[complex, complex, complex]:
-    """Roots (1, rho1, rho2) of the family's characteristic polynomial.
-
-    rho_{1,2} = (3 - L +/- sqrt((9+5L)(1-3L))) / (8L).  For a negative
-    discriminant the pair is built explicitly as conjugates.
-    """
-    lam = _require_nonzero(lam)
-    disc = (9.0 + 5.0 * lam) * (1.0 - 3.0 * lam)
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        rho1 = complex((3.0 - lam + sq) / (8.0 * lam))
-        rho2 = complex((3.0 - lam - sq) / (8.0 * lam))
-    else:
-        re = (3.0 - lam) / (8.0 * lam)
-        im = math.sqrt(-disc) / (8.0 * lam)
-        rho1 = complex(re, im)
-        rho2 = rho1.conjugate()
-    return (1.0 + 0.0j, rho1, rho2)
+    """Roots (1, rho1, rho2) of the family's characteristic polynomial."""
+    re1, re2, im, _ = _rho(_require_nonzero(lam))
+    # 0.0 - im rather than -im, so a real rho2 keeps the imaginary part +0.0.
+    return (1.0 + 0.0j, complex(re1, im), complex(re2, 0.0 - im))
 
 
 def in_stability_region(lam: float) -> bool:
     """True iff lam < -1 or lam > 1/3 (strict; boundaries excluded)."""
-    lam = _require_nonzero(lam)
-    return lam < -1.0 or lam > 1.0 / 3.0
+    return _in_region(_require_nonzero(lam))
 
 
 def max_nonprincipal_modulus(lam: float) -> float:
     """max(|rho1|, |rho2|) from the closed-form roots."""
-    _, rho1, rho2 = closed_form_roots(lam)
-    return max(abs(rho1), abs(rho2))
+    return float(_rho(_require_nonzero(lam))[3])
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    lam: float
-    max_modulus: float
-    zero_stable: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionScan:
-    """Grid scan of the family over a lambda interval.
+    """Grid scan of the family over a lambda interval, as read-only columns.
 
+    ``grid`` holds the scanned lambdas, ascending; ``max_moduli`` and
+    ``zero_stable`` hold max(|rho1|, |rho2|) and the region verdict at each.
     ``argmin_lambda`` is the zero-stable grid point with the smallest
     maximum nonprincipal modulus (ties broken toward the smaller lambda);
     None when no grid point is zero-stable.  Excluded points (too close to
-    0, -1, or 1/3) are reported separately.
+    0, -1, or 1/3) are in no column and reported separately.
     """
 
-    grid: tuple[RegionPoint, ...]
+    grid: np.ndarray
+    max_moduli: np.ndarray
+    zero_stable: np.ndarray
     excluded: tuple[float, ...]
     argmin_lambda: Optional[float]
     argmin_modulus: Optional[float]
@@ -137,9 +161,11 @@ class RegionScan:
 
     def rows(self) -> Iterator[tuple]:
         """One tuple of ``CSV_COLUMNS`` values per grid point, unformatted."""
-        for point in self.grid:
-            s = zerosnet_coeffs(point.lam)
-            yield (point.lam, *s.alphas, s.beta, point.max_modulus, point.zero_stable)
+        coeffs = _family(self.grid)
+        if not all(np.isfinite(c).all() for c in coeffs):
+            raise ValueError("scheme coefficients must be finite")
+        columns = (self.grid, *coeffs, self.max_moduli, self.zero_stable)
+        return zip(*(column.tolist() for column in columns))
 
     def to_csv(self) -> str:
         return csv_table(self.CSV_COLUMNS, self.rows())
@@ -151,42 +177,41 @@ def scan_region(lam_min: float, lam_max: float, step: float) -> RegionScan:
         raise ValueError("lam_min must be below lam_max")
     if step <= 0:
         raise ValueError("step must be positive")
+    span = (lam_max - lam_min) / step
+    if not all(map(math.isfinite, (lam_min, lam_max, step, span))):
+        raise ValueError("scan bounds, step and point count must be finite")
+    # round(span) + 1 points; round breaks ties toward even, and the limit is even.
+    if span >= MAX_SCAN_POINTS - 0.5:
+        raise ValueError(f"scan needs more than {MAX_SCAN_POINTS} grid points")
 
-    count = int(round((lam_max - lam_min) / step))
+    index = np.arange(int(round(span)) + 1, dtype=float)
     # When the interval bounds sit on the step grid, build points as
     # (integer index) * step; accumulating lam_min + i*step drifts by a few
     # ulps, which matters right at the double-root lambda.
     ratio = lam_min / step
     k0 = round(ratio)
-    if abs(ratio - k0) < 1e-9:
-        values = [(k0 + i) * step for i in range(count + 1)]
-    else:
-        values = [lam_min + i * step for i in range(count + 1)]
-    values = [v for v in values if v <= lam_max + step * 1e-9]
+    on_grid = abs(ratio - k0) < 1e-9
+    with np.errstate(over="ignore"):
+        values = (float(k0) + index) * step if on_grid else lam_min + index * step
+    values = values[values <= lam_max + step * 1e-9]
+    if not np.isfinite(values).all():
+        raise ValueError("lambda must be finite")
 
-    points: list[RegionPoint] = []
-    excluded: list[float] = []
-    for lam in values:
-        if any(abs(lam - special) <= EXCLUSION_RADIUS for special in _SPECIAL_LAMBDAS):
-            excluded.append(lam)
-            continue
-        modulus = max_nonprincipal_modulus(lam)
-        points.append(RegionPoint(lam, modulus, in_stability_region(lam)))
-
-    if not points:
+    near = np.any(np.abs(values[:, None] - _SPECIAL_LAMBDAS) <= EXCLUSION_RADIUS, axis=1)
+    grid = values[~near]
+    if grid.size == 0:
         raise ValueError("scan grid contains no usable lambda values")
+    moduli = _rho(grid)[3]
+    stable = _in_region(grid)
+    for column in (grid, moduli, stable):
+        column.flags.writeable = False
 
-    argmin_lambda: Optional[float] = None
-    argmin_modulus: Optional[float] = None
-    for point in points:
-        if not point.zero_stable:
-            continue
-        if argmin_modulus is None or point.max_modulus < argmin_modulus:
-            argmin_modulus = point.max_modulus
-            argmin_lambda = point.lam
-    return RegionScan(
-        grid=tuple(points),
-        excluded=tuple(excluded),
-        argmin_lambda=argmin_lambda,
-        argmin_modulus=argmin_modulus,
-    )
+    argmin_lambda = argmin_modulus = None
+    candidates = np.flatnonzero(stable)
+    if candidates.size:
+        # The first smallest modulus; a NaN first one stays: nothing is below it.
+        first = np.isnan(moduli[candidates[0]])
+        best = candidates[0 if first else np.nanargmin(moduli[candidates])]
+        argmin_lambda, argmin_modulus = float(grid[best]), float(moduli[best])
+    excluded = tuple(values[near].tolist())
+    return RegionScan(grid, moduli, stable, excluded, argmin_lambda, argmin_modulus)

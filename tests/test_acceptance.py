@@ -107,9 +107,8 @@ def test_criterion_4_optimal_lambda():
         scan.argmin_lambda is not None
         and abs(scan.argmin_lambda + 1.8) <= 0.01
         and all(
-            scan.argmin_modulus <= p.max_modulus
-            for p in scan.grid
-            if p.zero_stable
+            scan.argmin_modulus <= modulus
+            for modulus in scan.max_moduli[scan.zero_stable]
         )
     )
     ok = coeff_err <= 1e-12 and modulus_err <= 1e-10 and argmin_ok

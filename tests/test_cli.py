@@ -127,6 +127,21 @@ class TestLambdaScan:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--min=-inf", "--max=1", "--step=0.1"),
+            ("--min=0.5", "--max=inf", "--step=0.1"),
+            ("--min=0.5", "--max=1", "--step=1e-320"),
+        ],
+        ids=["min-inf", "max-inf", "step-subnormal"],
+    )
+    def test_non_finite_scan_is_usage_error(self, capsys, bounds):
+        code, out, err = run(capsys, "lambda-scan", *bounds)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
     def test_json_matches_csv(self, capsys):
         args = ("lambda-scan", "--min", "0.4", "--max", "0.8", "--step", "0.1")
         _, csv_out, _ = run(capsys, *args)

@@ -1,8 +1,10 @@
-"""Byte-for-byte pins of the CLI's stdout and stderr.
+"""Byte-for-byte pins of the CLI's stdout and stderr, and of the demos.
 
-Each case runs one command in-process and compares both streams and the
-exit code with the files under ``tests/golden``.  The files are the
-reference output; a deliberate output change regenerates them with
+Each CLI case runs one command in-process and compares both streams and the
+exit code with the files under ``tests/golden``.  Each demo runs as its own
+Python process, and its stdout and exit code are compared the same way.
+The files are the reference output; a deliberate output change regenerates
+them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +24,9 @@ import pytest
 
 from zstab.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ANALYZE = ("analyze", "--alphas", "3,-3,1")
 SCAN = ("lambda-scan", "--min", "-2", "--max", "-1.6", "--step", "0.1")
@@ -63,8 +69,24 @@ def _run(argv) -> tuple[str, str, str]:
     return out.getvalue(), err.getvalue(), f"{code}\n"
 
 
-def _files(name: str) -> tuple[Path, Path, Path]:
-    return tuple(GOLDEN / f"{name}.{ext}" for ext in ("out", "err", "rc"))
+def _run_demo(demo: Path) -> tuple[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.stdout, f"{done.returncode}\n"
+
+
+def _files(name: str, exts=("out", "err", "rc")) -> tuple[Path, ...]:
+    return tuple(GOLDEN / f"{name}.{ext}" for ext in exts)
+
+
+def _demo_files(demo: Path) -> tuple[Path, ...]:
+    return _files(f"demo_{demo.stem}", ("out", "rc"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -74,9 +96,19 @@ def test_cli_bytes(name):
     assert actual == expected
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
+def test_demo_bytes(demo):
+    actual = _run_demo(demo)
+    expected = tuple(path.read_text() for path in _demo_files(demo))
+    assert actual == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         for path, text in zip(_files(name), _run(argv)):
+            path.write_text(text)
+    for demo in DEMOS:
+        for path, text in zip(_demo_files(demo), _run_demo(demo)):
             path.write_text(text)
     sys.exit(0)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,28 +199,5 @@ class TestCompanionSpectralRadius:
 
 
 class TestSerialization:
-    def test_scheme_round_trips_through_json(self):
-        s = make_scheme([0.825, -0.1, 0.275], 1.45)
-        blob = json.loads(json.dumps(s.to_dict()))
-        assert blob["alphas"] == [0.825, -0.1, 0.275]
-        assert blob["beta"] == 1.45
-        assert blob["order"] == 3
-
-    def test_stability_report_dict(self):
-        d = root_condition(lm_second_order(0.5)).to_dict()
-        assert d["zero_stable"] is True
-        assert len(d["moduli"]) == 2
-        assert len(d["roots"]) == 2
-        json.dumps(d)
-
-    def test_consistency_report_dict(self):
-        d = consistency_check(first_order(1)).to_dict()
-        assert d == {
-            "sum_alpha": 1.0,
-            "moment": 1.0,
-            "consistent": True,
-            "tolerance": 1e-9,
-        }
-
     def test_label(self):
         assert Scheme((1.0,), 1.0).label() == "alphas=[1] beta=1"

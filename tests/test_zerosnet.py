@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zstab.schemes import characteristic_polynomial, consistency_check, root_condition
+from zstab._table import csv_table, json_table
+from zstab.schemes import (
+    characteristic_polynomial,
+    consistency_check,
+    make_scheme,
+    root_condition,
+)
 from zstab.polyroots import find_roots
 from zstab.zerosnet import (
+    MAX_SCAN_POINTS,
     OPTIMAL_LAMBDA,
     RegionScan,
     closed_form_roots,
@@ -25,6 +32,122 @@ from conftest import match_roots
 nonzero_lambda = st.floats(min_value=-10, max_value=10).filter(
     lambda v: abs(v) > 1e-3
 )
+any_nonzero_lambda = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: v != 0.0
+)
+
+
+# The closed forms and the per-point scan as they were written before the
+# family was evaluated over numpy arrays: plain float arithmetic, one lambda
+# at a time.  The array code must reproduce them bit for bit.
+
+
+def _reference_coeffs(lam):
+    alphas = [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)]
+    return make_scheme(alphas, (3.0 * lam - 1.0) / (2.0 * lam))
+
+
+def _reference_roots(lam):
+    disc = (9.0 + 5.0 * lam) * (1.0 - 3.0 * lam)
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        rho1 = complex((3.0 - lam + sq) / (8.0 * lam))
+        rho2 = complex((3.0 - lam - sq) / (8.0 * lam))
+    else:
+        re = (3.0 - lam) / (8.0 * lam)
+        im = math.sqrt(-disc) / (8.0 * lam)
+        rho1 = complex(re, im)
+        rho2 = rho1.conjugate()
+    return (1.0 + 0.0j, rho1, rho2)
+
+
+def _reference_modulus(lam):
+    _, rho1, rho2 = _reference_roots(lam)
+    return max(abs(rho1), abs(rho2))
+
+
+def _reference_scan(lam_min, lam_max, step):
+    """(CSV, JSON, excluded, argmin_lambda, argmin_modulus) of the old scan.
+
+    CSV and JSON are the ValueError's repr when building a row's scheme
+    fails, as it does once 4*lambda overflows.
+    """
+    count = int(round((lam_max - lam_min) / step))
+    ratio = lam_min / step
+    k0 = round(ratio)
+    if abs(ratio - k0) < 1e-9:
+        values = [(k0 + i) * step for i in range(count + 1)]
+    else:
+        values = [lam_min + i * step for i in range(count + 1)]
+    values = [v for v in values if v <= lam_max + step * 1e-9]
+    points, excluded = [], []
+    for lam in values:
+        if any(abs(lam - special) <= 1e-9 for special in (0.0, -1.0, 1.0 / 3.0)):
+            excluded.append(lam)
+            continue
+        if not math.isfinite(lam):
+            raise ValueError("lambda must be finite")
+        points.append((lam, _reference_modulus(lam), lam < -1.0 or lam > 1.0 / 3.0))
+    if not points:
+        raise ValueError("scan grid contains no usable lambda values")
+    argmin_lambda = argmin_modulus = None
+    for lam, modulus, stable in points:
+        if stable and (argmin_modulus is None or modulus < argmin_modulus):
+            argmin_lambda, argmin_modulus = lam, modulus
+    try:
+        rows = []
+        for lam, modulus, stable in points:
+            s = _reference_coeffs(lam)
+            rows.append((lam, *s.alphas, s.beta, modulus, stable))
+        tables = (
+            csv_table(RegionScan.CSV_COLUMNS, rows),
+            json_table(RegionScan.CSV_COLUMNS, rows),
+        )
+    except ValueError as exc:
+        tables = (repr(exc), repr(exc))
+    return (*tables, tuple(excluded), argmin_lambda, argmin_modulus)
+
+
+def _scan_outputs(lam_min, lam_max, step):
+    scan = scan_region(lam_min, lam_max, step)
+    try:
+        tables = (scan.to_csv(), json_table(RegionScan.CSV_COLUMNS, scan.rows()))
+    except ValueError as exc:
+        tables = (repr(exc), repr(exc))
+    return (*tables, scan.excluded, scan.argmin_lambda, scan.argmin_modulus)
+
+
+@st.composite
+def scan_bounds(draw):
+    """(lam_min, lam_max, step) with at most a few hundred grid points.
+
+    Grids on the step through one of -9/5, -1, 0 and 1/3, bounds off the
+    step grid around them, anywhere in [-12, 12], and far out where the
+    moduli and then the coefficients overflow.
+    """
+    kind = draw(st.sampled_from(["through", "off-grid", "anywhere", "huge"]))
+    below, above = draw(st.integers(0, 300)), draw(st.integers(1, 300))
+    if kind == "huge":
+        # The moduli turn inf past ~1e154 and NaN past 2.2e307 (8*lambda
+        # overflows); the coefficients overflow past 4.5e307.
+        lam_min = draw(st.floats(1e306, 1e307)) * draw(st.sampled_from([1.0, -1.0]))
+        step = draw(st.floats(1e-3, 1.0)) * abs(lam_min) / 20
+        return lam_min, lam_min + above * step, step
+    target = draw(st.sampled_from([OPTIMAL_LAMBDA, -1.0, 0.0, 1.0 / 3.0]))
+    if target == 1.0 / 3.0:
+        step = draw(st.sampled_from([1.0 / 3.0, 1.0 / 30.0, 1.0 / 300.0]))
+    else:
+        step = draw(st.sampled_from([0.2, 0.1, 0.05, 0.01, 0.002, 1e-3, 1e-4]))
+    if kind == "through":
+        k = round(target / step)
+        return (k - below) * step, (k + above) * step, step
+    if kind == "off-grid":
+        lo = draw(st.floats(0.0, 1.0, exclude_min=True)) * step
+        hi = draw(st.floats(0.0, 1.0, exclude_min=True)) * step
+        return target - below * step - lo, target + above * step + hi, step
+    lam_min = draw(st.floats(-12.0, 12.0))
+    step = draw(st.floats(1e-4, 0.5))
+    return lam_min, lam_min + (above + draw(st.floats(0.0, 1.0))) * step, step
 
 
 class TestCoefficients:
@@ -116,6 +239,33 @@ class TestClosedFormRoots:
         assert abs(abs(r1) ** 2 - (0.25 + 0.25 / lam)) < 1e-12
 
 
+class TestScalarsMatchReference:
+    @given(any_nonzero_lambda)
+    @settings(max_examples=500, deadline=None)
+    def test_bit_for_bit(self, lam):
+        assert repr(closed_form_roots(lam)) == repr(_reference_roots(lam))
+        assert repr(max_nonprincipal_modulus(lam)) == repr(_reference_modulus(lam))
+        assert in_stability_region(lam) is (lam < -1.0 or lam > 1.0 / 3.0)
+        try:
+            expected = repr(_reference_coeffs(lam))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                zerosnet_coeffs(lam)
+        else:
+            assert repr(zerosnet_coeffs(lam)) == expected
+
+    @pytest.mark.parametrize(
+        "lam", [OPTIMAL_LAMBDA, -1.0, 1.0 / 3.0, 1.0, -4.821664994140733, 5e-324, 3e307]
+    )
+    def test_bit_for_bit_examples(self, lam):
+        assert repr(closed_form_roots(lam)) == repr(_reference_roots(lam))
+        assert repr(max_nonprincipal_modulus(lam)) == repr(_reference_modulus(lam))
+
+    def test_real_roots_keep_positive_zero_imaginary_part(self):
+        for r in closed_form_roots(OPTIMAL_LAMBDA):
+            assert math.copysign(1.0, r.imag) == 1.0
+
+
 class TestStabilityRegion:
     def test_examples(self):
         assert in_stability_region(-9 / 5) is True
@@ -166,21 +316,21 @@ class TestScanRegion:
 
     def test_all_stable_interval(self):
         scan = scan_region(0.4, 5.0, 0.1)
-        assert all(p.zero_stable for p in scan.grid)
+        assert all(scan.zero_stable)
 
     def test_no_stable_interval(self):
         scan = scan_region(-0.9, 0.3, 0.1)
-        assert not any(p.zero_stable for p in scan.grid)
+        assert not any(scan.zero_stable)
         assert scan.argmin_lambda is None
 
     def test_zero_excluded(self):
         scan = scan_region(-0.5, 0.5, 0.25)
         assert 0.0 in scan.excluded
-        assert all(p.lam != 0.0 for p in scan.grid)
+        assert all(lam != 0.0 for lam in scan.grid)
 
     def test_grid_sorted(self):
         scan = scan_region(-3.0, 3.0, 0.5)
-        lams = [p.lam for p in scan.grid]
+        lams = scan.grid.tolist()
         assert lams == sorted(lams)
 
     def test_invalid_bounds(self):
@@ -189,15 +339,90 @@ class TestScanRegion:
         with pytest.raises(ValueError):
             scan_region(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (-math.inf, 1.0, 0.1),
+            (0.0, math.inf, 0.1),
+            (0.0, 1.0, math.nan),
+            (0.0, 1.0, math.inf),
+            (0.0, 1.0, 1e-320),
+            (-1e308, 1e308, 1.0),
+        ],
+        ids=["min-inf", "max-inf", "step-nan", "step-inf", "step-subnormal", "span-overflow"],
+    )
+    def test_non_finite_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            scan_region(*bounds)
+
+    def test_point_limit(self):
+        # round(span) + 1 == MAX_SCAN_POINTS + 1 grid points: one too many.
+        with pytest.raises(ValueError, match="grid points"):
+            scan_region(0.5, 0.5 + MAX_SCAN_POINTS, 1.0)
+
+    def test_columns(self):
+        scan = scan_region(-3.0, 3.0, 0.25)
+        assert len(scan.grid) == len(scan.max_moduli) == len(scan.zero_stable)
+        assert scan.zero_stable.dtype == bool
+        for column in (scan.grid, scan.max_moduli, scan.zero_stable):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        rows = list(scan.rows())
+        assert [r[0] for r in rows] == scan.grid.tolist()
+        assert all(type(v) is float for v in rows[0][:6])
+        assert type(rows[0][6]) is bool
+
+    @given(scan_bounds())
+    @example((1.5e307, 3e307, 1e305))  # inf moduli, then NaN ones
+    @example((-3e307, -1.5e307, 1e305))  # NaN moduli, then inf ones
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan(self, bounds):
+        try:
+            expected = _reference_scan(*bounds)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _scan_outputs(*bounds)
+            return
+        assert repr(_scan_outputs(*bounds)) == repr(expected)
+
+    def test_matches_reference_on_benchmark_grid(self):
+        assert repr(_scan_outputs(-10.0, 10.0, 1e-3)) == repr(
+            _reference_scan(-10.0, 10.0, 1e-3)
+        )
+
+    def test_moduli_screened_by_eigenvalues(self):
+        # Companion eigenvalues of all 20k family members.  They carry no
+        # multiplicities, so this screens the closed form; it does not decide.
+        scan = scan_region(-10.0, 10.0, 1e-3)
+        lam = scan.grid
+        comp = np.zeros((lam.size, 3, 3))
+        comp[:, 0, :] = np.stack(
+            [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)], axis=1
+        )
+        comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+        eig = np.linalg.eigvals(comp)
+        principal = np.argmin(np.abs(eig - 1.0), axis=1)
+        others = np.abs(eig[np.arange(3) != principal[:, None]].reshape(-1, 2))
+        want = others.max(axis=1)
+        # Two nearly equal eigenvalues (the double root at -9/5) scatter by
+        # about sqrt(eps): widen the tolerance as they close in.
+        i, j = np.triu_indices(3, 1)
+        sep = np.abs(eig[:, i] - eig[:, j]).min(axis=1)
+        tol = 1e-9 + 1e-14 / np.maximum(sep, 1e-8) + 1e-9 * want
+        worst = np.argmax(np.abs(scan.max_moduli - want) - tol)
+        assert np.all(np.abs(scan.max_moduli - want) <= tol), (
+            lam[worst], scan.max_moduli[worst], want[worst]
+        )
+
     def test_csv_export(self):
         scan = scan_region(0.4, 0.6, 0.1)
         rows = list(csv.reader(io.StringIO(scan.to_csv())))
         assert rows[0] == list(RegionScan.CSV_COLUMNS)
         assert len(rows) == 1 + len(scan.grid)
         first = rows[1]
-        assert float(first[0]) == scan.grid[0].lam
+        assert float(first[0]) == scan.grid[0]
         assert first[6] in ("true", "false")
         # the alpha columns must reproduce the scheme at that lambda
-        s = zerosnet_coeffs(scan.grid[0].lam)
+        s = zerosnet_coeffs(scan.grid[0])
         assert abs(float(first[1]) - s.alphas[0]) < 1e-9
         assert abs(float(first[4]) - s.beta) < 1e-9

@@ -52,11 +52,9 @@ from .ivp import (
 from .propagation import (
     BlockMap,
     NoiseSpec,
-    PropagationReport,
     SweepReport,
     growth_rate,
     inject_noise,
-    lipschitz_estimate,
     make_block,
     propagate,
     robustness_sweep,

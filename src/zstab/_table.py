@@ -1,13 +1,25 @@
 """The one cell rule, and the writers that every report goes through.
 
-A report is a tuple of column names plus ``rows()``, one tuple of raw
-values per row.  A float prints with 10 significant digits; a non-finite
-one is ``inf`` in CSV and ``Infinity`` in JSON.  A bool is ``true`` or
-``false``.  A tuple or list is ``;``-joined in CSV and a list in JSON.  A
-numpy array (a vector state) spreads into one CSV column per element,
-named after its column plus the index (``y0``, ``y1``, ...), and is a list
-in JSON.  ``record`` keeps Python's ``True``/``False`` in text and CSV:
-that is how ``analyze`` has always spelled them.
+A report is a tuple of column names plus ``columns()``: one sequence of
+values per name, all of one length, the number of rows.  The writers format
+each column once, and CSV and JSON are built from the same cell strings:
+
+- a float prints with 10 significant digits, ``float.__format__(v, ".10g")``;
+  JSON takes that text through ``_number``, which gives the text of
+  ``json.dumps(float(text))`` (``2`` becomes ``2.0``, ``inf`` becomes
+  ``Infinity``) without parsing it back;
+- a bool is ``true`` or ``false``, and an int prints as itself;
+- a tuple or list is ``;``-joined in CSV and a list in JSON;
+- a string is quoted in CSV as ``csv.writer`` quotes it, and is a JSON string;
+- a 2-D array holds one vector per row (a state): it spreads into one CSV
+  column per element, named after its column plus the index (``y0``,
+  ``y1``, ...), and is a list per row in JSON.
+
+Numeric columns are numpy arrays, formatted a column at a time; any other
+sequence is formatted value by value.  The rows go through in runs of
+``_CHUNK``, so a writer holds the cell strings of one run, not of the whole
+table.  JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list
+of objects, with the rows filled into one object template per table.
 """
 
 from __future__ import annotations
@@ -15,88 +27,167 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
 _DIGITS = ".10g"  # the one number format: 10 significant digits
 _format = float.__format__
+_BOOLS = ("false", "true")
+_WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_QUOTABLE = frozenset(',"\r\n')  # csv.writer quotes no field without one of these
+_CHUNK = 1 << 14  # rows formatted at a time
 
 
 def fmt(x: float) -> str:
     return _format(float(x), _DIGITS)
 
 
+def _number(text: str) -> str:
+    """The JSON text of the float that a ``.10g`` text denotes.
+
+    Ten significant digits of a normal float are also the shortest repr of
+    the float they round to, so only the layout changes: an integral value
+    gains ``.0``, exponents 10 to 15 print positionally, and the non-finite
+    words are JSON's.  From decimal exponent 308 up or -308 down the rounded
+    float may be subnormal, with a shorter repr, or overflow; there the text
+    is converted.
+    """
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text if "." in text else _WORDS.get(text, text + ".0")
+    power = int(exponent)
+    if abs(power) >= 308:
+        return json.dumps(float(text))
+    if not 10 <= power < 16:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return sign + digits.ljust(power + 1, "0") + ".0"
+
+
 def _text(v) -> str:
+    """One value's CSV text, before quoting."""
     if isinstance(v, float):
         return fmt(v)
     if isinstance(v, bool):
-        return "true" if v else "false"
+        return _BOOLS[v]
     if isinstance(v, (tuple, list)):
         return ";".join(map(_text, v))
     return str(v)
 
 
-def _json(v):
-    if isinstance(v, float):
-        return float(fmt(v)) if math.isfinite(v) else v
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if isinstance(v, (tuple, list)):
-        return [_json(x) for x in v]
-    return v
-
-
-def _cells(row) -> list[str]:
-    # fmt inlined for plain floats, most cells: a call costs as much as the format.
-    return [_format(v, _DIGITS) if type(v) is float else _text(v) for v in row]
-
-
-def _spread(row) -> list:
-    flat = []
-    for v in row:
-        if isinstance(v, np.ndarray):
-            flat.extend(v.tolist())
-        else:
-            flat.append(v)
-    return flat
-
-
-def csv_table(columns: Sequence[str], rows: Iterable[tuple]) -> str:
-    """A header line plus one CSV line per row."""
-    rows = iter(rows)
-    first = next(rows, None)
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields."""
+    if _QUOTABLE.isdisjoint(text):
+        return text
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if first is None or not any(isinstance(v, np.ndarray) for v in first):
-        writer.writerow(columns)
-        writer.writerows(map(_cells, chain([] if first is None else [first], rows)))
-        return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _layout(items: Sequence[str], level: int, brackets: str = "[]") -> str:
+    """A JSON list (or, with brackets "{}", object) whose items sit ``level``
+    deep, indented as ``json.dumps(..., indent=2)`` indents them."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * level
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _json_value(v, level: int) -> str:
+    """One value's JSON text, the value sitting ``level`` deep."""
+    if isinstance(v, float):
+        return _number(fmt(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (tuple, list)):
+        return _layout([_json_value(x, level + 1) for x in v], level + 1)
+    return _text(v)
+
+
+def _array_texts(values: np.ndarray) -> list[str]:
+    """The texts of a 1-D numeric array, formatted as one column."""
+    kind = values.dtype.kind
+    if kind == "f":
+        return list(map(_format, values.tolist(), repeat(_DIGITS)))
+    if kind == "b":
+        return list(map(_BOOLS.__getitem__, values.tolist()))
+    if kind in "iu":
+        return list(map(str, values.tolist()))
+    raise TypeError(f"no cell rule for a numpy {values.dtype} column")
+
+
+def _csv_column(values) -> list[list[str]]:
+    """A column's CSV cells: one list per CSV column it fills."""
+    if isinstance(values, np.ndarray):
+        if values.ndim == 2:
+            return [_array_texts(part) for part in values.T]
+        return [_array_texts(values)]
+    return [[_csv_field(_text(v)) for v in values]]
+
+
+def _json_column(values, level: int) -> list[str]:
+    """A column's JSON cells, each value sitting ``level`` deep."""
+    if not isinstance(values, np.ndarray):
+        return [_json_value(v, level) for v in values]
+    if values.ndim == 2:
+        if values.shape[1] == 0:
+            return ["[]"] * len(values)
+        vector = _layout(["%s"] * values.shape[1], level + 1)
+        parts = (_json_column(part, level + 1) for part in values.T)
+        return list(map(vector.__mod__, zip(*parts)))
+    texts = _array_texts(values)
+    if values.dtype.kind != "f":
+        return texts
+    return [t if "." in t and "e" not in t else _number(t) for t in texts]
+
+
+def _chunks(columns: Sequence):
+    """The columns cut into runs of at most ``_CHUNK`` rows."""
+    rows = len(columns[0]) if columns else 0
+    for start in range(0, rows, _CHUNK):
+        yield [values[start : start + _CHUNK] for values in columns]
+
+
+def csv_table(names: Sequence[str], columns: Sequence) -> str:
+    """A header line plus one CSV line per row."""
     header = []
-    for name, v in zip(columns, first):
-        if isinstance(v, np.ndarray):
-            header.extend(f"{name}{i}" for i in range(v.size))
+    for name, values in zip(names, columns):
+        if isinstance(values, np.ndarray) and values.ndim == 2 and len(values):
+            header.extend(f"{name}{i}" for i in range(values.shape[1]))
         else:
             header.append(name)
-    writer.writerow(header)
-    writer.writerows(_cells(_spread(row)) for row in chain([first], rows))
-    return buf.getvalue()
+    # csv.writer quotes a row whose one field is empty, so that it is no blank line.
+    lines = [",".join(map(_csv_field, header)) or ('""' if header else "")]
+    for chunk in _chunks(columns):
+        cells = [part for values in chunk for part in _csv_column(values)]
+        rows = map(",".join, zip(*cells)) if cells else repeat("", len(chunk[0]))
+        lines.append("\n".join(rows if len(cells) != 1 else (r or '""' for r in rows)))
+    lines.append("")
+    return "\n".join(lines)
 
 
-def json_table(columns: Sequence[str], rows: Iterable[tuple]) -> str:
+def json_table(names: Sequence[str], columns: Sequence) -> str:
     """A JSON list with one object per row, keyed by column name."""
-    objects = [dict(zip(columns, map(_json, row))) for row in rows]
-    return json.dumps(objects, indent=2) + "\n"
+    keys = [json.dumps(name).replace("%", "%%") + ": %s" for name in names]
+    row = _layout(keys, 2, "{}")
+    # Each run's objects are joined as _layout joins list items one deep.
+    chunks = [
+        ",\n  ".join(map(row.__mod__, zip(*(_json_column(v, 2) for v in chunk))))
+        for chunk in _chunks(columns)
+    ]
+    return _layout(chunks, 1) + "\n"
 
 
 def record(keys: Sequence[str], values: Sequence, form: str) -> str:
     """One row as ``key=value`` lines ("text"), a ``key,value`` CSV ("csv")
     or a JSON object ("json")."""
     if form == "json":
-        return json.dumps(dict(zip(keys, map(_json, values))), indent=2) + "\n"
-    texts = [str(v) if isinstance(v, bool) else _text(v) for v in values]
+        items = [f"{json.dumps(k)}: {_json_value(v, 1)}" for k, v in zip(keys, values)]
+        return _layout(items, 1, "{}") + "\n"
+    texts = map(_text, values)
     if form == "csv":
         return "key,value\n" + "".join(f"{k},{t}\n" for k, t in zip(keys, texts))
     return "".join(f"{k}={t}\n" for k, t in zip(keys, texts))

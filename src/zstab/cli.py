@@ -92,7 +92,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _table_text(report, form: str) -> str:
     """A report as a JSON list for "json", otherwise as its CSV."""
     if form == "json":
-        return json_table(report.CSV_COLUMNS, report.rows())
+        return json_table(report.CSV_COLUMNS, report.columns())
     return report.to_csv()
 
 
@@ -202,11 +202,18 @@ def cmd_integrate(args) -> int:
         raise UsageError("--h must be positive and finite")
     if args.steps < 1:
         raise UsageError("--steps must be positive")
+    if args.steps > ivp.MAX_STEPS:
+        raise UsageError(f"--steps must be at most {ivp.MAX_STEPS}")
     scheme = _scheme_from_args(args)
     problem = _problem_from_args(args)
+    # The order fit runs first, so that its step sizes, and the step budget
+    # of each of its runs, are checked before anything is integrated.
+    est = None
+    if args.orders is not None:
+        est = ivp.convergence_order(scheme, problem, _parse_floats(args.orders))
     traj = ivp.integrate(scheme, problem, args.h, args.steps)
-    # Written before the probe and the order fit run: the other order raised
-    # the peak memory of a probed 10k-step JSON run by about 5 MiB.
+    # Written before the probe runs: the other order raised the peak memory
+    # of a probed 10k-step JSON run by about 5 MiB.
     _emit(_table_text(traj, args.format), args.out)
     if traj.blew_up_at is not None:
         print(f"blow-up at step {traj.blew_up_at}", file=sys.stderr)
@@ -216,8 +223,7 @@ def cmd_integrate(args) -> int:
         )
         flagged = " (diverged)" if series.blew_up_at is not None or series.ratio > 1e3 else ""
         print(f"probe amplification ratio={fmt(series.ratio)}{flagged}", file=sys.stderr)
-    if args.orders is not None:
-        est = ivp.convergence_order(scheme, problem, _parse_floats(args.orders))
+    if est is not None:
         note = " (rounding-limited)" if est.rounding_limited else ""
         print(f"convergence order={fmt(est.order)}{note}", file=sys.stderr)
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "DivergenceSeries",
     "OrderEstimate",
     "integrate",
+    "MAX_STEPS",
     "startup_states",
     "zero_stability_probe",
     "convergence_order",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
+
+# The most steps one integration may run; a run asking for more is rejected
+# before anything is allocated.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,17 +71,19 @@ class IVPProblem:
         return int(self.initial_states[0].size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly spaced discrete solution.
+    """Uniformly spaced discrete solution, as read-only columns.
 
-    ``blew_up_at`` is the first step index whose state was non-finite;
-    integration stops there.  Blow-up is data (it is what instability looks
-    like), not an exception.
+    ``times`` holds the time of each state and ``states`` the states
+    themselves, one row per step of shape (steps, dim); ``len(states)``
+    counts them.  ``blew_up_at`` is the first step index whose state was
+    non-finite; integration stops there.  Blow-up is data (it is what
+    instability looks like), not an exception.
     """
 
-    times: tuple[float, ...]
-    states: tuple[np.ndarray, ...]
+    times: np.ndarray
+    states: np.ndarray
     step_size: float
     blew_up_at: Optional[int] = None
 
@@ -85,12 +92,12 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def rows(self) -> Iterator[tuple]:
-        """(n, t, state) per step; the 1-d state spreads into y0..y{dim-1}."""
-        return zip(range(len(self.times)), self.times, self.states)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(n, t, state) per step; the state spreads into y0..y{dim-1}."""
+        return (np.arange(len(self.states)), self.times, self.states)
 
     def to_csv(self) -> str:
-        return csv_table(self.CSV_COLUMNS, self.rows())
+        return csv_table(self.CSV_COLUMNS, self.columns())
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,12 @@ class DivergenceSeries:
 
     CSV_COLUMNS = ("n", "gap")
 
-    def rows(self) -> Iterator[tuple]:
+    def columns(self) -> tuple[np.ndarray, ...]:
         """(n, gap) per step."""
-        return enumerate(self.per_step)
+        return (np.arange(len(self.per_step)), np.array(self.per_step, dtype=float))
 
     def to_csv(self) -> str:
-        return csv_table(self.CSV_COLUMNS, self.rows())
+        return csv_table(self.CSV_COLUMNS, self.columns())
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,13 @@ def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
     return states
 
 
+def _check_steps(n_steps: int) -> None:
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"integration needs more than {MAX_STEPS} steps")
+
+
 def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     """Run the explicit recurrence for n_steps, yielding d + n_steps states.
 
@@ -166,8 +180,7 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     shared loop ``schemes._recur``.  Non-finite states stop the run and set
     ``blew_up_at`` on the result.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_steps(n_steps)
     d = s.order
     states = startup_states(p, h, d)
 
@@ -178,13 +191,17 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     blew = int(_recur(s.alphas, h * s.beta, states, n_steps, f))
     # State q sits at t_start + q*h; after the seeds the time is the previous
     # step's time plus h, as the step itself computes it.
-    times = tuple(
-        p.t_start + q * h if q < d else (p.t_start + (q - 1) * h) + h
-        for q in range(len(states))
-    )
+    q = np.arange(len(states), dtype=float)
+    with np.errstate(over="ignore"):
+        times = np.where(q < d, p.t_start + q * h, (p.t_start + (q - 1.0) * h) + h)
+    # One copy into a (steps, dim) array; np.stack would first make a view of
+    # every state.
+    states = np.concatenate(states).reshape(len(states), states[0].size)
+    for column in (times, states):
+        column.flags.writeable = False
     return Trajectory(
         times=times,
-        states=tuple(states),
+        states=states,
         step_size=h,
         blew_up_at=d - 1 + blew if blew else None,
     )
@@ -256,10 +273,15 @@ def convergence_order(
         raise ValueError("step sizes must be distinct")
 
     span = p.t_end - p.t_start
+    # The ratio is capped so that a count past the budget is rejected, not
+    # converted (it may be infinite).
+    runs = [
+        max(round(min(span / h, MAX_STEPS + s.order)) - (s.order - 1), 1) for h in h_list
+    ]
+    for n_steps in runs:
+        _check_steps(n_steps)
     errors = []
-    for h in h_list:
-        n_steps = int(round(span / h)) - (s.order - 1)
-        n_steps = max(n_steps, 1)
+    for h, n_steps in zip(h_list, runs):
         traj = integrate(s, p, h, n_steps)
         if traj.blew_up_at is not None:
             errors.append(math.inf)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .schemes import Scheme, _recur, root_condition
 __all__ = [
     "BlockMap",
     "NoiseSpec",
-    "PropagationReport",
     "SweepCell",
     "SweepReport",
     "make_block",
@@ -31,11 +30,15 @@ __all__ = [
     "inject_noise",
     "robustness_sweep",
     "growth_rate",
-    "compare_propagations",
-    "lipschitz_estimate",
+    "MAX_SWEEP_WEIGHTS",
 ]
 
 _STD_FLOOR = 1e-12
+
+# The most block weights one sweep may draw, depth x trials x width^2; a
+# sweep asking for more is rejected before anything is drawn.  One depth's
+# blocks, trials x width^2 weights, are held at once.
+MAX_SWEEP_WEIGHTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,7 @@ class BlockMap:
 
     Standardization (zero mean, unit variance per feature vector) bounds
     the output regardless of the input magnitude, which is what makes the
-    composite map Lipschitz over any sampled region; the measured constant
-    is available via lipschitz_estimate.
+    composite map Lipschitz over any sampled region.
     """
 
     width: int
@@ -80,23 +82,6 @@ def make_block(seed: int, width: int, scale: float = 1.0) -> BlockMap:
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((width, width)) / math.sqrt(width)
     return BlockMap(width=width, weights=weights, scale=scale)
-
-
-def lipschitz_estimate(
-    block: BlockMap, n_pairs: int = 1000, seed: int = 0, box: float = 2.0
-) -> float:
-    """Empirical Lipschitz ratio of the block over sampled point pairs."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        y = rng.uniform(-box, box, block.width)
-        yh = rng.uniform(-box, box, block.width)
-        denom = float(np.linalg.norm(y - yh))
-        if denom == 0.0:
-            continue
-        ratio = float(np.linalg.norm(block(y) - block(yh))) / denom
-        worst = max(worst, ratio)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -207,46 +192,6 @@ def propagate(
     return states[-1], states, int(blew) or None
 
 
-@dataclass(frozen=True)
-class PropagationReport:
-    """Gap evolution between two propagations of the same scheme."""
-
-    per_depth_gap: tuple[float, ...]
-    final_gap: float
-    growth_slope: Optional[float]
-    blew_up_at: Optional[int] = None
-
-
-def compare_propagations(
-    s: Scheme,
-    blocks: Sequence,
-    init_a: Sequence[np.ndarray],
-    init_b: Sequence[np.ndarray],
-    depth: int,
-    h: float = 1.0,
-    fit_from: Optional[int] = None,
-) -> PropagationReport:
-    """Propagate two initializations and report per-depth sup-norm gaps.
-
-    ``growth_slope`` is the least-squares slope of log gap against depth,
-    fitted from ``fit_from`` (default: halfway) onward over positive finite
-    gaps; None when fewer than 10 such gaps exist.
-    """
-    _, hist_a, blew_a = propagate(s, blocks, init_a, depth, h)
-    _, hist_b, blew_b = propagate(s, blocks, init_b, depth, h)
-    gaps = tuple(float(np.max(np.abs(a - b))) for a, b in zip(hist_a, hist_b))
-    blew_up_at = min((b for b in (blew_a, blew_b) if b is not None), default=None)
-
-    start = fit_from if fit_from is not None else len(gaps) // 2
-    final_gap = gaps[-1] if blew_up_at is None else math.inf
-    return PropagationReport(
-        per_depth_gap=gaps,
-        final_gap=final_gap,
-        growth_slope=_log_slope(gaps, start),
-        blew_up_at=blew_up_at,
-    )
-
-
 def _log_slope(gaps: Sequence[float], start: int) -> Optional[float]:
     """Least-squares slope of log gap against depth over the positive gaps
     from index ``start`` on; None when fewer than 10 remain."""
@@ -319,29 +264,28 @@ class SweepReport:
         "blew_up_fraction",
     )
 
-    def rows(self) -> Iterator[tuple]:
-        """One tuple of ``CSV_COLUMNS`` values per cell, unformatted.
+    def columns(self) -> tuple[list, ...]:
+        """The ``CSV_COLUMNS``, one value per cell.
 
         ``scheme_id`` numbers the distinct (alphas, beta) pairs in order of
-        first appearance; ``alphas`` is the scheme's tuple.
+        first appearance; ``alphas`` holds each scheme's tuple.
         """
+        schemes = [cell.scheme for cell in self.cells]
         scheme_ids: dict[tuple, int] = {}
-        for cell in self.cells:
-            s = cell.scheme
-            yield (
-                scheme_ids.setdefault((s.alphas, s.beta), len(scheme_ids)),
-                s.alphas,
-                s.beta,
-                cell.zero_stable,
-                cell.noise.kind,
-                float(cell.noise.parameter()),
-                cell.mean_gap,
-                cell.std_gap,
-                cell.blew_up_fraction,
-            )
+        return (
+            [scheme_ids.setdefault((s.alphas, s.beta), len(scheme_ids)) for s in schemes],
+            [s.alphas for s in schemes],
+            [s.beta for s in schemes],
+            [cell.zero_stable for cell in self.cells],
+            [cell.noise.kind for cell in self.cells],
+            [float(cell.noise.parameter()) for cell in self.cells],
+            [cell.mean_gap for cell in self.cells],
+            [cell.std_gap for cell in self.cells],
+            [cell.blew_up_fraction for cell in self.cells],
+        )
 
     def to_csv(self) -> str:
-        return csv_table(self.CSV_COLUMNS, self.rows())
+        return csv_table(self.CSV_COLUMNS, self.columns())
 
     def group_means(self) -> dict[bool, float]:
         """Mean of cell means per zero-stability group (inf-aware)."""
@@ -385,6 +329,11 @@ def robustness_sweep(
         raise ValueError("trials must be >= 1")
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
+    if depth * trials * width * width > MAX_SWEEP_WEIGHTS:
+        raise ValueError(
+            f"sweep draws more than {MAX_SWEEP_WEIGHTS} block weights "
+            "(depth x trials x width^2)"
+        )
 
     block_seeds = []
     inputs = []  # per trial: the clean input, then one noisy input per spec

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -159,16 +159,15 @@ class RegionScan:
         "zero_stable",
     )
 
-    def rows(self) -> Iterator[tuple]:
-        """One tuple of ``CSV_COLUMNS`` values per grid point, unformatted."""
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The ``CSV_COLUMNS`` as arrays, one value per grid point."""
         coeffs = _family(self.grid)
         if not all(np.isfinite(c).all() for c in coeffs):
             raise ValueError("scheme coefficients must be finite")
-        columns = (self.grid, *coeffs, self.max_moduli, self.zero_stable)
-        return zip(*(column.tolist() for column in columns))
+        return (self.grid, *coeffs, self.max_moduli, self.zero_stable)
 
     def to_csv(self) -> str:
-        return csv_table(self.CSV_COLUMNS, self.rows())
+        return csv_table(self.CSV_COLUMNS, self.columns())
 
 
 def scan_region(lam_min: float, lam_max: float, step: float) -> RegionScan:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from zstab.ivp import convergence_order, decay_problem, zero_stability_probe
-from zstab.propagation import NoiseSpec, compare_propagations, robustness_sweep
+from zstab.propagation import NoiseSpec, robustness_sweep
 from zstab.schemes import (
     consistency_check,
     first_order,
@@ -27,6 +27,8 @@ from zstab.zerosnet import (
     scan_region,
     zerosnet_coeffs,
 )
+
+from reference import compare_propagations
 
 from conftest import match_roots
 

@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import zstab
 import zstab.cli as cli
+from zstab import ivp, propagation
 from zstab.cli import EXIT_NOT_STABLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from zstab.propagation import MAX_SWEEP_WEIGHTS
 from zstab.table8 import REFERENCE_ROWS, verify_reference_table
 
 
@@ -19,6 +22,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_traced(capsys, *argv):
+    """run, plus the peak of the memory the command allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
+
+
+def assert_cheap_rejection(code, out, err, peak):
+    """Exit 64 with one stderr line and no stdout, before any allocation
+    that the rejected size would have caused."""
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert peak < 2**20
 
 
 def kv(out):
@@ -35,7 +58,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--alphas", "1,1,1", "--beta", "1")
         assert code == EXIT_OK
         pairs = kv(out)
-        assert pairs["zero_stable"] == "False"
+        assert pairs["zero_stable"] == "false"
         moduli = [round(float(v), 2) for v in pairs["moduli"].split(";")]
         assert moduli == [1.84, 0.74, 0.74]
 
@@ -43,8 +66,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--alphas", "1", "--beta", "1")
         assert code == EXIT_OK
         pairs = kv(out)
-        assert pairs["zero_stable"] == "True"
-        assert pairs["consistent"] == "True"
+        assert pairs["zero_stable"] == "true"
+        assert pairs["consistent"] == "true"
 
     def test_lambda_flag(self, capsys):
         code, out, _ = run(capsys, "analyze", "--lambda", "-1.8")
@@ -265,6 +288,35 @@ class TestIntegrate:
         assert code == EXIT_USAGE
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    # With --orders, whose small runs come first, the CLI itself must check --steps.
+    @pytest.mark.parametrize("extra", [(), ("--orders", "0.5,0.25,0.125")],
+                             ids=["alone", "with-orders"])
+    def test_steps_over_budget(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(ivp, "_recur", None)  # any integration would fail
+        code, out, err, peak = run_traced(
+            capsys, "integrate", "--lambda", "-1.8", "--h", "1e-9",
+            "--steps", str(ivp.MAX_STEPS + 1), *extra,
+        )
+        assert_cheap_rejection(code, out, err, peak)
+
+    def test_orders_run_over_budget(self, capsys, monkeypatch):
+        # Euler over t in [0, 1]: the first h needs exactly MAX_STEPS + 1 steps.
+        h = 1.0 / (ivp.MAX_STEPS + 1)
+        assert round(1.0 / h) == ivp.MAX_STEPS + 1
+        monkeypatch.setattr(ivp, "_recur", None)  # any integration would fail
+        code, out, err, peak = run_traced(
+            capsys, "integrate", "--alphas", "1", "--h", "1", "--steps", "1",
+            "--orders", f"{h!r},0.5,0.25",
+        )
+        assert_cheap_rejection(code, out, err, peak)
+
+    def test_orders_with_an_infinite_step_count(self, capsys):
+        code, out, err, peak = run_traced(
+            capsys, "integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "5",
+            "--orders", "5e-324,0.1,0.05",
+        )
+        assert_cheap_rejection(code, out, err, peak)
+
 
 class TestPropagate:
     def test_noise_free_zero_gap(self, capsys):
@@ -328,6 +380,25 @@ class TestPropagate:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            # depth x trials x width^2 = MAX_SWEEP_WEIGHTS + 1
+            ("--depth", "1", "--trials", str(MAX_SWEEP_WEIGHTS + 1), "--width", "1"),
+            ("--depth", str(MAX_SWEEP_WEIGHTS + 1), "--trials", "1", "--width", "1"),
+            # the smallest width over the budget at depth 1, one trial
+            ("--depth", "1", "--trials", "1", "--width", str(math.isqrt(MAX_SWEEP_WEIGHTS) + 1)),
+        ],
+        ids=["trials", "depth", "width"],
+    )
+    def test_sweep_over_budget(self, capsys, monkeypatch, size):
+        monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn
+        monkeypatch.setattr(propagation, "inject_noise", None)
+        code, out, err, peak = run_traced(
+            capsys, "propagate", "--lambda", "-1.8", "--noise", "none", *size,
+        )
+        assert_cheap_rejection(code, out, err, peak)
 
     def test_json_matches_csv(self, capsys):
         args = (

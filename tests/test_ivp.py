@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zstab import ivp
 from zstab.ivp import (
     IVPProblem,
     Trajectory,
@@ -118,7 +119,7 @@ class TestIntegrate:
     def test_single_euler_step(self):
         traj = integrate(first_order(1), plain_decay(), 0.1, 1)
         assert abs(traj.final_state()[0] - 0.9) < 1e-15
-        assert traj.times == (0.0, 0.1)
+        assert traj.times.tolist() == [0.0, 0.1]
 
     def test_two_cycle(self):
         p = IVPProblem(
@@ -166,6 +167,19 @@ class TestIntegrate:
             integrate(first_order(1), decay_problem(), 0.1, 0)
         with pytest.raises(ValueError):
             integrate(first_order(1), decay_problem(), math.nan, 1)
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
+        with pytest.raises(ValueError, match="steps"):
+            integrate(first_order(1), decay_problem(), 0.1, ivp.MAX_STEPS + 1)
+
+    def test_states_are_one_read_only_array(self):
+        traj = integrate(first_order(1), oscillator_problem(), 0.1, 3)
+        assert traj.states.shape == (4, 2)
+        assert traj.times.shape == (4,)
+        for column in (traj.times, traj.states):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_csv(self):
         traj = integrate(first_order(1), oscillator_problem(), 0.1, 3)
@@ -262,6 +276,14 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError, match="distinct"):
             convergence_order(first_order(1), decay_problem(), [0.1, 0.1, 0.1])
 
+    def test_step_budget_checked_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(ivp, "integrate", lambda *args: runs.append(args))
+        h = 1.0 / (ivp.MAX_STEPS + 1)  # the last run needs MAX_STEPS + 1 steps
+        with pytest.raises(ValueError, match="steps"):
+            convergence_order(first_order(1), decay_problem(), [0.5, 0.25, h])
+        assert runs == []
+
     def test_rejects_non_finite_step_sizes(self):
         with pytest.raises(ValueError):
             convergence_order(first_order(1), decay_problem(), [0.1, math.nan, 0.05])
@@ -321,7 +343,7 @@ class TestIntegrateMatchesReference:
         traj = integrate(s, p, h, n_steps)
         with np.errstate(all="ignore"):
             ref = _reference_integrate(s, p, h, n_steps)
-        assert traj.times == ref.times
+        assert traj.times.tolist() == list(ref.times)
         assert traj.blew_up_at == ref.blew_up_at
         assert [y.tobytes() for y in traj.states] == [y.tobytes() for y in ref.states]
         assert [y.shape for y in traj.states] == [y.shape for y in ref.states]

@@ -14,10 +14,8 @@ from zstab.propagation import (
     NoiseSpec,
     SweepCell,
     SweepReport,
-    compare_propagations,
     growth_rate,
     inject_noise,
-    lipschitz_estimate,
     make_block,
     propagate,
     robustness_sweep,
@@ -25,6 +23,8 @@ from zstab.propagation import (
 from zstab.schemes import first_order, make_scheme, root_condition
 from zstab.table8 import REFERENCE_ROWS
 from zstab.zerosnet import zerosnet_coeffs
+
+from reference import compare_propagations, lipschitz_estimate
 
 
 class _Zero:
@@ -368,6 +368,20 @@ class TestRobustnessSweep:
         assert [c.blew_up_fraction for c in report.cells] == [1.0, 0.0]
         assert blew is not None
 
+    def test_size_budget(self, monkeypatch):
+        monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn
+        monkeypatch.setattr(propagation, "inject_noise", None)
+        with pytest.raises(ValueError, match="block weights"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()], depth=1, trials=1,
+                width=math.isqrt(propagation.MAX_SWEEP_WEIGHTS) + 1,
+            )
+        with pytest.raises(ValueError, match="block weights"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()], depth=1, width=1,
+                trials=propagation.MAX_SWEEP_WEIGHTS + 1,
+            )
+
     def test_rows_number_each_scheme_once(self):
         a, b = first_order(1), zerosnet_coeffs(-9 / 5)
         report = robustness_sweep(
@@ -377,11 +391,12 @@ class TestRobustnessSweep:
             width=8,
             trials=1,
         )
-        rows = list(report.rows())
-        assert [r[0] for r in rows] == [0, 0, 1, 1, 0, 0]
-        assert all(len(r) == len(SweepReport.CSV_COLUMNS) for r in rows)
+        columns = report.columns()
+        assert columns[0] == [0, 0, 1, 1, 0, 0]
+        assert len(columns) == len(SweepReport.CSV_COLUMNS)
+        assert all(len(c) == len(report.cells) for c in columns)
         cell = report.cells[3]
-        assert rows[3][1:] == (
+        assert tuple(c[3] for c in columns[1:]) == (
             b.alphas, b.beta, cell.zero_stable, "gaussian", 0.02,
             cell.mean_gap, cell.std_gap, cell.blew_up_fraction,
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zstab._table import csv_table, json_table
+from zstab._table import json_table
 from zstab.schemes import (
     characteristic_polynomial,
     consistency_check,
@@ -27,6 +27,7 @@ from zstab.zerosnet import (
     zerosnet_coeffs,
 )
 
+import reference
 from conftest import match_roots
 
 nonzero_lambda = st.floats(min_value=-10, max_value=10).filter(
@@ -100,8 +101,8 @@ def _reference_scan(lam_min, lam_max, step):
             s = _reference_coeffs(lam)
             rows.append((lam, *s.alphas, s.beta, modulus, stable))
         tables = (
-            csv_table(RegionScan.CSV_COLUMNS, rows),
-            json_table(RegionScan.CSV_COLUMNS, rows),
+            reference.csv_table(RegionScan.CSV_COLUMNS, rows),
+            reference.json_table(RegionScan.CSV_COLUMNS, rows),
         )
     except ValueError as exc:
         tables = (repr(exc), repr(exc))
@@ -111,7 +112,7 @@ def _reference_scan(lam_min, lam_max, step):
 def _scan_outputs(lam_min, lam_max, step):
     scan = scan_region(lam_min, lam_max, step)
     try:
-        tables = (scan.to_csv(), json_table(RegionScan.CSV_COLUMNS, scan.rows()))
+        tables = (scan.to_csv(), json_table(RegionScan.CSV_COLUMNS, scan.columns()))
     except ValueError as exc:
         tables = (repr(exc), repr(exc))
     return (*tables, scan.excluded, scan.argmin_lambda, scan.argmin_modulus)
@@ -367,10 +368,12 @@ class TestScanRegion:
         for column in (scan.grid, scan.max_moduli, scan.zero_stable):
             with pytest.raises(ValueError):
                 column[0] = 1
-        rows = list(scan.rows())
-        assert [r[0] for r in rows] == scan.grid.tolist()
-        assert all(type(v) is float for v in rows[0][:6])
-        assert type(rows[0][6]) is bool
+        columns = scan.columns()
+        assert len(columns) == len(RegionScan.CSV_COLUMNS)
+        assert columns[0] is scan.grid
+        assert all(c.shape == scan.grid.shape for c in columns)
+        assert all(c.dtype == float for c in columns[:6])
+        assert columns[6].dtype == bool
 
     @given(scan_bounds())
     @example((1.5e307, 3e307, 1e305))  # inf moduli, then NaN ones

@@ -10,8 +10,6 @@ from .polyroots import (
     Polynomial,
     RootFindingError,
     RootSet,
-    cluster_multiplicities,
-    companion_power_modulus,
     find_roots,
 )
 from .schemes import (
@@ -19,7 +17,6 @@ from .schemes import (
     Scheme,
     StabilityReport,
     characteristic_polynomial,
-    companion_spectral_radius,
     consistency_check,
     first_order,
     lm_second_order,

@@ -200,6 +200,10 @@ def _problem_from_args(args) -> ivp.IVPProblem:
 def cmd_integrate(args) -> int:
     if not 0.0 < args.h < math.inf:
         raise UsageError("--h must be positive and finite")
+    # Checked here because the probe itself runs only after the trajectory
+    # is written.
+    if args.probe is not None and not 0.0 < args.probe < math.inf:
+        raise UsageError("--probe must be positive and finite")
     if args.steps < 1:
         raise UsageError("--steps must be positive")
     if args.steps > ivp.MAX_STEPS:

@@ -2,15 +2,15 @@
 
 Degrees here are small (the characteristic polynomials of multistep
 schemes), so an Aberth-Ehrlich iteration started on a Cauchy-bound circle
-is used instead of an eigenvalue solver.  A companion-matrix power
-iteration is kept as an independent oracle for the dominant modulus.
+is used instead of an eigenvalue solver.  Its tolerances are the module
+constants below, read at each call.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,13 +19,16 @@ __all__ = [
     "RootSet",
     "RootFindingError",
     "find_roots",
-    "cluster_multiplicities",
-    "companion_power_modulus",
-    "SpectralRadiusEstimate",
+    "RESIDUAL_TOL",
+    "CLUSTER_RADIUS",
+    "MAX_ITERATIONS",
 ]
 
-DEFAULT_RESIDUAL_TOL = 1e-10
-DEFAULT_CLUSTER_RADIUS = 1e-6
+# Largest accepted residual |p(z)|, relative to the largest coefficient.
+RESIDUAL_TOL = 1e-10
+# Roots closer than this are merged into one multiple root.
+CLUSTER_RADIUS = 1e-6
+# Aberth iteration budget per polynomial.
 MAX_ITERATIONS = 200
 
 
@@ -66,9 +69,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def __call__(self, z: complex) -> complex:
-        return self.eval(z)
 
     def eval(self, z: complex) -> complex:
         """Horner evaluation at ``z``."""
@@ -119,21 +119,17 @@ def _root_sort_key(value: complex) -> tuple[float, float]:
     return (-abs(value), cmath.phase(value))
 
 
-def cluster_multiplicities(
-    raw_roots: Sequence[complex], radius: float
-) -> list[tuple[complex, int]]:
-    """Merge roots within ``radius`` of each other into centroids.
+def cluster_multiplicities(raw_roots: Sequence[complex]) -> list[tuple[complex, int]]:
+    """Merge roots within ``CLUSTER_RADIUS`` of each other into centroids.
 
     Returns (centroid, multiplicity) pairs sorted by modulus descending,
     then argument ascending.
     """
-    if radius <= 0:
-        raise ValueError("cluster radius must be positive")
     clusters: list[list[complex]] = []
     for z in sorted(raw_roots, key=_root_sort_key):
         for members in clusters:
             centroid = sum(members) / len(members)
-            if abs(z - centroid) <= radius:
+            if abs(z - centroid) <= CLUSTER_RADIUS:
                 members.append(z)
                 break
         else:
@@ -143,9 +139,7 @@ def cluster_multiplicities(
     return merged
 
 
-def _aberth_iterates(
-    p: Polynomial, tol: float, max_iterations: int
-) -> np.ndarray:
+def _aberth_iterates(p: Polynomial) -> np.ndarray:
     mon = p.monic()
     n = mon.degree
     coeffs = np.asarray(mon.coefficients, dtype=complex)
@@ -162,7 +156,7 @@ def _aberth_iterates(
     # the iterates are as close to the root as floating point allows.
     # Overflowing iterates fail the residual test: a RootFindingError, no warning.
     with np.errstate(all="ignore"):
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             pv = np.polyval(coeffs, z)
             dv = np.polyval(deriv, z)
             dv = np.where(dv == 0, np.finfo(float).eps, dv)
@@ -177,99 +171,37 @@ def _aberth_iterates(
             if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
                 break
         pv = np.polyval(coeffs, z)
-        if np.all(np.abs(pv) <= tol * scale):
+        if np.all(np.abs(pv) <= RESIDUAL_TOL * scale):
             return z
     raise RootFindingError(
-        f"root finding did not converge within {max_iterations} iterations "
+        f"root finding did not converge within {MAX_ITERATIONS} iterations "
         f"(worst residual {float(np.max(np.abs(pv))):.3e})",
         z.tolist(),
     )
 
 
-def find_roots(
-    p: Polynomial,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-    max_iterations: int = MAX_ITERATIONS,
-) -> RootSet:
-    """All complex roots of ``p`` with multiplicities by cluster detection.
+def find_roots(p: Polynomial) -> RootSet:
+    """All complex roots of ``p`` (degree >= 1) with multiplicities.
 
-    Parameters
-    ----------
-    p : Polynomial
-        Polynomial of degree >= 1.
-    tol : float
-        Residual tolerance, relative to the largest coefficient magnitude.
-    cluster_radius : float
-        Roots closer than this are merged into one root whose multiplicity
-        is the cluster size.
+    Roots are accepted when every residual is within ``RESIDUAL_TOL`` of
+    the largest coefficient magnitude, and roots within ``CLUSTER_RADIUS``
+    of each other are merged into one root whose multiplicity is the
+    cluster size.
 
     Raises
     ------
     RootFindingError
-        If the iteration budget runs out; carries the best iterate set.
+        If ``MAX_ITERATIONS`` runs out; carries the best iterate set.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
 
     if p.degree == 1:
         a, b = p.coefficients
         raw = np.asarray([-b / a])
     else:
-        raw = _aberth_iterates(p, tol, max_iterations)
+        raw = _aberth_iterates(p)
 
-    clustered = cluster_multiplicities(list(raw), cluster_radius)
+    clustered = cluster_multiplicities(list(raw))
     residuals = tuple(abs(p.eval(value)) for value, _ in clustered)
     return RootSet(roots=tuple(clustered), residuals=residuals)
-
-
-class SpectralRadiusEstimate(NamedTuple):
-    value: float
-    converged: bool
-
-
-def companion_power_modulus(
-    p: Polynomial, iterations: int = 300, seed: int = 12345
-) -> SpectralRadiusEstimate:
-    """Dominant root modulus of ``p`` via companion-matrix power iteration.
-
-    Independent of the Aberth path; used as a test oracle.  The estimate is
-    the fitted slope of log ||C^k v|| over the tail of the iteration, which
-    also handles complex-conjugate dominant pairs (where the plain Rayleigh
-    quotient oscillates).
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    mon = p.monic()
-    n = mon.degree
-    if n == 0:
-        raise ValueError("degree must be >= 1")
-    if n == 1:
-        return SpectralRadiusEstimate(abs(mon.coefficients[1]), True)
-
-    companion = np.zeros((n, n))
-    companion[0, :] = [-c.real for c in mon.coefficients[1:]]
-    companion[1:, :-1] = np.eye(n - 1)
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    log_norms = [0.0]
-    for _ in range(iterations):
-        v = companion @ v
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            # Nilpotent direction; the dominant modulus of what remains is 0.
-            return SpectralRadiusEstimate(0.0, True)
-        log_norms.append(log_norms[-1] + np.log(norm))
-        v /= norm
-
-    tail = max(4, len(log_norms) // 2)
-    ks = np.arange(len(log_norms) - tail, len(log_norms))
-    ys = np.asarray(log_norms[-tail:])
-    slope, _ = np.polyfit(ks, ys, 1)
-    fit = np.polyval([slope, ys[0] - slope * ks[0]], ks)
-    converged = bool(np.max(np.abs(fit - ys)) < 1e-6 * (1.0 + np.abs(ys[-1])))
-    return SpectralRadiusEstimate(float(np.exp(slope)), converged)

@@ -102,6 +102,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian", "constant", "none"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        # hi - lo too: the uniform draw overflows on a range past the float max.
+        params = (self.lo, self.hi, self.hi - self.lo, self.sigma, self.mu)
+        if not all(map(math.isfinite, params)):
+            raise ValueError("noise parameters and the uniform range must be finite")
         if self.kind == "uniform" and self.lo > self.hi:
             raise ValueError("uniform noise needs lo <= hi")
         if self.kind == "gaussian" and self.sigma < 0:
@@ -122,15 +126,6 @@ class NoiseSpec:
     @staticmethod
     def none() -> "NoiseSpec":
         return NoiseSpec(kind="none")
-
-    def label(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform[{self.lo:g},{self.hi:g}]"
-        if self.kind == "gaussian":
-            return f"gaussian(sigma={self.sigma:g})"
-        if self.kind == "constant":
-            return f"constant(mu={self.mu:g})"
-        return "none"
 
     def parameter(self) -> float:
         if self.kind == "uniform":
@@ -203,7 +198,7 @@ def _log_slope(gaps: Sequence[float], start: int) -> Optional[float]:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def growth_rate(s: Scheme, depth: int, width: int = 8, seed: int = 0) -> float:
+def growth_rate(s: Scheme, depth: int) -> float:
     """Log-gap slope per depth under a disabled activation path.
 
     With the blocks outputting zero the gap follows the pure linear
@@ -212,12 +207,13 @@ def growth_rate(s: Scheme, depth: int, width: int = 8, seed: int = 0) -> float:
     """
     if depth < 20:
         raise ValueError("depth must be >= 20")
-    rng = np.random.default_rng(seed)
-    # Independent per-state perturbations so every characteristic mode is
-    # excited (equal seed states would sit in the principal-root direction).
+    rng = np.random.default_rng(0)
+    # Independent per-state perturbations of 8 features, so every
+    # characteristic mode is excited (equal seed states would sit in the
+    # principal-root direction).
     noisy = []
     for _ in range(s.order):
-        v = rng.standard_normal(width)
+        v = rng.standard_normal(8)
         noisy.append(v / np.max(np.abs(v)))
     # A clean run started at zero stays exactly zero under zero blocks, so
     # the clean-vs-noisy gap is the noisy state's sup norm.

@@ -20,15 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._table import fmt
-from .polyroots import (
-    DEFAULT_CLUSTER_RADIUS,
-    DEFAULT_RESIDUAL_TOL,
-    Polynomial,
-    RootSet,
-    SpectralRadiusEstimate,
-    companion_power_modulus,
-    find_roots,
-)
+from .polyroots import Polynomial, RootSet, find_roots
 
 __all__ = [
     "Scheme",
@@ -40,12 +32,14 @@ __all__ = [
     "consistency_check",
     "first_order",
     "lm_second_order",
-    "companion_spectral_radius",
-    "DEFAULT_ROOT_CONDITION_TOL",
+    "ROOT_CONDITION_TOL",
+    "CONSISTENCY_TOL",
 ]
 
-DEFAULT_ROOT_CONDITION_TOL = 1e-8
-DEFAULT_CONSISTENCY_TOL = 1e-9
+# Roots within this of the unit circle count as on it.
+ROOT_CONDITION_TOL = 1e-8
+# Largest accepted deviation of each consistency condition from 1.
+CONSISTENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,6 @@ class StabilityReport:
     moduli: tuple[float, ...]  # descending, with multiplicity; length d
     zero_stable: bool
     violations: tuple[str, ...]
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -146,27 +139,19 @@ class ConsistencyReport:
     sum_alpha: float
     moment: float
     consistent: bool
-    tolerance: float
 
 
-def root_condition(
-    s: Scheme,
-    tol: float = DEFAULT_ROOT_CONDITION_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
-) -> StabilityReport:
+def root_condition(s: Scheme) -> StabilityReport:
     """Evaluate the root condition for ``s``.
 
     Zero-stable iff every root modulus is <= 1 + tol and every root whose
-    modulus lies within tol of the unit circle is simple.  Roots within
-    ``tol`` of the circle are treated as on-circle so exact unit roots do
-    not flip verdicts under floating-point noise.
+    modulus lies within tol of the unit circle is simple, with tol =
+    ``ROOT_CONDITION_TOL``.  Roots within tol of the circle are treated as
+    on-circle so exact unit roots do not flip verdicts under floating-point
+    noise.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    roots = find_roots(
-        characteristic_polynomial(s), tol=residual_tol, cluster_radius=cluster_radius
-    )
+    tol = ROOT_CONDITION_TOL
+    roots = find_roots(characteristic_polynomial(s))
     violations: list[str] = []
     for value, mult in roots.roots:
         modulus = abs(value)
@@ -183,32 +168,14 @@ def root_condition(
         moduli=moduli,
         zero_stable=not violations,
         violations=tuple(violations),
-        tolerance=tol,
     )
 
 
-def consistency_check(
-    s: Scheme, tol: float = DEFAULT_CONSISTENCY_TOL
-) -> ConsistencyReport:
-    """Check sum(alpha) = 1 and beta - sum(i*alpha_i) = 1 within ``tol``."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+def consistency_check(s: Scheme) -> ConsistencyReport:
+    """Check sum(alpha) = 1 and beta - sum(i*alpha_i) = 1 within
+    ``CONSISTENCY_TOL``."""
+    tol = CONSISTENCY_TOL
     sum_alpha = math.fsum(s.alphas)
     moment = s.beta - math.fsum(i * a for i, a in enumerate(s.alphas))
     consistent = abs(sum_alpha - 1.0) <= tol and abs(moment - 1.0) <= tol
-    return ConsistencyReport(
-        sum_alpha=sum_alpha, moment=moment, consistent=consistent, tolerance=tol
-    )
-
-
-def companion_spectral_radius(
-    s: Scheme, iterations: int = 300
-) -> SpectralRadiusEstimate:
-    """Power-iteration estimate of the dominant characteristic root modulus.
-
-    Independent of the Aberth root finder; agrees with the max modulus from
-    root_condition to 1e-6 for a well-separated dominant root.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    return companion_power_modulus(characteristic_polynomial(s), iterations=iterations)
+    return ConsistencyReport(sum_alpha=sum_alpha, moment=moment, consistent=consistent)

@@ -310,6 +310,16 @@ class TestIntegrate:
         )
         assert_cheap_rejection(code, out, err, peak)
 
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan", "inf"])
+    def test_bad_probe_writes_nothing(self, capsys, eps):
+        code, out, err = run(
+            capsys, "integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "3",
+            f"--probe={eps}",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
+
     def test_orders_with_an_infinite_step_count(self, capsys):
         code, out, err, peak = run_traced(
             capsys, "integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "5",
@@ -363,6 +373,20 @@ class TestPropagate:
             capsys, "propagate", "--lambda", "-1.8", "--noise", "salt:1"
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["uniform:0:inf", "uniform:-inf:0", "uniform:nan:1", "gaussian:inf",
+         "gaussian:nan", "constant:nan", "constant:inf", "uniform:-1e308:1e308"],
+    )
+    def test_non_finite_noise_is_usage_error(self, capsys, spec):
+        code, out, err = run(
+            capsys, "propagate", "--alphas", "1", f"--noise={spec}",
+            "--depth", "2", "--width", "2", "--trials", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_bad_dimensions(self, capsys):
         code, _, _ = run(

@@ -19,13 +19,10 @@ from zstab.ivp import (
     startup_states,
     zero_stability_probe,
 )
-from zstab.schemes import (
-    companion_spectral_radius,
-    first_order,
-    lm_second_order,
-    make_scheme,
-)
+from zstab.schemes import first_order, lm_second_order, make_scheme
 from zstab.zerosnet import zerosnet_coeffs
+
+import reference
 
 
 def _reference_integrate(s, p, h, n_steps):
@@ -54,9 +51,7 @@ def _reference_integrate(s, p, h, n_steps):
         states.append(nxt)
         times.append(t_n + h)
 
-    return Trajectory(
-        times=tuple(times), states=tuple(states), step_size=h, blew_up_at=blew_up_at
-    )
+    return Trajectory(times=tuple(times), states=tuple(states), blew_up_at=blew_up_at)
 
 
 def plain_decay():
@@ -222,7 +217,7 @@ class TestZeroStabilityProbe:
         # iteration estimate.
         for s in [first_order(1.5), make_scheme([1, 1, 1], 1), lm_second_order(0.5)]:
             series = zero_stability_probe(s, constant_problem(), 1e-6, 0.1, 60)
-            radius = companion_spectral_radius(s).value
+            radius = reference.companion_spectral_radius(s).value
             gaps = series.per_step
             factor = (gaps[-1] / gaps[50]) ** (1.0 / (len(gaps) - 51))
             assert abs(factor - radius) <= 0.02 * radius
@@ -230,12 +225,6 @@ class TestZeroStabilityProbe:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             zero_stability_probe(first_order(1), decay_problem(), 0.0, 0.1, 5)
-
-    def test_csv(self):
-        series = zero_stability_probe(first_order(1), constant_problem(), 1e-3, 0.1, 5)
-        rows = list(csv.reader(io.StringIO(series.to_csv())))
-        assert rows[0] == ["n", "gap"]
-        assert len(rows) == 1 + len(series.per_step)
 
 
 class TestConvergenceOrder:
@@ -347,3 +336,57 @@ class TestIntegrateMatchesReference:
         assert traj.blew_up_at == ref.blew_up_at
         assert [y.tobytes() for y in traj.states] == [y.tobytes() for y in ref.states]
         assert [y.shape for y in traj.states] == [y.shape for y in ref.states]
+
+
+class TestProbeMatchesReference:
+    """zero_stability_probe takes its gaps in one array reduction; its
+    per-step gaps, ratio and blow-up step must equal those of the loop over
+    state pairs, also when the clean and the noisy run blow up at different
+    steps and the gaps stop at the shorter run."""
+
+    # alphas=[10]: the noisy run, shifted by 1e6, overflows 5 steps before
+    # the clean one, which starts at 2.5.
+    BLOW_UP_FIRST = dict(alphas=[10.0], beta=0.0, problem="constant", eps=1e6,
+                         h=0.1, n_steps=400, seed=1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alphas=st.lists(
+            st.one_of(st.floats(-10.0, 10.0), st.sampled_from([10.0, -10.0])),
+            min_size=1,
+            max_size=3,
+        ),
+        beta=st.floats(-2.0, 2.0),
+        problem=st.sampled_from(sorted(_PROBLEMS)),
+        eps=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+        h=st.floats(1e-3, 0.5),
+        n_steps=st.integers(1, 400),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(**BLOW_UP_FIRST)
+    @example(alphas=[-10.0, 10.0], beta=1.0, problem="oscillator", eps=1e3,
+             h=0.1, n_steps=400, seed=7)
+    def test_equal_to_reference(self, alphas, beta, problem, eps, h, n_steps, seed):
+        s = make_scheme(alphas, beta)
+        p = _PROBLEMS[problem]
+        # Two finite states of opposite sign near the overflow threshold
+        # overflow the subtraction in both rules alike.
+        with np.errstate(over="ignore"):
+            got = zero_stability_probe(s, p, eps, h, n_steps, seed)
+            want = reference.zero_stability_probe(s, p, eps, h, n_steps, seed)
+        assert got.per_step == want.per_step
+        assert got.initial_gap == want.initial_gap
+        assert got.ratio == want.ratio
+        assert got.blew_up_at == want.blew_up_at
+
+    def test_example_runs_blow_up_at_different_steps(self):
+        case = self.BLOW_UP_FIRST
+        s = make_scheme(case["alphas"], case["beta"])
+        p = _PROBLEMS[case["problem"]]
+        clean = integrate(s, p, case["h"], case["n_steps"])
+        series = zero_stability_probe(
+            s, p, case["eps"], case["h"], case["n_steps"], case["seed"]
+        )
+        assert clean.blew_up_at is not None
+        assert series.blew_up_at < clean.blew_up_at
+        assert len(series.per_step) < len(clean.states)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zstab
+from zstab import polyroots
 from zstab.polyroots import (
     Polynomial,
     RootFindingError,
     cluster_multiplicities,
-    companion_power_modulus,
     find_roots,
 )
 
 from conftest import match_roots
+from reference import companion_power_modulus
 
 
 def poly_from_roots(roots):
@@ -101,16 +103,22 @@ class TestFindRoots:
         args = [cmath.phase(v) for v, _ in rs.roots]
         assert args == sorted(args)
 
-    def test_nonconvergence_carries_best_iterates(self):
+    def test_nonconvergence_carries_best_iterates(self, monkeypatch):
+        monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 1)
         with pytest.raises(RootFindingError) as err:
-            find_roots(Polynomial([1, 0.3, -0.7, 0.2]), max_iterations=1)
+            find_roots(Polynomial([1, 0.3, -0.7, 0.2]))
         assert len(err.value.best_iterates) == 3
 
-    def test_requires_positive_tol_and_degree(self):
+    def test_residual_tolerance_read_at_call_time(self, monkeypatch):
+        p = Polynomial([1, 0.3, -0.7, 0.2])
+        find_roots(p)
+        monkeypatch.setattr(polyroots, "RESIDUAL_TOL", 1e-300)
+        with pytest.raises(RootFindingError):
+            find_roots(p)
+
+    def test_requires_degree_one(self):
         with pytest.raises(ValueError):
-            find_roots(Polynomial([1.0]), tol=1e-10)
-        with pytest.raises(ValueError):
-            find_roots(Polynomial([1, -1]), tol=0.0)
+            find_roots(Polynomial([1.0]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -148,7 +156,7 @@ class TestFindRoots:
         if any(abs(a - b) < 1e-2 for a, b in pairs):
             return
         p = poly_from_roots(roots)
-        rs = find_roots(p, cluster_radius=1e-12)
+        rs = find_roots(p)
         product = 1.0 + 0j
         for v in rs.values():
             product *= v
@@ -158,13 +166,19 @@ class TestFindRoots:
 
 class TestClusterMultiplicities:
     def test_coincident_pair(self):
-        out = cluster_multiplicities([1.0 + 0j, 1.0 + 1e-12j], 1e-8)
+        out = cluster_multiplicities([1.0 + 0j, 1.0 + 1e-12j])
         assert len(out) == 1
         assert out[0][1] == 2
 
     def test_well_separated(self):
-        out = cluster_multiplicities([1.0 + 0j, -0.5 + 0j], 1e-8)
+        out = cluster_multiplicities([1.0 + 0j, -0.5 + 0j])
         assert [m for _, m in out] == [1, 1]
+
+    def test_radius_read_at_call_time(self, monkeypatch):
+        pair = [1.0 + 0j, 1.0 + 1e-4j]
+        assert [m for _, m in cluster_multiplicities(pair)] == [1, 1]
+        monkeypatch.setattr(polyroots, "CLUSTER_RADIUS", 1e-3)
+        assert [m for _, m in cluster_multiplicities(pair)] == [2]
 
     def test_numeric_double_root_at_boundary_lambda(self):
         # lambda = -9/5 is the discriminant zero of the three-step family
@@ -172,14 +186,20 @@ class TestClusterMultiplicities:
         from zstab.zerosnet import zerosnet_coeffs
 
         p = characteristic_polynomial(zerosnet_coeffs(-9 / 5))
-        rs = find_roots(p, cluster_radius=1e-6)
+        rs = find_roots(p)
         by_mult = sorted(rs.roots, key=lambda rm: rm[1])
         assert by_mult[0][1] == 1 and abs(by_mult[0][0] - 1) < 1e-9
         assert by_mult[1][1] == 2 and abs(by_mult[1][0] + 1 / 3) < 1e-6
 
-    def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            cluster_multiplicities([1.0 + 0j], 0.0)
+
+def test_oracles_are_not_exported():
+    for name in (
+        "companion_power_modulus",
+        "companion_spectral_radius",
+        "cluster_multiplicities",
+    ):
+        assert not hasattr(zstab, name)
+        assert all(name not in m.__all__ for m in (zstab.polyroots, zstab.schemes))
 
 
 class TestCompanionOracle:

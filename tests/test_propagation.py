@@ -229,8 +229,26 @@ class TestInjectNoise:
         with pytest.raises(ValueError):
             NoiseSpec(kind="salt")
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiseSpec.uniform(0.0, math.inf),
+            lambda: NoiseSpec.uniform(-math.inf, 0.0),
+            lambda: NoiseSpec.uniform(math.nan, 1.0),
+            lambda: NoiseSpec.gaussian(math.inf),
+            lambda: NoiseSpec.gaussian(math.nan),
+            lambda: NoiseSpec.constant(math.nan),
+            lambda: NoiseSpec.constant(math.inf),
+            lambda: NoiseSpec.uniform(-1e308, 1e308),
+        ],
+        ids=["uniform-hi-inf", "uniform-lo-inf", "uniform-lo-nan", "gaussian-inf",
+             "gaussian-nan", "constant-nan", "constant-inf", "uniform-range-overflow"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_labels_and_parameters(self):
-        assert NoiseSpec.gaussian(0.02).label() == "gaussian(sigma=0.02)"
         assert NoiseSpec.uniform(-0.08, 0.0).parameter() == 0.08
         assert NoiseSpec.constant(0.1).parameter() == 0.1
         assert NoiseSpec.none().parameter() == 0.0

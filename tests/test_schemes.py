@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from zstab.schemes import (
     Scheme,
     characteristic_polynomial,
-    companion_spectral_radius,
     consistency_check,
     first_order,
     lm_second_order,
@@ -16,6 +15,7 @@ from zstab.schemes import (
 from zstab.zerosnet import zerosnet_coeffs
 
 from conftest import match_roots
+from reference import companion_spectral_radius
 
 
 class TestMakeScheme:
@@ -98,10 +98,6 @@ class TestRootCondition:
         assert not rep.zero_stable
         assert any("multiplicity" in v for v in rep.violations)
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            root_condition(first_order(1), tol=0.0)
-
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_beta_invariance(self, k, beta):
@@ -152,10 +148,6 @@ class TestConsistency:
         assert not rep.consistent
         assert abs(rep.sum_alpha - 0.6) < 1e-15
         assert root_condition(s).zero_stable
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            consistency_check(first_order(1), tol=-1.0)
 
     @given(
         st.floats(min_value=-10, max_value=10).filter(

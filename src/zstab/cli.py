@@ -113,21 +113,30 @@ def _scheme_from_args(args) -> Scheme:
     return make_scheme(_parse_floats(args.alphas), args.beta)
 
 
+# Each --noise kind but "none": its NoiseSpec constructor and the number of
+# values that follow its name.
+_NOISE_KINDS = {
+    "gaussian": (NoiseSpec.gaussian, 1),
+    "constant": (NoiseSpec.constant, 1),
+    "uniform": (NoiseSpec.uniform, 2),
+}
+
+
 def _parse_noise(raw: str, clip: bool) -> NoiseSpec:
-    parts = raw.split(":")
-    kind = parts[0]
+    """The spec of one --noise flag.  Only reading its numbers is checked
+    here: a spec that NoiseSpec rejects raises NoiseSpec's ValueError, which
+    names the reason."""
+    kind, *fields = raw.split(":")
+    if kind == "none":
+        return NoiseSpec.none()
+    if kind not in _NOISE_KINDS:
+        raise UsageError(f"unknown noise kind {kind!r}")
+    build, count = _NOISE_KINDS[kind]
     try:
-        if kind == "none":
-            return NoiseSpec.none()
-        if kind == "gaussian":
-            return NoiseSpec.gaussian(float(parts[1]), clip=clip)
-        if kind == "constant":
-            return NoiseSpec.constant(float(parts[1]), clip=clip)
-        if kind == "uniform":
-            return NoiseSpec.uniform(float(parts[1]), float(parts[2]), clip=clip)
+        values = [float(fields[i]) for i in range(count)]
     except (IndexError, ValueError) as exc:
         raise UsageError(f"malformed noise spec {raw!r}") from exc
-    raise UsageError(f"unknown noise kind {kind!r}")
+    return build(*values, clip=clip)
 
 
 def cmd_analyze(args) -> int:

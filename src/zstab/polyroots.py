@@ -1,18 +1,25 @@
-"""Complex polynomials and a simultaneous-iteration root finder.
+"""Complex polynomials and their roots, with multiplicities from algebra.
 
-Degrees here are small (the characteristic polynomials of multistep
-schemes), so an Aberth-Ehrlich iteration started on a Cauchy-bound circle
-is used instead of an eigenvalue solver.  Its tolerances are the module
-constants below, read at each call.
+The float coefficients of a polynomial are exact dyadic rationals, so its
+multiplicities are decided exactly: Yun's square-free decomposition (Yun,
+SYMSAC 1976) splits it into factors whose roots are simple, and every root
+of the i-th factor has multiplicity i.  A gcd test modulo a prime proves
+most polynomials square-free first, so the rational arithmetic runs only
+for the ones that are not.  An Aberth-Ehrlich iteration in scalar complex
+arithmetic, started on the radii of the Newton polygon (Bini, Numer.
+Algorithms 1996), finds the simple roots of each factor; at the small
+degrees of multistep schemes a numpy call costs more than the arithmetic
+it does.  The tolerances are the module constants below, read at each call.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "Polynomial",
@@ -20,23 +27,29 @@ __all__ = [
     "RootFindingError",
     "find_roots",
     "RESIDUAL_TOL",
-    "CLUSTER_RADIUS",
     "MAX_ITERATIONS",
 ]
 
-# Largest accepted residual |p(z)|, relative to the largest coefficient.
+# Largest accepted residual |p(z)|, relative to sum_i |a_i| |z|^(n-i), the
+# size of the terms that p(z) sums.
 RESIDUAL_TOL = 1e-10
-# Roots closer than this are merged into one multiple root.
-CLUSTER_RADIUS = 1e-6
-# Aberth iteration budget per polynomial.
+# Aberth iteration budget per square-free factor.
 MAX_ITERATIONS = 200
+
+# A 61-bit prime Q = 1 (mod 4) and a square root of -1 modulo Q, so that
+# a + bi -> a + b*_SQRT_M1 maps the Gaussian integers onto GF(Q).
+_Q = 2305843009213693921
+_SQRT_M1 = 583529827753931384
+_EPS = sys.float_info.epsilon
+# Offset of the starting angles from the real axis (Bini's sigma).
+_START_ANGLE = 0.7
 
 
 class RootFindingError(RuntimeError):
-    """Raised when the iteration budget is exhausted.
+    """Raised when the iteration budget is exhausted or a value overflows.
 
-    Carries the best iterate set so callers can inspect how close the
-    solver got.
+    Carries the iterates of the factor that failed, so callers can inspect
+    how close the solver got.
     """
 
     def __init__(self, message: str, best_iterates: Sequence[complex]):
@@ -58,7 +71,7 @@ class Polynomial:
         coeffs = [complex(c) for c in coefficients]
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        if any(not (np.isfinite(c.real) and np.isfinite(c.imag)) for c in coeffs):
+        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
             raise ValueError("polynomial coefficients must be finite")
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs.pop(0)
@@ -77,18 +90,9 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            raise ValueError("derivative of a constant is the zero polynomial")
-        n = self.degree
-        return Polynomial([c * (n - i) for i, c in enumerate(self.coefficients[:-1])])
-
     def monic(self) -> "Polynomial":
         lead = self.coefficients[0]
         return Polynomial([c / lead for c in self.coefficients])
-
-    def coefficient_scale(self) -> float:
-        return max(abs(c) for c in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -119,89 +123,266 @@ def _root_sort_key(value: complex) -> tuple[float, float]:
     return (-abs(value), cmath.phase(value))
 
 
-def cluster_multiplicities(raw_roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    """Merge roots within ``CLUSTER_RADIUS`` of each other into centroids.
+# -- is f square-free? -------------------------------------------------------
 
-    Returns (centroid, multiplicity) pairs sorted by modulus descending,
-    then argument ascending.
+def _rem_mod_q(a: list[int], b: list[int]) -> list[int]:
+    """a mod b over GF(Q), b[0] != 0; the remainder without leading zeros."""
+    a = list(a)
+    inv = pow(b[0], -1, _Q)
+    for k in range(len(a) - len(b) + 1):
+        f = a[k] * inv % _Q
+        if f:
+            for i in range(1, len(b)):
+                a[k + i] = (a[k + i] - f * b[i]) % _Q
+    r = a[len(a) - len(b) + 1:]
+    while r and not r[0]:
+        r.pop(0)
+    return r
+
+
+def _squarefree(coeffs: Sequence[complex]) -> bool:
+    """True if gcd(f, f') = 1 modulo Q, which proves f square-free.
+
+    Scaled by one power of two, the coefficients are Gaussian integers; the
+    leading one maps to nonzero in GF(Q) (checked, and certain for a real
+    one, whose odd part is below 2^53 < Q).  A repeated factor g of f over
+    Q(i) can be taken primitive over Z[i] (Gauss's lemma); its leading
+    coefficient divides f's, so g keeps its degree modulo Q and divides
+    gcd(f, f') there too.  False means only "not proven".
     """
-    clusters: list[list[complex]] = []
-    for z in sorted(raw_roots, key=_root_sort_key):
-        for members in clusters:
-            centroid = sum(members) / len(members)
-            if abs(z - centroid) <= CLUSTER_RADIUS:
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
-    merged = [(sum(m) / len(m), len(m)) for m in clusters]
-    merged.sort(key=lambda pair: _root_sort_key(pair[0]))
-    return merged
+    ratios = [x.as_integer_ratio() for c in coeffs for x in (c.real, c.imag)]
+    shift = max(d for _, d in ratios).bit_length()
+    ints = [num << (shift - d.bit_length()) for num, d in ratios]
+    f = [(re + im * _SQRT_M1) % _Q for re, im in zip(ints[::2], ints[1::2])]
+    if not f[0]:
+        return False
+    n = len(f) - 1
+    a, b = f, [c * (n - i) % _Q for i, c in enumerate(f[:-1])]
+    while b:
+        a, b = b, _rem_mod_q(a, b)
+    return len(a) == 1
 
 
-def _aberth_iterates(p: Polynomial) -> np.ndarray:
-    mon = p.monic()
-    n = mon.degree
-    coeffs = np.asarray(mon.coefficients, dtype=complex)
-    deriv = np.asarray(mon.derivative().coefficients, dtype=complex)
-    scale = p.coefficient_scale()
+# -- Yun's square-free decomposition in exact arithmetic ---------------------
 
-    # Cauchy bound: every root lies inside |z| <= 1 + max |a_i|.
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:]))) if n >= 1 else 1.0
-    angles = 2.0 * np.pi * (np.arange(n) + 0.25) / n + 0.42
-    z = radius * np.exp(1j * angles)
+class _Gaussian:
+    """a + bi with rational a and b: the exact coefficients of a polynomial
+    with a non-real coefficient (real ones use ``Fraction`` alone)."""
 
-    # Iterate to step stagnation rather than stopping at the first residual
-    # pass: near a multiple root the residual tolerance is met long before
-    # the iterates are as close to the root as floating point allows.
-    # Overflowing iterates fail the residual test: a RootFindingError, no warning.
-    with np.errstate(all="ignore"):
-        for _ in range(MAX_ITERATIONS):
-            pv = np.polyval(coeffs, z)
-            dv = np.polyval(deriv, z)
-            dv = np.where(dv == 0, np.finfo(float).eps, dv)
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            sums = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * sums
-            denom = np.where(denom == 0, np.finfo(float).eps, denom)
-            step = w / denom
-            z = z - step
-            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
-                break
-        pv = np.polyval(coeffs, z)
-        if np.all(np.abs(pv) <= RESIDUAL_TOL * scale):
-            return z
-    raise RootFindingError(
-        f"root finding did not converge within {MAX_ITERATIONS} iterations "
-        f"(worst residual {float(np.max(np.abs(pv))):.3e})",
-        z.tolist(),
-    )
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __sub__(self, other):
+        other = _gaussian(other)
+        return _Gaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = _gaussian(other)
+        return _Gaussian(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _gaussian(other)
+        norm = other.re * other.re + other.im * other.im
+        return _Gaussian((self.re * other.re + self.im * other.im) / norm,
+                         (self.im * other.re - self.re * other.im) / norm)
+
+
+def _gaussian(x) -> _Gaussian:
+    return x if isinstance(x, _Gaussian) else _Gaussian(x)
+
+
+def _trim(a: list) -> list:
+    i = 0
+    while i < len(a) - 1 and not a[i]:
+        i += 1
+    return a[i:]
+
+
+def _deriv(a: list) -> list:
+    n = len(a) - 1
+    return [c * (n - i) for i, c in enumerate(a[:-1])] or [a[0] * 0]
+
+
+def _divmod(a: list, b: list) -> tuple[list, list]:
+    a = list(a)
+    steps = len(a) - len(b) + 1
+    q = []
+    for k in range(steps):
+        f = a[k] / b[0]
+        q.append(f)
+        for i in range(1, len(b)):
+            a[k + i] = a[k + i] - f * b[i]
+    return q or [a[0] * 0], _trim(a[max(steps, 0):])
+
+
+def _monic_gcd(a: list, b: list) -> list:
+    while any(b):
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def _sub(a: list, b: list) -> list:
+    zero = a[0] * 0
+    n = max(len(a), len(b))
+    a = [zero] * (n - len(a)) + a
+    b = [zero] * (n - len(b)) + b
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _yun(f: list) -> list[tuple[list, int]]:
+    """The factors a_i of f = lc(f) * prod_i a_i^i, monic, coprime and
+    square-free, as (a_i, i) for every a_i that is not 1."""
+    df = _deriv(f)
+    a = _monic_gcd(f, df)
+    b = _divmod(f, a)[0]
+    d = _sub(_divmod(df, a)[0], _deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = _monic_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _divmod(b, a)[0]
+        d = _sub(_divmod(d, a)[0], _deriv(b))
+        i += 1
+    return out
+
+
+def _squarefree_factors(coeffs: list[complex]) -> list[tuple[list[complex], int]]:
+    """(factor, multiplicity) pairs whose product is the polynomial; every
+    factor has simple roots."""
+    if len(coeffs) < 3 or _squarefree(coeffs):
+        return [(coeffs, 1)]
+    if all(c.imag == 0 for c in coeffs):
+        exact = [Fraction(c.real) for c in coeffs]
+    else:
+        exact = [_Gaussian(c.real, c.imag) for c in coeffs]
+    return [([complex(c) for c in a], i) for a, i in _yun(exact)]
+
+
+# -- Aberth-Ehrlich iteration on one square-free factor ----------------------
+
+def _start(coeffs: list[complex]) -> list[complex]:
+    """Starting points on the Newton polygon of log|a_k| (a_k the coefficient
+    of z^k, a_0 != 0): each edge of its upper convex hull, from k = i to
+    k = j, puts j - i points on the circle of radius (|a_i|/|a_j|)^(1/(j-i))."""
+    n = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(reversed(coeffs)):
+        if not c:
+            continue
+        pt = (k, math.log(abs(c)))
+        # Drop the last vertex while it lies on or below the chord to pt.
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(pt)
+    z = []
+    for (i, log_i), (j, log_j) in zip(hull, hull[1:]):
+        radius = math.exp((log_i - log_j) / (j - i))
+        for m in range(j - i):
+            z.append(cmath.rect(radius, 2.0 * math.pi * (m / (j - i) + i / n) + _START_ANGLE))
+    return z
+
+
+def _aberth(coeffs: list[complex]) -> list[complex]:
+    """The roots of a square-free polynomial with a nonzero constant term.
+
+    Roots are updated one at a time with the newest values of the others
+    (Gauss-Seidel order).  A root stops moving once |p(z)| is down to
+    eps * sum_i |a_i| |z|^(n-i), the rounding level of evaluating it, or
+    its step is below eps |z|.  The roots are accepted when every |p(z)| is
+    within ``RESIDUAL_TOL`` of that sum, and the sum is finite.
+    """
+    n = len(coeffs) - 1
+    mags = [abs(c) for c in coeffs]
+    # 0j - b keeps the zero imaginary part of a real root positive.
+    z = [(0j - coeffs[1]) / coeffs[0]] if n == 1 else _start(coeffs)
+    live = list(range(n)) if n > 1 else []
+    for _ in range(MAX_ITERATIONS):
+        if not live:
+            break
+        moving = []
+        for i in live:
+            zi = z[i]
+            p, dp = coeffs[0], 0j
+            for c in coeffs[1:]:
+                dp = dp * zi + p
+                p = p * zi + c
+            r, scale = abs(zi), 0.0
+            for m in mags:
+                scale = scale * r + m
+            if abs(p) <= _EPS * scale:
+                continue
+            pull = 0j
+            for zj in z:
+                if zj != zi:
+                    pull += 1.0 / (zi - zj)
+            # The Aberth step 1 / (p'/p - pull), written so that a tiny p
+            # does not overflow p'/p.
+            denom = dp - p * pull
+            step = p / denom if denom else _EPS * (1.0 + r)
+            z[i] = zi - step
+            if abs(step) > _EPS * abs(z[i]):
+                moving.append(i)
+        live = moving
+
+    for zi in z:
+        p, r, scale = 0j, abs(zi), 0.0
+        for c, m in zip(coeffs, mags):
+            p = p * zi + c
+            scale = scale * r + m
+        if not (abs(p) <= RESIDUAL_TOL * scale and scale < math.inf):
+            raise RootFindingError(
+                f"root finding did not converge within {MAX_ITERATIONS} iterations "
+                f"(residual {abs(p):.3e} at |z| = {r:.3e})",
+                z,
+            )
+    return z
 
 
 def find_roots(p: Polynomial) -> RootSet:
-    """All complex roots of ``p`` (degree >= 1) with multiplicities.
+    """All complex roots of ``p`` (degree >= 1) with exact multiplicities.
 
-    Roots are accepted when every residual is within ``RESIDUAL_TOL`` of
-    the largest coefficient magnitude, and roots within ``CLUSTER_RADIUS``
-    of each other are merged into one root whose multiplicity is the
-    cluster size.
+    Each root's multiplicity is that of its square-free factor in the exact
+    coefficients, so roots that are distinct in those coefficients are
+    reported apart however close they lie.  Each factor's roots are accepted
+    when every residual is within ``RESIDUAL_TOL`` of sum_i |a_i| |z|^(n-i).
 
     Raises
     ------
     RootFindingError
-        If ``MAX_ITERATIONS`` runs out; carries the best iterate set.
+        If ``MAX_ITERATIONS`` runs out on a factor, carrying its iterates,
+        or if a value overflows.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
-
-    if p.degree == 1:
-        a, b = p.coefficients
-        raw = np.asarray([-b / a])
-    else:
-        raw = _aberth_iterates(p)
-
-    clustered = cluster_multiplicities(list(raw))
-    residuals = tuple(abs(p.eval(value)) for value, _ in clustered)
-    return RootSet(roots=tuple(clustered), residuals=residuals)
+    coeffs = list(p.coefficients)
+    zeros = 0
+    while not coeffs[-1]:
+        coeffs.pop()
+        zeros += 1
+    roots = [(0j, zeros)] if zeros else []
+    try:
+        for factor, mult in _squarefree_factors(coeffs):
+            if len(factor) > 1:
+                roots += [(z, mult) for z in _aberth(factor)]
+    except OverflowError as exc:
+        raise RootFindingError(
+            f"root finding did not converge: a value overflowed ({exc})", ()
+        ) from exc
+    roots.sort(key=lambda pair: _root_sort_key(pair[0]))
+    return RootSet(roots=tuple(roots), residuals=tuple(abs(p.eval(v)) for v, _ in roots))

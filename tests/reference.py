@@ -14,6 +14,9 @@ package itself does not need.
   independent of the Aberth root finder.
 - ``zero_stability_probe``: the probe with its per-step gaps taken in a
   loop over the state pairs, the rule the array reduction replaced.
+- ``exact_roots``: the roots of a polynomial's exact float coefficients
+  with their multiplicities, from sympy's square-free factorisation and
+  mpmath at raised precision, sharing no code with ``find_roots``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import mpmath
 import numpy as np
+import sympy
 
 from zstab.ivp import (
     DivergenceSeries,
@@ -267,3 +272,43 @@ def zero_stability_probe(
     return DivergenceSeries(
         per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=blew_up_at
     )
+
+
+def _rational(x: float) -> sympy.Rational:
+    return sympy.Rational(*x.as_integer_ratio())
+
+
+def exact_roots(coefficients: Sequence[complex]) -> list[tuple[complex, int]]:
+    """Roots of the polynomial whose coefficients (highest degree first) are
+    exactly these floats, each with its multiplicity.
+
+    ``sympy.sqf_list`` factors the dyadic rationals square-free over Q, or
+    Q(i) for non-real ones; ``mpmath.polyroots`` at 200 bits then finds the
+    simple roots of each factor, accurate far beyond double precision.
+    """
+    x = sympy.Symbol("x")
+    exact = [_rational(c.real) + sympy.I * _rational(c.imag) for c in map(complex, coefficients)]
+    _, factors = sympy.sqf_list(sympy.Poly(exact, x))
+    roots = []
+    with mpmath.workprec(200):
+        for factor, mult in factors:
+            coeffs = [
+                mpmath.mpc(mpmath.mpf(re.p) / re.q, mpmath.mpf(im.p) / im.q)
+                for re, im in (c.as_real_imag() for c in factor.all_coeffs())
+            ]
+            if coeffs[-1] == 0:  # a square-free factor holds z at most once
+                roots.append((0j, mult))
+                coeffs = coeffs[:-1]
+            if len(coeffs) == 1:
+                found = []
+            elif len(coeffs) == 2:
+                found = [-coeffs[1] / coeffs[0]]
+            else:
+                # Solve for w = z / s, s the geometric mean of the root
+                # moduli, so that the iteration starts near roots of any size.
+                n = len(coeffs) - 1
+                s = abs(coeffs[-1] / coeffs[0]) ** (mpmath.mpf(1) / n)
+                scaled = [c / s**i for i, c in enumerate(coeffs)]
+                found = [s * w for w in mpmath.polyroots(scaled, maxsteps=200, extraprec=200)]
+            roots.extend((complex(z), mult) for z in found)
+    return roots

@@ -94,13 +94,29 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("alphas", ["1e308,1e308", "10000,-1,0.5"])
+    @pytest.mark.parametrize("alphas", ["1e308,1e308"])
     def test_root_finding_failure_is_usage_error(self, capsys, alphas):
         code, out, err = run(capsys, "analyze", "--alphas", alphas)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error: root finding did not converge")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "alphas, moduli",
+        [
+            # r^3 - 1e4 r^2 + r - 0.5: the residual test scaled by |z|^n
+            # accepts the root near 1e4.
+            ("10000,-1,0.5", [9999.9999, 0.007071067847, 0.007071067847]),
+            # r^3 - 1e-20 (r^2 + r + 1): roots of modulus about 1e-20^(1/3),
+            # printed as the exact roots' moduli round to 10 digits.
+            ("1e-20,1e-20,1e-20", [2.154434845e-07, 2.154434613e-07, 2.154434613e-07]),
+        ],
+    )
+    def test_large_and_tiny_coefficients(self, capsys, alphas, moduli):
+        code, out, _ = run(capsys, "analyze", "--alphas", alphas, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["moduli"] == moduli
 
     def test_json_csv_numeric_parity(self, capsys):
         _, json_out, _ = run(
@@ -387,6 +403,21 @@ class TestPropagate:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [("gaussian:inf", "must be finite"), ("uniform:0.5:-0.5", "needs lo <= hi"),
+         ("gaussian:-1", "needs sigma >= 0")],
+    )
+    def test_rejected_noise_names_the_reason(self, capsys, spec, reason):
+        code, out, err = run(
+            capsys, "propagate", "--alphas", "1", f"--noise={spec}",
+            "--depth", "2", "--width", "2", "--trials", "1",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and reason in err
+        assert "malformed" not in err and err.count("\n") == 1
 
     def test_bad_dimensions(self, capsys):
         code, _, _ = run(

@@ -1,21 +1,27 @@
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import zstab
 from zstab import polyroots
-from zstab.polyroots import (
-    Polynomial,
-    RootFindingError,
-    cluster_multiplicities,
-    find_roots,
+from zstab.polyroots import Polynomial, RootFindingError, find_roots
+from zstab.schemes import (
+    ROOT_CONDITION_TOL,
+    characteristic_polynomial,
+    make_scheme,
+    root_condition,
 )
+from zstab.table8 import REFERENCE_ROWS, verify_reference_table
+from zstab.zerosnet import zerosnet_coeffs
 
 from conftest import match_roots
-from reference import companion_power_modulus
+from reference import companion_power_modulus, exact_roots
 
 
 def poly_from_roots(roots):
@@ -24,6 +30,61 @@ def poly_from_roots(roots):
     for r in roots:
         out = np.convolve(out, np.array([1.0, -r], dtype=complex))
     return Polynomial(out.tolist())
+
+
+def assert_matches_exact(p, rs):
+    """``rs`` holds each root of ``p``'s exact coefficients once, with its
+    multiplicity, to 1e-9 relative, widened next to a close root by the
+    spread that evaluating p in floating point allows there.  Returns the
+    exact roots."""
+    exact = exact_roots(p.coefficients)
+    reported = list(rs.roots)
+    assert len(reported) == len(exact), (reported, exact)
+    for z, m in exact:
+        sep = min((abs(z - w) for w, _ in exact if w != z), default=math.inf)
+        j = min(range(len(reported)), key=lambda k: abs(reported[k][0] - z))
+        value, mult = reported.pop(j)
+        assert mult == m, (value, mult, z, m)
+        assert abs(value - z) <= abs(z) * (1e-9 + 1e-15 * abs(z) / sep), (value, z)
+    return exact
+
+
+# Root multisets on and near the unit circle whose expanded coefficients
+# are exact in binary.  Linear factors r - x; quadratic factors r^2 - c r + q
+# with c^2 < 4q, a complex pair of modulus sqrt(q).
+_NEAR_ONE = (Fraction(63, 64), Fraction(65, 64))
+_REAL_ROOTS = [Fraction(k, 8) for k in range(-8, 9)] + [s * q for q in _NEAR_ONE for s in (1, -1)]
+_PAIRS = [
+    (Fraction(c, 4), q)
+    for q in (Fraction(1), Fraction(1, 4), *_NEAR_ONE)
+    for c in range(-7, 8)
+    if Fraction(c, 4) ** 2 < 4 * q
+]
+_FACTORS = st.one_of(
+    st.sampled_from(_REAL_ROOTS).map(lambda x: (Fraction(1), -x)),
+    st.sampled_from(_PAIRS).map(lambda cq: (Fraction(1), -cq[0], cq[1])),
+)
+
+
+@st.composite
+def multiset_alphas(draw):
+    """Alphas of a scheme whose characteristic polynomial is a product of
+    distinct factors, each of multiplicity 1 to 3, of degree at most 8:
+    among them complex double pairs on the circle, simple roots beside a
+    double root, and triple roots."""
+    factors = draw(st.lists(st.tuples(_FACTORS, st.integers(1, 3)), min_size=1,
+                            max_size=4, unique_by=lambda fm: fm[0]))
+    assume(sum((len(f) - 1) * m for f, m in factors) <= 8)
+    poly = [Fraction(1)]
+    for factor, mult in factors:
+        for _ in range(mult):
+            product = [Fraction(0)] * (len(poly) + len(factor) - 1)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(factor):
+                    product[i + j] += x * y
+            poly = product
+    assume(all(Fraction(float(c)) == c for c in poly))
+    return tuple(float(-c) for c in poly[1:])
 
 
 class TestPolynomial:
@@ -63,8 +124,10 @@ class TestFindRoots:
         assert [round(m, 2) for m in rs.moduli()] == [2.18, 1.00, 0.57]
 
     def test_optimal_cubic_double_root(self):
-        # rho^3 - (1/3) rho^2 - (5/9) rho - (1/9): root 1 and a double -1/3
-        rs = find_roots(Polynomial([1, -1 / 3, -5 / 9, -1 / 9]))
+        # 9 rho^3 - 3 rho^2 - 5 rho - 1 = 9 (rho - 1)(rho + 1/3)^2, in exact
+        # coefficients; test_numeric_double_root_at_boundary_lambda takes
+        # the rounded monic form.
+        rs = find_roots(Polynomial([9, -3, -5, -1]))
         assert sorted(round(m, 2) for m in rs.moduli()) == [0.33, 0.33, 1.00]
         mults = {round(abs(v), 6): m for v, m in rs.roots}
         assert mults[1.0] == 1
@@ -86,8 +149,9 @@ class TestFindRoots:
             coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             p = Polynomial(coeffs.tolist())
             rs = find_roots(p)
-            scale = p.coefficient_scale()
-            assert all(r <= 1e-10 * scale for r in rs.residuals)
+            for (z, _), r in zip(rs.roots, rs.residuals):
+                scale = sum(abs(c) * abs(z) ** (p.degree - i) for i, c in enumerate(p.coefficients))
+                assert r <= 1e-10 * scale
 
     def test_deterministic(self):
         p = Polynomial([1, 0.3, -0.7, 0.2])
@@ -115,6 +179,46 @@ class TestFindRoots:
         monkeypatch.setattr(polyroots, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(RootFindingError):
             find_roots(p)
+
+    def test_numeric_double_root_at_boundary_lambda(self):
+        # lambda = -9/5 is the discriminant zero of the three-step family: a
+        # double root at -1/3.  Its float coefficients are not the exact
+        # fractions, and have three simple roots: 1 and a complex pair about
+        # 3e-9 apart next to -1/3.  Each is reported simple.
+        p = characteristic_polynomial(zerosnet_coeffs(-9 / 5))
+        rs = find_roots(p)
+        assert [m for _, m in rs.roots] == [1, 1, 1]
+        exact = assert_matches_exact(p, rs)
+        pair = [z for z, _ in exact if abs(z + 1 / 3) < 1e-6]
+        assert len(pair) == 2 and 1e-9 < abs(pair[0] - pair[1]) < 1e-8
+        assert all(abs(v + 1 / 3) < 1e-8 for v, _ in rs.roots[1:])
+
+    def test_zero_roots_are_exact(self):
+        rs = find_roots(Polynomial([1, -1, 0, 0]))  # rho^2 (rho - 1)
+        assert rs.roots == ((1 + 0j, 1), (0j, 2))
+
+    def test_complex_coefficients_with_multiple_roots(self):
+        # (z - 1 - 2i)^2 (z - i/2) (z + 1/4)^3: exact Gaussian coefficients
+        p = poly_from_roots([1 + 2j, 1 + 2j, 0.5j, -0.25, -0.25, -0.25])
+        rs = find_roots(p)
+        assert sorted(m for _, m in rs.roots) == [1, 2, 3]
+        assert_matches_exact(p, rs)
+
+    def test_overflow_is_a_root_finding_error(self):
+        # 2^-1074 (r - 2^1030)^2: the root exceeds the largest float.
+        with pytest.raises(RootFindingError):
+            find_roots(Polynomial([2.0 ** -1074, -(2.0 ** -43), 2.0 ** 986]))
+
+    def test_unverifiable_roots_are_not_accepted(self):
+        # r^3 - 1e308: the roots, of modulus 4.6e102, are floats, but the
+        # scale |z|^3 + 1e308 of the residual test overflows, so the test
+        # cannot tell them from the starting points.
+        p = Polynomial([1, 0, 0, -1e308])
+        try:
+            rs = find_roots(p)
+        except RootFindingError:
+            return
+        assert_matches_exact(p, rs)
 
     def test_requires_degree_one(self):
         with pytest.raises(ValueError):
@@ -164,34 +268,6 @@ class TestFindRoots:
         assert abs(product - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
-class TestClusterMultiplicities:
-    def test_coincident_pair(self):
-        out = cluster_multiplicities([1.0 + 0j, 1.0 + 1e-12j])
-        assert len(out) == 1
-        assert out[0][1] == 2
-
-    def test_well_separated(self):
-        out = cluster_multiplicities([1.0 + 0j, -0.5 + 0j])
-        assert [m for _, m in out] == [1, 1]
-
-    def test_radius_read_at_call_time(self, monkeypatch):
-        pair = [1.0 + 0j, 1.0 + 1e-4j]
-        assert [m for _, m in cluster_multiplicities(pair)] == [1, 1]
-        monkeypatch.setattr(polyroots, "CLUSTER_RADIUS", 1e-3)
-        assert [m for _, m in cluster_multiplicities(pair)] == [2]
-
-    def test_numeric_double_root_at_boundary_lambda(self):
-        # lambda = -9/5 is the discriminant zero of the three-step family
-        from zstab.schemes import characteristic_polynomial
-        from zstab.zerosnet import zerosnet_coeffs
-
-        p = characteristic_polynomial(zerosnet_coeffs(-9 / 5))
-        rs = find_roots(p)
-        by_mult = sorted(rs.roots, key=lambda rm: rm[1])
-        assert by_mult[0][1] == 1 and abs(by_mult[0][0] - 1) < 1e-9
-        assert by_mult[1][1] == 2 and abs(by_mult[1][0] + 1 / 3) < 1e-6
-
-
 def test_oracles_are_not_exported():
     for name in (
         "companion_power_modulus",
@@ -222,3 +298,90 @@ class TestCompanionOracle:
                 continue  # not well-separated; the oracle contract excludes it
             est = companion_power_modulus(p)
             assert abs(est.value - dominant) < 1e-6
+
+
+class TestExactOracle:
+    """find_roots and root_condition against sympy + mpmath on exact
+    coefficients, including the shapes whose multiplicities distances
+    cannot decide."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(multiset_alphas())
+    # The inputs the clustering code got wrong: (r-1)^3, the family at
+    # lambda = 1/3 (the same polynomial), (r-1/2)^3, (r^2+1.5r+1)^2,
+    # (r-1)^2 (r-1/2) (r^2-r/2+1), a root near 1e4, and tiny coefficients.
+    @example((3.0, -3.0, 1.0))
+    @example(zerosnet_coeffs(1 / 3).alphas)
+    @example((1.5, -0.75, 0.125))
+    @example((-3.0, -4.25, -3.0, -1.0))
+    @example((3.0, -4.25, 4.0, -2.25, 0.5))
+    @example((10000.0, -1.0, 0.5))
+    @example((1e-20, 1e-20, 1e-20))
+    def test_roots_and_verdict(self, alphas):
+        s = make_scheme(alphas, 1.0)
+        rep = root_condition(s)
+        exact = assert_matches_exact(characteristic_polynomial(s), rep.roots)
+        outside = [z for z, _ in exact if abs(z) > 1 + ROOT_CONDITION_TOL]
+        on_multiple = sorted(
+            m for z, m in exact if abs(abs(z) - 1) <= ROOT_CONDITION_TOL and m > 1
+        )
+        assert rep.zero_stable is (not outside and not on_multiple)
+        named = sorted(int(v.rsplit(" ", 1)[1]) for v in rep.violations if "multiplicity" in v)
+        assert named == on_multiple
+        assert sum("has modulus" in v for v in rep.violations) == len(outside)
+
+
+class TestSquarefreeTest:
+    def test_prime_and_square_root_of_minus_one(self):
+        q = polyroots._Q
+        assert sympy.isprime(q) and q % 4 == 1 and q.bit_length() == 61
+        assert polyroots._SQRT_M1 ** 2 % q == q - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(multiset_alphas())
+    def test_proves_only_square_free(self, alphas):
+        coeffs = [1.0 + 0j] + [complex(-a) for a in alphas]
+        if polyroots._squarefree(coeffs):
+            assert all(m == 1 for _, m in exact_roots(coeffs))
+
+
+# Each factor Aberth sees has simple roots, so a fifth of the iteration
+# budget is enough where the clustering code crawled linearly to the end
+# of all 200 iterations.
+_FORTY_ITERATION_INPUTS = {
+    "(r-1)^3": (3.0, -3.0, 1.0),
+    "(r-1/2)^3": (1.5, -0.75, 0.125),
+    "(r^2+1.5r+1)^2": (-3.0, -4.25, -3.0, -1.0),
+    "(r-1)^2(r-1/2)(r^2-r/2+1)": (3.0, -4.25, 4.0, -2.25, 0.5),
+    "lambda=1/3": zerosnet_coeffs(1 / 3).alphas,
+    **{f"table8-row{i + 1}": row.alphas for i, row in enumerate(REFERENCE_ROWS)},
+}
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize(
+        "alphas", _FORTY_ITERATION_INPUTS.values(), ids=_FORTY_ITERATION_INPUTS.keys()
+    )
+    def test_forty_iterations_suffice(self, monkeypatch, alphas):
+        monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 40)
+        p = characteristic_polynomial(make_scheme(alphas, 1.0))
+        assert_matches_exact(p, find_roots(p))
+
+    def test_table8_within_forty_iterations(self, monkeypatch):
+        monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 40)
+        assert all(result.passed for result in verify_reference_table())
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [(10000.0, -1.0, 0.5), (1e-20, 1e-20, 1e-20),
+         # (r - 2^20)(r - 2^-20)(r + 3/4)
+         (2.0**20 + 2.0**-20 - 0.75, 0.75 * (2.0**20 + 2.0**-20) - 1.0, -0.75)],
+        ids=["root near 1e4", "tiny coefficients", "roots 2^20 and 2^-20"],
+    )
+    def test_newton_polygon_starts(self, monkeypatch, alphas):
+        # Started on the Newton-polygon radii, roots of very different sizes
+        # pass in at most 4 iterations; started on one circle they took 7
+        # to 21.
+        monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 8)
+        p = characteristic_polynomial(make_scheme(alphas, 1.0))
+        assert_matches_exact(p, find_roots(p))

@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from zstab.schemes import (
     make_scheme,
     root_condition,
 )
-from zstab import polyroots
 from zstab.polyroots import find_roots
 from zstab.zerosnet import (
     MAX_SCAN_POINTS,
@@ -227,8 +225,7 @@ class TestClosedFormRoots:
         if abs(lam - 1 / 3) < 1e-2:
             return  # triple root at lambda = 1/3 limits numeric accuracy
         closed = closed_form_roots(lam)
-        with mock.patch.object(polyroots, "CLUSTER_RADIUS", 1e-13):
-            numeric = find_roots(characteristic_polynomial(zerosnet_coeffs(lam))).values()
+        numeric = find_roots(characteristic_polynomial(zerosnet_coeffs(lam))).values()
         assert match_roots(list(closed), numeric) < 1e-8
 
     @given(nonzero_lambda)

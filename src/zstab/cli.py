@@ -232,7 +232,7 @@ def cmd_integrate(args) -> int:
         print(f"blow-up at step {traj.blew_up_at}", file=sys.stderr)
     if args.probe is not None:
         series = ivp.zero_stability_probe(
-            scheme, problem, args.probe, args.h, args.steps, seed=args.seed
+            scheme, problem, traj, args.probe, args.h, seed=args.seed
         )
         flagged = " (diverged)" if series.blew_up_at is not None or series.ratio > 1e3 else ""
         print(f"probe amplification ratio={fmt(series.ratio)}{flagged}", file=sys.stderr)

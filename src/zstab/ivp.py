@@ -119,7 +119,6 @@ class OrderEstimate:
     """Least-squares slope of log(global error) against log(h)."""
 
     order: float
-    step_sizes: tuple[float, ...]
     errors: tuple[float, ...]
     rounding_limited: bool = False
 
@@ -209,28 +208,26 @@ def _unit_direction(dim: int, seed: int) -> np.ndarray:
 def zero_stability_probe(
     s: Scheme,
     p: IVPProblem,
+    clean: Trajectory,
     eps: float,
     h: float,
-    n_steps: int,
     seed: int = 1,
 ) -> DivergenceSeries:
-    """Integrate twice, the second time with all seed states shifted by eps.
+    """Integrate a twin of ``clean`` whose seed states are shifted by eps.
 
-    The shift is eps times a fixed seeded random unit direction, applied to
-    every seed state, so runs are reproducible.  Gaps are sup-norm per step;
-    the initial gap is the largest gap over the d seed states.
+    ``clean`` is ``integrate(s, p, h, n_steps)``.  The shift is eps times a
+    fixed seeded random unit direction, applied to every seed state, so runs
+    are reproducible.  The twin runs no further than ``clean`` did: the gaps
+    stop at the shorter run, and a blow-up of either makes the ratio inf.
+    Gaps are sup-norm per step; the initial gap is the largest gap over the
+    d seed states.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     d = s.order
-    seed_states = startup_states(p, h, d)
-    direction = _unit_direction(p.dimension, seed)
-    shifted = [y + eps * direction for y in seed_states]
-
-    clean_problem = IVPProblem(p.rhs, p.t_start, p.t_end, tuple(seed_states))
+    shifted = clean.states[:d] + eps * _unit_direction(p.dimension, seed)
     noisy_problem = IVPProblem(p.rhs, p.t_start, p.t_end, tuple(shifted))
-    clean = integrate(s, clean_problem, h, n_steps)
-    noisy = integrate(s, noisy_problem, h, n_steps)
+    noisy = integrate(s, noisy_problem, h, max(len(clean.states) - d, 1))
 
     # Both runs stop at their own blow-up; the gaps cover the steps both have.
     m = min(len(clean.states), len(noisy.states))
@@ -288,31 +285,30 @@ def convergence_order(
         order = float(np.polyfit(logs_h, logs_e, 1)[0])
     return OrderEstimate(
         order=order,
-        step_sizes=tuple(h_list),
         errors=tuple(errors),
         rounding_limited=rounding_limited,
     )
 
 
-def decay_problem(t_end: float = 1.0, y0: float = 1.0) -> IVPProblem:
-    """dy/dt = -y with exact solution y0 * exp(-t)."""
+def decay_problem(t_end: float = 1.0) -> IVPProblem:
+    """dy/dt = -y, y(0) = 1, with exact solution exp(-t)."""
     return IVPProblem(
         rhs=lambda t, y: -y,
         t_start=0.0,
         t_end=t_end,
-        initial_states=(np.array([y0]),),
-        exact_solution=lambda t: np.array([y0 * math.exp(-t)]),
+        initial_states=(np.array([1.0]),),
+        exact_solution=lambda t: np.array([math.exp(-t)]),
     )
 
 
-def constant_problem(t_end: float = 1.0, value: float = 1.0) -> IVPProblem:
-    """dy/dt = 0; the solution is the constant initial value."""
+def constant_problem(t_end: float = 1.0) -> IVPProblem:
+    """dy/dt = 0, y(0) = 1; the solution is the constant 1."""
     return IVPProblem(
         rhs=lambda t, y: np.zeros_like(y),
         t_start=0.0,
         t_end=t_end,
-        initial_states=(np.array([value]),),
-        exact_solution=lambda t: np.array([value]),
+        initial_states=(np.array([1.0]),),
+        exact_solution=lambda t: np.array([1.0]),
     )
 
 

@@ -97,7 +97,7 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots of a polynomial with multiplicities and evaluation residuals.
+    """Roots of a polynomial with their multiplicities.
 
     ``roots`` is ordered by (modulus descending, argument ascending) so
     repeated runs are bit-identical.  The sum of multiplicities equals the
@@ -105,7 +105,6 @@ class RootSet:
     """
 
     roots: tuple[tuple[complex, int], ...]
-    residuals: tuple[float, ...]
 
     def values(self) -> list[complex]:
         """Roots expanded with multiplicity."""
@@ -385,4 +384,4 @@ def find_roots(p: Polynomial) -> RootSet:
             f"root finding did not converge: a value overflowed ({exc})", ()
         ) from exc
     roots.sort(key=lambda pair: _root_sort_key(pair[0]))
-    return RootSet(roots=tuple(roots), residuals=tuple(abs(p.eval(v)) for v, _ in roots))
+    return RootSet(roots=tuple(roots))

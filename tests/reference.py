@@ -12,8 +12,10 @@ package itself does not need.
 - ``companion_power_modulus``/``companion_spectral_radius``: the dominant
   characteristic root modulus by companion-matrix power iteration,
   independent of the Aberth root finder.
-- ``zero_stability_probe``: the probe with its per-step gaps taken in a
-  loop over the state pairs, the rule the array reduction replaced.
+- ``zero_stability_probe``: the probe as it was before it took the clean
+  trajectory from its caller: it integrates the clean run itself and takes
+  its per-step gaps in a loop over the state pairs, the rule the array
+  reduction replaced.
 - ``exact_roots``: the roots of a polynomial's exact float coefficients
   with their multiplicities, from sympy's square-free factorisation and
   mpmath at raised precision, sharing no code with ``find_roots``.
@@ -143,7 +145,6 @@ def compare_propagations(
     init_a: Sequence[np.ndarray],
     init_b: Sequence[np.ndarray],
     depth: int,
-    h: float = 1.0,
     fit_from: Optional[int] = None,
 ) -> PropagationReport:
     """Propagate two initializations and report per-depth sup-norm gaps.
@@ -152,8 +153,8 @@ def compare_propagations(
     fitted from ``fit_from`` (default: halfway) onward over positive finite
     gaps; None when fewer than 10 such gaps exist.
     """
-    _, hist_a, blew_a = propagate(s, blocks, init_a, depth, h)
-    _, hist_b, blew_b = propagate(s, blocks, init_b, depth, h)
+    _, hist_a, blew_a = propagate(s, blocks, init_a, depth)
+    _, hist_b, blew_b = propagate(s, blocks, init_b, depth)
     gaps = tuple(float(np.max(np.abs(a - b))) for a, b in zip(hist_a, hist_b))
     blew_up_at = min((b for b in (blew_a, blew_b) if b is not None), default=None)
 

@@ -239,6 +239,26 @@ class TestIntegrate:
         assert code == EXIT_OK
         assert "diverged" in err
 
+    def test_probe_reuses_the_trajectory(self, capsys, monkeypatch):
+        # One integration writes the trajectory; the probe adds only its
+        # perturbed twin.
+        steps = []
+        integrate = ivp.integrate
+
+        def counted(s, p, h, n_steps):
+            steps.append(n_steps)
+            return integrate(s, p, h, n_steps)
+
+        monkeypatch.setattr(ivp, "integrate", counted)
+        code, _, err = run(
+            capsys,
+            "integrate", "--lambda", "-1.8", "--preset", "oscillator",
+            "--h", "0.01", "--steps", "100", "--probe", "1e-3",
+        )
+        assert code == EXIT_OK
+        assert "probe amplification ratio=" in err
+        assert steps == [100, 100]
+
     def test_orders(self, capsys):
         code, _, err = run(
             capsys,

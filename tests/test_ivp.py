@@ -137,7 +137,7 @@ class TestIntegrate:
         # Sum(alpha) = 1 and rhs = 0: the recurrence must hold the constant
         # exactly, up to accumulated rounding
         for s in [first_order(1), lm_second_order(0.5), zerosnet_coeffs(-9 / 5)]:
-            traj = integrate(s, constant_problem(value=1.0), 0.01, 500)
+            traj = integrate(s, constant_problem(), 0.01, 500)
             drift = max(abs(y[0] - 1.0) for y in traj.states)
             assert drift <= 1e-12
             assert traj.blew_up_at is None
@@ -186,45 +186,45 @@ class TestIntegrate:
 
 class TestZeroStabilityProbe:
     def test_identity_recurrence(self):
-        series = zero_stability_probe(
-            first_order(1), constant_problem(), 1e-3, 0.1, 10
-        )
+        s, p = first_order(1), constant_problem()
+        series = zero_stability_probe(s, p, integrate(s, p, 0.1, 10), 1e-3, 0.1)
         assert series.ratio == 1.0
         assert all(abs(g - 1e-3) < 1e-15 for g in series.per_step)
 
     def test_geometric_growth(self):
-        series = zero_stability_probe(
-            first_order(2), constant_problem(), 1e-3, 0.1, 20
-        )
+        s, p = first_order(2), constant_problem()
+        series = zero_stability_probe(s, p, integrate(s, p, 0.1, 20), 1e-3, 0.1)
         assert abs(series.per_step[-1] - 1e-3 * 2**20) < 1e-6 * 2**20
         assert series.ratio > 1e5
 
     def test_stable_family_bounded(self):
-        series = zero_stability_probe(
-            zerosnet_coeffs(-9 / 5), decay_problem(), 1e-3, 0.01, 100
-        )
+        s, p = zerosnet_coeffs(-9 / 5), decay_problem()
+        series = zero_stability_probe(s, p, integrate(s, p, 0.01, 100), 1e-3, 0.01)
         assert series.ratio <= 3.0
         assert series.blew_up_at is None
 
     def test_deterministic(self):
-        a = zero_stability_probe(lm_second_order(0.5), decay_problem(), 1e-3, 0.01, 50)
-        b = zero_stability_probe(lm_second_order(0.5), decay_problem(), 1e-3, 0.01, 50)
+        s, p = lm_second_order(0.5), decay_problem()
+        a = zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01)
+        b = zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01)
         assert a.per_step == b.per_step
 
     def test_linear_growth_matches_companion_oracle(self):
         # With rhs = 0 the gap follows the companion recurrence; compare the
         # observed per-step factor after the transient with the power
         # iteration estimate.
+        p = constant_problem()
         for s in [first_order(1.5), make_scheme([1, 1, 1], 1), lm_second_order(0.5)]:
-            series = zero_stability_probe(s, constant_problem(), 1e-6, 0.1, 60)
+            series = zero_stability_probe(s, p, integrate(s, p, 0.1, 60), 1e-6, 0.1)
             radius = reference.companion_spectral_radius(s).value
             gaps = series.per_step
             factor = (gaps[-1] / gaps[50]) ** (1.0 / (len(gaps) - 51))
             assert abs(factor - radius) <= 0.02 * radius
 
     def test_eps_validated(self):
+        s, p = first_order(1), decay_problem()
         with pytest.raises(ValueError):
-            zero_stability_probe(first_order(1), decay_problem(), 0.0, 0.1, 5)
+            zero_stability_probe(s, p, integrate(s, p, 0.1, 5), 0.0, 0.1)
 
 
 class TestConvergenceOrder:
@@ -301,7 +301,10 @@ def _many_seeds_problem():
 
 _PROBLEMS = {
     "decay": decay_problem(),
-    "constant": constant_problem(value=2.5),
+    "constant": IVPProblem(
+        rhs=lambda t, y: np.zeros_like(y), t_start=0.0, t_end=1.0,
+        initial_states=(np.array([2.5]),), exact_solution=lambda t: np.array([2.5]),
+    ),
     "oscillator": oscillator_problem(),
     "forced": _forced_problem(),
     "many_seeds": _many_seeds_problem(),
@@ -339,10 +342,12 @@ class TestIntegrateMatchesReference:
 
 
 class TestProbeMatchesReference:
-    """zero_stability_probe takes its gaps in one array reduction; its
-    per-step gaps, ratio and blow-up step must equal those of the loop over
-    state pairs, also when the clean and the noisy run blow up at different
-    steps and the gaps stop at the shorter run."""
+    """zero_stability_probe reuses the clean trajectory it is given, runs the
+    twin only as far as that trajectory goes, and takes its gaps in one array
+    reduction; its per-step gaps, ratio and blow-up step must equal those of
+    the reference, which integrates the clean run itself for all n_steps and
+    loops over state pairs, also when the clean and the noisy run blow up at
+    different steps and the gaps stop at the shorter run."""
 
     # alphas=[10]: the noisy run, shifted by 1e6, overflows 5 steps before
     # the clean one, which starts at 2.5.
@@ -372,7 +377,7 @@ class TestProbeMatchesReference:
         # Two finite states of opposite sign near the overflow threshold
         # overflow the subtraction in both rules alike.
         with np.errstate(over="ignore"):
-            got = zero_stability_probe(s, p, eps, h, n_steps, seed)
+            got = zero_stability_probe(s, p, integrate(s, p, h, n_steps), eps, h, seed)
             want = reference.zero_stability_probe(s, p, eps, h, n_steps, seed)
         assert got.per_step == want.per_step
         assert got.initial_gap == want.initial_gap
@@ -384,9 +389,7 @@ class TestProbeMatchesReference:
         s = make_scheme(case["alphas"], case["beta"])
         p = _PROBLEMS[case["problem"]]
         clean = integrate(s, p, case["h"], case["n_steps"])
-        series = zero_stability_probe(
-            s, p, case["eps"], case["h"], case["n_steps"], case["seed"]
-        )
+        series = zero_stability_probe(s, p, clean, case["eps"], case["h"], case["seed"])
         assert clean.blew_up_at is not None
         assert series.blew_up_at < clean.blew_up_at
         assert len(series.per_step) < len(clean.states)

@@ -102,12 +102,6 @@ class TestBlockMap:
                 assert abs(np.mean(out)) < 1e-9
                 assert abs(np.var(out) - 1.0) < 1e-6
 
-    def test_scale_applied(self):
-        base = make_block(7, 16)
-        scaled = BlockMap(width=16, weights=base.weights, scale=0.5)
-        y = np.linspace(-1, 1, 16)
-        assert np.allclose(scaled(y), 0.5 * base(y))
-
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             BlockMap(width=4, weights=np.zeros((4, 3)))
@@ -158,7 +152,7 @@ class TestPropagate:
         s = zerosnet_coeffs(-9 / 5)
         block = make_block(2, 8)
         y = np.linspace(0.1, 0.9, 8)
-        final, _, _ = propagate(s, [block], [y, y, y], depth=1, h=1.0)
+        final, _, _ = propagate(s, [block], [y, y, y], depth=1)
         assert np.allclose(final, y + (16.0 / 9.0) * block(y), atol=1e-12)
 
     def test_state_count_validated(self):
@@ -320,9 +314,9 @@ class TestRobustnessSweep:
     def test_one_block_per_trial_and_depth(self, monkeypatch):
         calls = []
 
-        def counted(seed, width, scale=1.0):
+        def counted(seed, width):
             calls.append(seed)
-            return make_block(seed, width, scale)
+            return make_block(seed, width)
 
         monkeypatch.setattr(propagation, "make_block", counted)
         robustness_sweep(

@@ -213,6 +213,8 @@ def cmd_integrate(args) -> int:
     # is written.
     if args.probe is not None and not 0.0 < args.probe < math.inf:
         raise UsageError("--probe must be positive and finite")
+    if args.rhs is not None and not math.isfinite(args.y0):
+        raise UsageError("--y0 must be finite")
     if args.steps < 1:
         raise UsageError("--steps must be positive")
     if args.steps > ivp.MAX_STEPS:

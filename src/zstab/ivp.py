@@ -155,11 +155,18 @@ def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
     return states
 
 
-def _check_steps(n_steps: int) -> None:
+def _check_steps(p: IVPProblem, h: float, d: int, n_steps: int) -> None:
+    """Reject a run of a d-step scheme that is over the step budget or whose
+    time grid overflows, before anything is seeded or integrated."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if n_steps > MAX_STEPS:
         raise ValueError(f"integration needs more than {MAX_STEPS} steps")
+    # The last state's time, computed as integrate computes ``times``; every
+    # earlier time, and every time the rhs is called at, lies below it.
+    last = d - 1 + n_steps
+    if not math.isfinite((p.t_start + (last - 1.0) * h) + h):
+        raise ValueError(f"the time of state {last} at h={h!r} is not finite")
 
 
 def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
@@ -169,13 +176,14 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     shared loop ``schemes._recur``.  Non-finite states stop the run and set
     ``blew_up_at`` on the result.
     """
-    _check_steps(n_steps)
     d = s.order
+    _check_steps(p, h, d, n_steps)
     states = startup_states(p, h, d)
 
+    rhs, t_start = p.rhs, p.t_start
+
     def f(step: int, y: np.ndarray) -> np.ndarray:
-        t_n = p.t_start + (d - 1 + step) * h
-        return np.atleast_1d(np.asarray(p.rhs(t_n, y), dtype=float))
+        return np.asarray(rhs(t_start + (d - 1 + step) * h, y), dtype=float)
 
     blew = int(_recur(s.alphas, h * s.beta, states, n_steps, f))
     # State q sits at t_start + q*h; after the seeds the time is the previous
@@ -264,8 +272,8 @@ def convergence_order(
     runs = [
         max(round(min(span / h, MAX_STEPS + s.order)) - (s.order - 1), 1) for h in h_list
     ]
-    for n_steps in runs:
-        _check_steps(n_steps)
+    for h, n_steps in zip(h_list, runs):
+        _check_steps(p, h, s.order, n_steps)
     errors = []
     for h, n_steps in zip(h_list, runs):
         traj = integrate(s, p, h, n_steps)

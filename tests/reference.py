@@ -16,6 +16,11 @@ package itself does not need.
   trajectory from its caller: it integrates the clean run itself and takes
   its per-step gaps in a loop over the state pairs, the rule the array
   reduction replaced.
+- ``recur``: ``zstab.schemes._recur`` as it was before it converted its
+  coefficients to arrays, summed without a generator and tested each step
+  for finiteness once: Python-level coefficients, a ``sum`` that starts
+  from the int 0, and ``np.isfinite(nxt).all()`` on every step.  The loop
+  must produce the same bytes.
 - ``exact_roots``: the roots of a polynomial's exact float coefficients
   with their multiplicities, from sympy's square-free factorisation and
   mpmath at raised precision, sharing no code with ``find_roots``.
@@ -273,6 +278,23 @@ def zero_stability_probe(
     return DivergenceSeries(
         per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=blew_up_at
     )
+
+
+def recur(alphas: Sequence, coef, history, depth: int, f) -> np.ndarray:
+    """``zstab.schemes._recur`` with a generator sum and a per-step
+    ``np.isfinite(...).all()``: same arguments, same appends, same return."""
+    blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
+    with np.errstate(all="ignore"):
+        for n in range(depth):
+            nxt = sum(a * history[-1 - i] for i, a in enumerate(alphas))
+            nxt = nxt + coef * f(n, history[-1])
+            if not np.isfinite(nxt).all():
+                bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
+                blew = np.where(bad & (blew == 0), n + 1, blew)
+                if np.all(blew):
+                    break
+            history.append(nxt)
+    return blew
 
 
 def _rational(x: float) -> sympy.Rational:

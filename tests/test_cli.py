@@ -312,9 +312,10 @@ class TestIntegrate:
             ("--rhs", "y/0"),
             ("--orders", "0.1,0.05,-0.01"),
             ("--orders", "0.1,0.1,0.1"),
+            ("--h", "1e308"),  # the last state's time, 6e308 + 1e308, overflows
         ],
         ids=["steps-0", "h-negative", "h-nan", "rhs-division", "orders-negative",
-             "orders-duplicate"],
+             "orders-duplicate", "time-grid-overflow"],
     )
     def test_library_errors_are_usage_errors(self, capsys, extra):
         code, _, err = run(
@@ -355,6 +356,16 @@ class TestIntegrate:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("y0", ["inf", "-inf", "nan"])
+    def test_non_finite_y0_writes_nothing(self, capsys, y0):
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", "--rhs", "y", f"--y0={y0}",
+            "--h", "0.1", "--steps", "3",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_orders_with_an_infinite_step_count(self, capsys):
         code, out, err, peak = run_traced(

@@ -35,6 +35,12 @@ OSCILLATOR = (
     "integrate", "--lambda", "-1.8", "--preset", "oscillator",
     "--h", "0.2", "--steps", "8",
 )
+RHS = ("integrate", "--alphas", "1", "--rhs", "sin(t) - y", "--h", "0.05", "--steps", "200")
+BLOWUP = ("integrate", "--alphas", "10,10,10", "--h", "0.1", "--steps", "1000")
+OSCILLATOR_PROBE = (
+    "integrate", "--lambda", "-1.8", "--preset", "oscillator", "--h", "0.01",
+    "--steps", "500", "--probe", "1e-6", "--seed", "7", "--format", "json",
+)
 TABLE8 = (
     "propagate", "--table8", "--noise", "gaussian:0.1", "--noise", "constant:0.5",
     "--depth", "12", "--width", "8", "--trials", "2",
@@ -59,6 +65,9 @@ CASES = {
     "overflow_csv": OVERFLOW,
     "overflow_json": OVERFLOW + ("--format", "json"),
     "table_verify": ("table-verify",),
+    "rhs_csv": RHS,
+    "blowup_csv": BLOWUP,
+    "probe_json": OSCILLATOR_PROBE,
 }
 
 

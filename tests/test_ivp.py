@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +169,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="steps"):
             integrate(first_order(1), decay_problem(), 0.1, ivp.MAX_STEPS + 1)
 
+    def test_time_grid_must_be_finite(self, monkeypatch):
+        # Euler's second state sits at 2h, which is the largest float for
+        # h = max/2 and overflows for the next float up.
+        h = sys.float_info.max / 2
+        traj = integrate(first_order(1), constant_problem(), h, 2)
+        assert traj.times.tolist() == [0.0, h, sys.float_info.max]
+        monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
+        with pytest.raises(ValueError, match="not finite"):
+            integrate(first_order(1), constant_problem(), math.nextafter(h, math.inf), 2)
+
     def test_states_are_one_read_only_array(self):
         traj = integrate(first_order(1), oscillator_problem(), 0.1, 3)
         assert traj.states.shape == (4, 2)
@@ -271,6 +282,18 @@ class TestConvergenceOrder:
         h = 1.0 / (ivp.MAX_STEPS + 1)  # the last run needs MAX_STEPS + 1 steps
         with pytest.raises(ValueError, match="steps"):
             convergence_order(first_order(1), decay_problem(), [0.5, 0.25, h])
+        assert runs == []
+
+    def test_time_grid_checked_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(ivp, "integrate", lambda *args: runs.append(args))
+        top = sys.float_info.max
+        # Over [0, top] each h rounds to two Euler steps: the last state sits
+        # at top, 0.8 * top and, overflowing, 1.2 * top.
+        with pytest.raises(ValueError, match="not finite"):
+            convergence_order(
+                first_order(1), decay_problem(t_end=top), [0.5 * top, 0.4 * top, 0.6 * top]
+            )
         assert runs == []
 
     def test_rejects_non_finite_step_sizes(self):

@@ -1,3 +1,6 @@
+import copy
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from zstab.schemes import (
     Scheme,
+    _recur,
     characteristic_polynomial,
     consistency_check,
     first_order,
@@ -15,6 +19,7 @@ from zstab.schemes import (
 from zstab.zerosnet import zerosnet_coeffs
 
 from conftest import match_roots
+import reference
 from reference import companion_spectral_radius
 
 
@@ -193,3 +198,120 @@ class TestCompanionSpectralRadius:
 class TestSerialization:
     def test_label(self):
         assert Scheme((1.0,), 1.0).label() == "alphas=[1] beta=1"
+
+
+def _assert_same_as_reference(alphas, coef, history, depth, f):
+    """_recur and reference.recur, each on its own copy of ``history``, must
+    append the same states, byte for byte and shape for shape, return the
+    same blow-up steps and call ``f`` with the same steps."""
+    runs = []
+    for loop in (_recur, reference.recur):
+        calls = []
+
+        def counted(n, y, calls=calls):
+            calls.append(n)
+            return f(n, y)
+
+        states = copy.copy(history)  # a deque keeps its maxlen
+        blew = loop(alphas, coef, states, depth, counted)
+        runs.append((list(states), blew, calls))
+    (got, got_blew, got_calls), (want, want_blew, want_calls) = runs
+    assert [y.shape for y in got] == [y.shape for y in want]
+    assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
+    assert got_blew.shape == want_blew.shape
+    assert got_blew.tolist() == want_blew.tolist()
+    assert got_calls == want_calls
+
+
+_COEFFICIENT = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 10.0, -10.0]))
+
+
+@st.composite
+def _recurrences(draw):
+    """Arguments of _recur as its callers pass them: Python-float or numpy
+    scalar coefficients on one state or a stack of rows, or (rows, 1, 1)
+    coefficient arrays on (rows, 2, width) states as the sweep passes them."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["float", "numpy", "rows"]))
+    rows = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+
+    def coefficient():
+        if kind == "float":
+            return draw(_COEFFICIENT)
+        if kind == "numpy":
+            return np.float64(draw(_COEFFICIENT))
+        return np.array([draw(_COEFFICIENT) for _ in range(rows)]).reshape(rows, 1, 1)
+
+    alphas = [coefficient() for _ in range(d)]
+    coef = coefficient()
+    if kind == "rows":
+        shape = (rows, 2, width)
+    else:
+        shape = draw(st.sampled_from([(width,), (rows, width)]))
+    # One magnitude per row, often near the overflow threshold, so that rows
+    # overflow at different steps.
+    exponent = st.one_of(st.integers(-300, 300), st.integers(280, 307))
+    scale = np.array([10.0 ** draw(exponent) for _ in range(shape[0])])
+    scale = scale.reshape((-1,) + (1,) * (len(shape) - 1)) if len(shape) > 1 else scale[0]
+    size = int(np.prod(shape))
+    states = [
+        np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+        .reshape(shape) * scale
+        for _ in range(d + draw(st.integers(0, 1)))
+    ]
+    history = deque(states, maxlen=d) if draw(st.booleans()) else states
+
+    # A float times a list is a TypeError in the reference loop, so a list
+    # comes only with array coefficients, as in the sweep.
+    returns = draw(st.sampled_from(
+        ["array", "list", "zero"] if kind == "rows" else ["array", "zero"]
+    ))
+    g = draw(st.floats(-2.0, 2.0))
+    if returns == "array":
+        def f(n, y):
+            return g * y + n
+    elif returns == "list":
+        def f(n, y):
+            return (g * y + n).tolist()
+    else:
+        def f(n, y):
+            return 0.0  # what growth_rate's blocks return
+    return alphas, coef, history, draw(st.integers(1, 40)), f
+
+
+class TestRecurMatchesReference:
+    """The step loop converts its coefficients to arrays, accumulates
+    without a generator and tests each step for finiteness once; the states
+    it appends, its blow-up steps and its calls of f must equal those of the
+    loop it replaced, sign of zero and NaN bits included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_recurrences())
+    def test_equal_to_reference(self, case):
+        _assert_same_as_reference(*case)
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        # 0 + (-0.0) is +0.0: the leading 0 of the sum decides the sign.
+        history = [np.array([-0.0])]
+        _assert_same_as_reference([1.0], 1.0, history, 2, lambda n, y: np.array([-0.0]))
+        _recur([1.0], 1.0, history, 2, lambda n, y: np.array([-0.0]))
+        assert [np.signbit(y).tolist() for y in history] == [[True], [False], [False]]
+
+    def test_zero_times_infinity_blows_up(self):
+        # alphas (0, 1) on an infinite y_n, the lambda = -1 shape: 0 * inf is
+        # NaN, so the first step blows up.
+        history = [np.array([1.0]), np.array([np.inf])]
+        _assert_same_as_reference((0.0, 1.0), 1.0, history, 3, lambda n, y: -y)
+        assert _recur((0.0, 1.0), 1.0, history, 3, lambda n, y: -y).tolist() == 1
+        assert len(history) == 2
+
+    def test_state_that_grows_by_broadcasting(self):
+        # f widens the state at step 1 and returns inf in it at step 2.
+        def f(n, y):
+            return np.array([1.0]) if n == 0 else np.array([1.0, np.inf if n == 2 else 2.0])
+
+        _assert_same_as_reference([0.5], 1.0, [np.array([1.0])], 4, f)
+        history = [np.array([1.0])]
+        assert _recur([0.5], 1.0, history, 4, f).tolist() == 3
+        assert [y.shape for y in history] == [(1,), (1,), (2,)]

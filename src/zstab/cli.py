@@ -202,7 +202,8 @@ def _problem_from_args(args) -> ivp.IVPProblem:
             except (ArithmeticError, NameError, TypeError, ValueError) as exc:
                 raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
 
-        return ivp.IVPProblem(rhs, 0.0, args.h * args.steps, (np.array([args.y0]),))
+        y0 = 1.0 if args.y0 is None else args.y0
+        return ivp.IVPProblem(rhs, 0.0, args.h * args.steps, (np.array([y0]),))
     return ivp.PRESETS[args.preset](t_end=args.h * args.steps)
 
 
@@ -213,8 +214,12 @@ def cmd_integrate(args) -> int:
     # is written.
     if args.probe is not None and not 0.0 < args.probe < math.inf:
         raise UsageError("--probe must be positive and finite")
-    if args.rhs is not None and not math.isfinite(args.y0):
-        raise UsageError("--y0 must be finite")
+    if args.y0 is not None:
+        # Only the --rhs problem reads it; the presets fix their own.
+        if args.rhs is None:
+            raise UsageError("--y0 is read only with --rhs")
+        if not math.isfinite(args.y0):
+            raise UsageError("--y0 must be finite")
     if args.steps < 1:
         raise UsageError("--steps must be positive")
     if args.steps > ivp.MAX_STEPS:
@@ -322,7 +327,9 @@ def build_parser() -> _Parser:
         help="built-in problem (default decay)",
     )
     p.add_argument("--rhs", help="scalar rhs expression in t and y, e.g. '-y'")
-    p.add_argument("--y0", type=float, default=1.0, help="initial value for --rhs")
+    p.add_argument(
+        "--y0", type=float, help="initial value for --rhs (default 1; only with --rhs)",
+    )
     p.add_argument("--h", type=float, required=True, help="step size")
     p.add_argument("--steps", type=int, required=True, help="number of steps")
     p.add_argument("--probe", type=float, help="probe divergence with this epsilon")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,10 @@ __all__ = [
     "PRESETS",
 ]
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+# dy/dt = rhs(t, y).  A one-feature rhs takes y as a Python float as well as
+# a 1-element array, and may return a float: integrate hands it the float at
+# step 0, and if it returns a float there the whole run is on floats.
+RHS = Callable[[float, Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 # The most steps one integration may run; a run asking for more is rejected
 # before anything is allocated.
@@ -175,15 +178,29 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     The d seed states come from startup_states and the steps from the
     shared loop ``schemes._recur``.  Non-finite states stop the run and set
     ``blew_up_at`` on the result.
+
+    A one-element state is handed to the rhs as a Python float at step 0.
+    If the rhs returns a float there, every state of the run is a Python
+    float; otherwise, and for a state of more elements, the states are
+    arrays.  Both give the same bits, and the rhs is called once per step
+    either way: step 0's value is computed before the loop and reused.
     """
     d = s.order
     _check_steps(p, h, d, n_steps)
     states = startup_states(p, h, d)
 
     rhs, t_start = p.rhs, p.t_start
+    y = states[-1].item() if states[-1].size == 1 else states[-1]
+    with np.errstate(all="ignore"):  # as inside the loop
+        first = rhs(t_start + (d - 1) * h, y)
+    scalar = isinstance(y, float) and isinstance(first, float)
+    if scalar:
+        states = [state.item() for state in states]
 
-    def f(step: int, y: np.ndarray) -> np.ndarray:
-        return np.asarray(rhs(t_start + (d - 1 + step) * h, y), dtype=float)
+    def f(step: int, y):
+        if step:
+            return rhs(t_start + (d - 1 + step) * h, y)
+        return first
 
     blew = int(_recur(s.alphas, h * s.beta, states, n_steps, f))
     # State q sits at t_start + q*h; after the seeds the time is the previous
@@ -193,7 +210,8 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
         times = np.where(q < d, p.t_start + q * h, (p.t_start + (q - 1.0) * h) + h)
     # One copy into a (steps, dim) array; np.stack would first make a view of
     # every state.
-    states = np.concatenate(states).reshape(len(states), states[0].size)
+    flat = np.array(states, dtype=float) if scalar else np.concatenate(states)
+    states = flat.reshape(len(states), -1)
     for column in (times, states):
         column.flags.writeable = False
     return Trajectory(
@@ -312,7 +330,7 @@ def decay_problem(t_end: float = 1.0) -> IVPProblem:
 def constant_problem(t_end: float = 1.0) -> IVPProblem:
     """dy/dt = 0, y(0) = 1; the solution is the constant 1."""
     return IVPProblem(
-        rhs=lambda t, y: np.zeros_like(y),
+        rhs=lambda t, y: 0.0 if isinstance(y, float) else np.zeros_like(y),
         t_start=0.0,
         t_end=t_end,
         initial_states=(np.array([1.0]),),

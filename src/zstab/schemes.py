@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -87,35 +87,49 @@ def _recur(
     coef,
     history,
     depth: int,
-    f: Callable[[int, np.ndarray], np.ndarray],
+    f: Callable[[int, Any], Any],
 ) -> np.ndarray:
     """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * f(n, y_n).
 
     The one multistep loop of the package: ``integrate``, ``propagate``,
     ``growth_rate`` and ``robustness_sweep`` all run on it.  ``history``
-    holds at least ``len(alphas)`` states of shape (..., width), oldest
-    first, and every new state is appended to it (a bounded deque keeps only
-    the last few); ``n`` counts steps from 0.  Every axis but the last
-    indexes an independent run, a *row* (a single state is one row); the
-    coefficients broadcast against the state, so one call advances many runs
-    at once.  Returns, per row, the first step n + 1 at which the row turned
-    non-finite (0 if it never did).  Once every row has blown up the loop
-    stops without appending the non-finite state.  Overflow inside a run is
-    reported only through that return value, never as a warning.
+    holds at least ``len(alphas)`` states, oldest first, and every new state
+    is appended to it (a bounded deque keeps only the last few); ``n``
+    counts steps from 0.  Returns, per row, the first step n + 1 at which
+    the row turned non-finite (0 if it never did).  Once every row has
+    blown up the loop stops without appending the non-finite state.
+    Overflow inside a run is reported only through that return value, never
+    as a warning.
+
+    The states are of one of two number types, decided by the newest one:
+
+    - arrays of shape (..., width): every axis but the last indexes an
+      independent run, a *row* (a single state is one row); the
+      coefficients, converted once to float64 arrays, broadcast against the
+      state, so one call advances many runs at once;
+    - Python floats (or numpy float scalars), one run of one feature: the
+      coefficients are converted once to floats, ``f`` returns a float and
+      the return value is 0-d.
 
     Each step computes ((0 + a_0 y_n) + a_1 y_{n-1}) + ... + coef f in that
-    order, with the coefficients converted once to float64 arrays (an array
-    times an array gives the same IEEE product as a float times an array,
-    with less dispatch).  The leading 0 is kept: it turns a sum of -0.0
-    terms into +0.0.  A step is tested for finiteness once, by its dot
-    product with itself, which is finite only if every element is; a state
-    with an element beyond ~1e154 also fails it, and then the rows are
-    examined one by one, as for a non-finite state.
+    order, so both types give the same IEEE sums: the leading 0 is kept
+    because it turns a sum of -0.0 terms into +0.0.  A step is tested for
+    finiteness once, by its product with itself (a dot product for an
+    array), which is finite only if every element is; a state with an
+    element beyond ~1e154 also fails it, and then the rows are examined one
+    by one, as for a non-finite state.
     """
+    scalar = isinstance(history[-1], float)
     blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
-    alphas = [np.asarray(a, dtype=float) for a in alphas]
-    coef = np.asarray(coef, dtype=float)
-    zero = np.zeros(())
+    if scalar:
+        alphas = [float(a) for a in alphas]
+        coef = float(coef)
+        zero = 0.0
+    else:
+        alphas = [np.asarray(a, dtype=float) for a in alphas]
+        coef = np.asarray(coef, dtype=float)
+        zero = np.zeros(())
+    inf = math.inf
     with np.errstate(all="ignore"):
         for n in range(depth):
             nxt = zero
@@ -127,8 +141,12 @@ def _recur(
                 # states took 7282 minor page faults per sweep, against 5509.
                 del term
             nxt = nxt + coef * f(n, history[-1])
-            flat = nxt.ravel()
-            if not flat.dot(flat) < math.inf:
+            if scalar:
+                finite = nxt * nxt < inf
+            else:
+                flat = nxt.ravel()
+                finite = flat.dot(flat) < inf
+            if not finite:
                 bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
                 blew = np.where(bad & (blew == 0), n + 1, blew)
                 if np.all(blew):

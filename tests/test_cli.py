@@ -367,6 +367,25 @@ class TestIntegrate:
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("y0", ["nan", "1", "2.5"])
+    def test_y0_without_rhs_writes_nothing(self, capsys, y0):
+        # The presets fix their own initial value, so --y0 would be ignored.
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", f"--y0={y0}", "--h", "0.1", "--steps", "2",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "usage error: --y0 is read only with --rhs\n"
+
+    def test_y0_from_config_without_rhs_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y0=2\n")
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", "--h", "0.1", "--steps", "2",
+            "--config", str(cfg),
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --y0 is read only with --rhs\n")
+
     def test_orders_with_an_infinite_step_count(self, capsys):
         code, out, err, peak = run_traced(
             capsys, "integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "5",

@@ -36,6 +36,9 @@ OSCILLATOR = (
     "--h", "0.2", "--steps", "8",
 )
 RHS = ("integrate", "--alphas", "1", "--rhs", "sin(t) - y", "--h", "0.05", "--steps", "200")
+CONSTANT = (
+    "integrate", "--alphas", "1", "--preset", "constant", "--h", "0.05", "--steps", "200",
+)
 BLOWUP = ("integrate", "--alphas", "10,10,10", "--h", "0.1", "--steps", "1000")
 OSCILLATOR_PROBE = (
     "integrate", "--lambda", "-1.8", "--preset", "oscillator", "--h", "0.01",
@@ -67,6 +70,7 @@ CASES = {
     "table_verify": ("table-verify",),
     "rhs_csv": RHS,
     "blowup_csv": BLOWUP,
+    "constant_csv": CONSTANT,
     "probe_json": OSCILLATOR_PROBE,
 }
 

@@ -2,13 +2,15 @@ import csv
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zstab import ivp
+from zstab import ivp, schemes
+from zstab.cli import main
 from zstab.ivp import (
     IVPProblem,
     Trajectory,
@@ -195,6 +197,100 @@ class TestIntegrate:
         assert float(rows[1][1]) == 0.0
 
 
+class TestScalarRuns:
+    """A one-feature run whose rhs maps a float to a float is computed on
+    Python floats, everything else on arrays.  These tests pin that choice,
+    the rhs calls and the memory it saves, without timing anything; that the
+    two number types give the same bits is TestIntegrateMatchesReference's
+    and TestProbeMatchesReference's to show."""
+
+    @staticmethod
+    def _state_types(monkeypatch, run) -> list[set]:
+        """The types of the states each _recur call of ``run`` ended with."""
+        seen = []
+
+        def recording(alphas, coef, history, depth, f):
+            blew = schemes._recur(alphas, coef, history, depth, f)
+            seen.append({type(y) for y in history})
+            return blew
+
+        monkeypatch.setattr(ivp, "_recur", recording)
+        run()
+        return seen
+
+    @pytest.mark.parametrize("preset", ["decay", "constant"])
+    def test_one_feature_preset_runs_on_floats(self, monkeypatch, preset):
+        s, p = zerosnet_coeffs(-9 / 5), ivp.PRESETS[preset]()
+        seen = self._state_types(monkeypatch, lambda: integrate(s, p, 0.01, 50))
+        assert seen == [{float}]
+
+    def test_probe_twin_of_a_float_run_runs_on_floats(self, monkeypatch):
+        s, p = zerosnet_coeffs(-9 / 5), decay_problem()
+        clean = integrate(s, p, 0.01, 50)
+        seen = self._state_types(
+            monkeypatch, lambda: zero_stability_probe(s, p, clean, 1e-3, 0.01)
+        )
+        assert seen == [{float}]
+
+    def test_oscillator_runs_on_arrays(self, monkeypatch):
+        s, p = zerosnet_coeffs(-9 / 5), oscillator_problem()
+        seen = self._state_types(
+            monkeypatch,
+            lambda: zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01),
+        )
+        assert seen == [{np.ndarray}, {np.ndarray}]
+
+    def test_rhs_expression_runs_on_arrays(self, monkeypatch, capsys):
+        argv = ["integrate", "--alphas", "1", "--rhs", "sin(t) - y", "--h", "0.05", "--steps", "9"]
+        seen = self._state_types(monkeypatch, lambda: main(argv))
+        assert seen == [{np.ndarray}]
+        assert capsys.readouterr().out.count("\n") == 11
+
+    def test_constant_rhs_is_positive_zero_of_the_state_type(self):
+        rhs = constant_problem().rhs
+        assert type(rhs(0.0, -2.5)) is float
+        assert math.copysign(1.0, rhs(0.0, -2.5)) == 1.0
+        zeros = rhs(0.0, np.array([-2.5]))
+        assert zeros.tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("scheme, exact, n_steps, calls", [
+        (first_order(1), True, 100, 100),
+        (zerosnet_coeffs(-9 / 5), True, 100, 100),
+        # Two seed states bootstrapped by RK4, four calls each.
+        (zerosnet_coeffs(-9 / 5), False, 100, 8 + 100),
+        # State 299 overflows: the run stops at its step, the 297th.
+        (make_scheme([10.0, 10.0, 10.0], 1.0), True, 1000, 297),
+    ])
+    def test_rhs_called_once_per_step(self, scheme, exact, n_steps, calls):
+        times = []
+
+        def rhs(t, y):
+            times.append(t)
+            return -y
+
+        p = IVPProblem(
+            rhs, 0.0, 1.0, (np.array([1.0]),),
+            exact_solution=decay_problem().exact_solution if exact else None,
+        )
+        integrate(scheme, p, 0.1, n_steps)
+        assert len(times) == calls
+        steps = times[-min(calls, n_steps):]  # after the RK4 calls, if any
+        assert steps == [(scheme.order - 1 + n) * 0.1 for n in range(len(steps))]
+
+    def test_long_decay_run_peak_memory(self):
+        # 1e5 states as 1-element arrays peaked at 16.8 MiB; as Python
+        # floats, copied once into the (steps, 1) array, at 6.2 MiB.
+        s, p = zerosnet_coeffs(-9 / 5), decay_problem(t_end=10.0)
+        tracemalloc.start()
+        try:
+            traj = integrate(s, p, 1e-4, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (100_003, 1)
+        assert peak < 8 * 2**20
+
+
 class TestZeroStabilityProbe:
     def test_identity_recurrence(self):
         s, p = first_order(1), constant_problem()
@@ -328,6 +424,7 @@ _PROBLEMS = {
         rhs=lambda t, y: np.zeros_like(y), t_start=0.0, t_end=1.0,
         initial_states=(np.array([2.5]),), exact_solution=lambda t: np.array([2.5]),
     ),
+    "constant_preset": constant_problem(),
     "oscillator": oscillator_problem(),
     "forced": _forced_problem(),
     "many_seeds": _many_seeds_problem(),

@@ -1,4 +1,5 @@
 import copy
+import math
 from collections import deque
 
 import numpy as np
@@ -203,7 +204,10 @@ class TestSerialization:
 def _assert_same_as_reference(alphas, coef, history, depth, f):
     """_recur and reference.recur, each on its own copy of ``history``, must
     append the same states, byte for byte and shape for shape, return the
-    same blow-up steps and call ``f`` with the same steps."""
+    same blow-up steps and call ``f`` with the same steps.  A history of
+    Python floats is handed to the reference as 1-element arrays, and _recur
+    must keep it a history of Python floats."""
+    scalar = isinstance(history[-1], float)
     runs = []
     for loop in (_recur, reference.recur):
         calls = []
@@ -213,9 +217,15 @@ def _assert_same_as_reference(alphas, coef, history, depth, f):
             return f(n, y)
 
         states = copy.copy(history)  # a deque keeps its maxlen
+        if scalar and loop is reference.recur:
+            for i, y in enumerate(states):
+                states[i] = np.array([y])
         blew = loop(alphas, coef, states, depth, counted)
         runs.append((list(states), blew, calls))
     (got, got_blew, got_calls), (want, want_blew, want_calls) = runs
+    if scalar:
+        assert all(type(y) is float for y in got)
+        got = [np.array([y]) for y in got]
     assert [y.shape for y in got] == [y.shape for y in want]
     assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
     assert got_blew.shape == want_blew.shape
@@ -229,10 +239,13 @@ _COEFFICIENT = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 10.
 @st.composite
 def _recurrences(draw):
     """Arguments of _recur as its callers pass them: Python-float or numpy
-    scalar coefficients on one state or a stack of rows, or (rows, 1, 1)
-    coefficient arrays on (rows, 2, width) states as the sweep passes them."""
+    scalar coefficients on one state or a stack of rows, (rows, 1, 1)
+    coefficient arrays on (rows, 2, width) states as the sweep passes them,
+    or Python-float or numpy scalar coefficients on a history of Python
+    floats with an f that returns a float, as a one-feature integrate
+    passes them."""
     d = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["float", "numpy", "rows"]))
+    kind = draw(st.sampled_from(["float", "numpy", "rows", "scalar"]))
     rows = draw(st.integers(1, 3))
     width = draw(st.integers(1, 3))
 
@@ -241,12 +254,16 @@ def _recurrences(draw):
             return draw(_COEFFICIENT)
         if kind == "numpy":
             return np.float64(draw(_COEFFICIENT))
+        if kind == "scalar":
+            return draw(st.sampled_from([float, np.float64]))(draw(_COEFFICIENT))
         return np.array([draw(_COEFFICIENT) for _ in range(rows)]).reshape(rows, 1, 1)
 
     alphas = [coefficient() for _ in range(d)]
     coef = coefficient()
     if kind == "rows":
         shape = (rows, 2, width)
+    elif kind == "scalar":
+        shape = (1,)
     else:
         shape = draw(st.sampled_from([(width,), (rows, width)]))
     # One magnitude per row, often near the overflow threshold, so that rows
@@ -260,6 +277,8 @@ def _recurrences(draw):
         .reshape(shape) * scale
         for _ in range(d + draw(st.integers(0, 1)))
     ]
+    if kind == "scalar":
+        states = [y.item() for y in states]
     history = deque(states, maxlen=d) if draw(st.booleans()) else states
 
     # A float times a list is a TypeError in the reference loop, so a list
@@ -270,7 +289,7 @@ def _recurrences(draw):
     g = draw(st.floats(-2.0, 2.0))
     if returns == "array":
         def f(n, y):
-            return g * y + n
+            return g * y + n  # a float for a float
     elif returns == "list":
         def f(n, y):
             return (g * y + n).tolist()
@@ -284,7 +303,9 @@ class TestRecurMatchesReference:
     """The step loop converts its coefficients to arrays, accumulates
     without a generator and tests each step for finiteness once; the states
     it appends, its blow-up steps and its calls of f must equal those of the
-    loop it replaced, sign of zero and NaN bits included."""
+    loop it replaced, sign of zero and NaN bits included.  On a history of
+    Python floats it must append the floats that the replaced loop appends
+    on 1-element arrays."""
 
     @settings(max_examples=200, deadline=None)
     @given(_recurrences())
@@ -298,6 +319,12 @@ class TestRecurMatchesReference:
         _recur([1.0], 1.0, history, 2, lambda n, y: np.array([-0.0]))
         assert [np.signbit(y).tolist() for y in history] == [[True], [False], [False]]
 
+    def test_negative_zero_floats_sum_to_positive_zero(self):
+        history = [-0.0]
+        _assert_same_as_reference([1.0], 1.0, history, 2, lambda n, y: -0.0)
+        _recur([1.0], 1.0, history, 2, lambda n, y: -0.0)
+        assert [math.copysign(1.0, y) for y in history] == [-1.0, 1.0, 1.0]
+
     def test_zero_times_infinity_blows_up(self):
         # alphas (0, 1) on an infinite y_n, the lambda = -1 shape: 0 * inf is
         # NaN, so the first step blows up.
@@ -305,6 +332,27 @@ class TestRecurMatchesReference:
         _assert_same_as_reference((0.0, 1.0), 1.0, history, 3, lambda n, y: -y)
         assert _recur((0.0, 1.0), 1.0, history, 3, lambda n, y: -y).tolist() == 1
         assert len(history) == 2
+
+    def test_zero_times_infinity_blows_up_on_floats(self):
+        history = [1.0, math.inf]
+        _assert_same_as_reference((0.0, 1.0), 1.0, history, 3, lambda n, y: -y)
+        assert _recur((0.0, 1.0), 1.0, history, 3, lambda n, y: -y).tolist() == 1
+        assert history == [1.0, math.inf]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_float_overflow_blows_up(self, sign):
+        history = [sign * 1e308]
+        _assert_same_as_reference([10.0], 1.0, history, 3, lambda n, y: y)
+        assert _recur([10.0], 1.0, history, 3, lambda n, y: y).tolist() == 1
+        assert history == [sign * 1e308]
+
+    def test_float_beyond_self_product_range_is_finite(self):
+        # 1e200 * 1e200 overflows, so the step's finite test fails; the
+        # per-row rule then finds the state finite and the run goes on.
+        history = [1e200]
+        _assert_same_as_reference([1.0], 0.5, history, 3, lambda n, y: 0.0)
+        assert _recur([1.0], 0.5, history, 3, lambda n, y: 0.0).tolist() == 0
+        assert history == [1e200] * 4
 
     def test_state_that_grows_by_broadcasting(self):
         # f widens the state at step 1 and returns inf in it at step 2.

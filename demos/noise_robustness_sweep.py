@@ -38,13 +38,13 @@ header = f"  {'scheme':<28} {'zs':<6} " + " ".join(
     f"sigma={s:<6}" for s in (0.01, 0.02, 0.04)
 )
 print(header)
-for i, s in enumerate(schemes):
-    cells = [c for c in report.cells if c.scheme == s]
+for i, (zero_stable, row_gaps) in enumerate(
+    zip(report.zero_stable.tolist(), report.mean_gap.tolist())
+):
     gaps = " ".join(
-        f"{c.mean_gap:<12.3g}" if math.isfinite(c.mean_gap) else f"{'inf':<12}"
-        for c in cells
+        f"{g:<12.3g}" if math.isfinite(g) else f"{'inf':<12}" for g in row_gaps
     )
-    print(f"  row {i + 1:<24} {str(cells[0].zero_stable):<6} {gaps}")
+    print(f"  row {i + 1:<24} {str(zero_stable):<6} {gaps}")
 
 means = report.group_means()
 print(f"\ngroup means at all sigmas: zero-stable {means[True]:.3g}, "

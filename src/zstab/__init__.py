@@ -27,7 +27,6 @@ from .zerosnet import (
     OPTIMAL_LAMBDA,
     RegionScan,
     closed_form_roots,
-    derive_from_pair,
     in_stability_region,
     max_nonprincipal_modulus,
     scan_region,
@@ -43,7 +42,6 @@ from .ivp import (
     decay_problem,
     integrate,
     oscillator_problem,
-    startup_states,
     zero_stability_probe,
 )
 from .propagation import (
@@ -51,7 +49,6 @@ from .propagation import (
     NoiseSpec,
     SweepReport,
     growth_rate,
-    inject_noise,
     make_block,
     propagate,
     robustness_sweep,

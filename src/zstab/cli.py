@@ -199,6 +199,10 @@ def _problem_from_args(args) -> ivp.IVPProblem:
             local.update({"t": t, "y": float(np.atleast_1d(y)[0])})
             try:
                 return np.array([float(eval(code, {"__builtins__": {}}, local))])
+            except OverflowError:
+                # Where float ** and math functions raise, numpy overflows:
+                # the run blows up at this step, as it does through y*y.
+                return np.array([math.nan])
             except (ArithmeticError, NameError, TypeError, ValueError) as exc:
                 raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
 

@@ -23,7 +23,6 @@ from .schemes import Scheme, _recur, root_condition
 __all__ = [
     "BlockMap",
     "NoiseSpec",
-    "SweepCell",
     "SweepReport",
     "make_block",
     "propagate",
@@ -31,14 +30,21 @@ __all__ = [
     "robustness_sweep",
     "growth_rate",
     "MAX_SWEEP_WEIGHTS",
+    "MAX_SWEEP_BLOCKS",
+    "MAX_SWEEP_STATE",
 ]
 
 _STD_FLOOR = 1e-12
 
-# The most block weights one sweep may draw, depth x trials x width^2; a
-# sweep asking for more is rejected before anything is drawn.  One depth's
-# blocks, trials x width^2 weights, are held at once.
+# A sweep asking for more than any of these is rejected before anything is
+# drawn.  The most block weights it may draw, depth x trials x width^2; one
+# depth's blocks, trials x width^2 weights, are held at once.
 MAX_SWEEP_WEIGHTS = 2**25
+# The most blocks it may draw, depth x trials, each one generator set up.
+MAX_SWEEP_BLOCKS = 2**13
+# The most features in its state, trials x schemes x (1 + specs) x width;
+# the recurrence holds a few such states at once.
+MAX_SWEEP_STATE = 2**25
 
 
 @dataclass(frozen=True)
@@ -145,14 +151,17 @@ def inject_noise(y: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
-    if spec.kind == "uniform":
-        out = y + rng.uniform(spec.lo, spec.hi, y.shape)
-    elif spec.kind == "gaussian":
-        out = y + spec.sigma * rng.standard_normal(y.shape)
-    elif spec.kind == "constant":
-        out = y + spec.mu
-    else:
-        out = y.copy()
+    # Noise near the float limit overflows to inf, an input that then
+    # blows up, not a warning.
+    with np.errstate(over="ignore"):
+        if spec.kind == "uniform":
+            out = y + rng.uniform(spec.lo, spec.hi, y.shape)
+        elif spec.kind == "gaussian":
+            out = y + spec.sigma * rng.standard_normal(y.shape)
+        elif spec.kind == "constant":
+            out = y + spec.mu
+        else:
+            out = y.copy()
     if spec.clip:
         out = np.clip(out, 0.0, 1.0)
     return out
@@ -222,25 +231,26 @@ def growth_rate(s: Scheme, depth: int) -> float:
     return slope
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    scheme: Scheme
-    zero_stable: bool
-    noise: NoiseSpec
-    mean_gap: float
-    std_gap: float
-    blew_up_fraction: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
-    """Mean/std of final clean-vs-noisy gaps per (scheme, noise) cell.
+    """Final clean-vs-noisy gap statistics per (scheme, noise) cell, as
+    read-only arrays.
 
-    Cells keep the caller's scheme order; zero-stable labeling comes from
-    the root condition so grouping in summaries is mechanical.
+    ``schemes`` and ``specs`` keep the caller's order.  ``zero_stable`` holds
+    each scheme's root-condition verdict, shape (schemes,), so grouping in
+    summaries is mechanical.  ``mean_gap`` and ``std_gap`` hold the mean and
+    standard deviation of a cell's finite trial gaps (inf when none is
+    finite) and ``blew_up_fraction`` the share of its trials that blew up,
+    each of shape (schemes, specs).  A table row is one cell, schemes
+    outermost.
     """
 
-    cells: tuple[SweepCell, ...]
+    schemes: tuple[Scheme, ...]
+    specs: tuple[NoiseSpec, ...]
+    zero_stable: np.ndarray
+    mean_gap: np.ndarray
+    std_gap: np.ndarray
+    blew_up_fraction: np.ndarray
 
     CSV_COLUMNS = (
         "scheme_id",
@@ -254,24 +264,27 @@ class SweepReport:
         "blew_up_fraction",
     )
 
-    def columns(self) -> tuple[list, ...]:
+    def columns(self) -> tuple[Sequence, ...]:
         """The ``CSV_COLUMNS``, one value per cell.
 
         ``scheme_id`` numbers the distinct (alphas, beta) pairs in order of
         first appearance; ``alphas`` holds each scheme's tuple.
         """
-        schemes = [cell.scheme for cell in self.cells]
+        n_schemes, n_specs = len(self.schemes), len(self.specs)
         scheme_ids: dict[tuple, int] = {}
+        ids = [scheme_ids.setdefault((s.alphas, s.beta), len(scheme_ids)) for s in self.schemes]
+        betas = np.array([s.beta for s in self.schemes], dtype=float)
+        params = np.array([spec.parameter() for spec in self.specs], dtype=float)
         return (
-            [scheme_ids.setdefault((s.alphas, s.beta), len(scheme_ids)) for s in schemes],
-            [s.alphas for s in schemes],
-            [s.beta for s in schemes],
-            [cell.zero_stable for cell in self.cells],
-            [cell.noise.kind for cell in self.cells],
-            [float(cell.noise.parameter()) for cell in self.cells],
-            [cell.mean_gap for cell in self.cells],
-            [cell.std_gap for cell in self.cells],
-            [cell.blew_up_fraction for cell in self.cells],
+            np.repeat(np.array(ids, dtype=int), n_specs),
+            [s.alphas for s in self.schemes for _ in self.specs],
+            np.repeat(betas, n_specs),
+            np.repeat(self.zero_stable, n_specs),
+            [spec.kind for spec in self.specs] * n_schemes,
+            np.tile(params, n_schemes),
+            self.mean_gap.ravel(),
+            self.std_gap.ravel(),
+            self.blew_up_fraction.ravel(),
         )
 
     def to_csv(self) -> str:
@@ -279,13 +292,11 @@ class SweepReport:
 
     def group_means(self) -> dict[bool, float]:
         """Mean of cell means per zero-stability group (inf-aware)."""
-        groups: dict[bool, list[float]] = {True: [], False: []}
-        for cell in self.cells:
-            groups[cell.zero_stable].append(cell.mean_gap)
-        return {
-            flag: (float(np.mean(vals)) if vals else math.nan)
-            for flag, vals in groups.items()
-        }
+        means = {}
+        for flag in (True, False):
+            gaps = self.mean_gap[self.zero_stable == flag].ravel()
+            means[flag] = float(np.mean(gaps)) if gaps.size else math.nan
+        return means
 
 
 def robustness_sweep(
@@ -322,6 +333,15 @@ def robustness_sweep(
             f"sweep draws more than {MAX_SWEEP_WEIGHTS} block weights "
             "(depth x trials x width^2)"
         )
+    if depth * trials > MAX_SWEEP_BLOCKS:
+        raise ValueError(
+            f"sweep draws more than {MAX_SWEEP_BLOCKS} blocks (depth x trials)"
+        )
+    if trials * len(schemes) * (1 + len(specs)) * width > MAX_SWEEP_STATE:
+        raise ValueError(
+            f"sweep state holds more than {MAX_SWEEP_STATE} features "
+            "(trials x schemes x (1 + specs) x width)"
+        )
 
     block_seeds = []
     inputs = []  # per trial: the clean input, then one noisy input per spec
@@ -357,24 +377,25 @@ def robustness_sweep(
         blocks,
     ) > 0
 
-    stability = [root_condition(s).zero_stable for s in schemes]
-    cells: list[SweepCell] = []
+    zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
     with np.errstate(all="ignore"):
         final = history[-1]
         gaps = np.max(np.abs(final[:, :, 1:] - final[:, :, :1]), axis=-1)
         blown = blew[:, :, 1:] | blew[:, :, :1]
-        gaps = np.where(blown, math.inf, gaps)
-        for i, (s, zero_stable) in enumerate(zip(schemes, stability)):
-            for k, spec in enumerate(specs):
-                finite = [float(g) for g in gaps[:, i, k] if math.isfinite(g)]
-                cells.append(
-                    SweepCell(
-                        scheme=s,
-                        zero_stable=zero_stable,
-                        noise=spec,
-                        mean_gap=float(np.mean(finite)) if finite else math.inf,
-                        std_gap=float(np.std(finite)) if finite else math.inf,
-                        blew_up_fraction=int(np.sum(blown[:, i, k])) / trials,
-                    )
-                )
-    return SweepReport(cells=tuple(cells))
+        # (schemes, specs, trials): each cell's trials in one contiguous row.
+        gaps = np.ascontiguousarray(np.moveaxis(np.where(blown, math.inf, gaps), 0, -1))
+        mean_gap = np.full(gaps.shape[:2], math.inf)
+        std_gap = np.full(gaps.shape[:2], math.inf)
+        # Cell by cell, over its finite trials alone: where some trials blew
+        # up, a reduction along the trials axis would sum in another order.
+        for cell in np.ndindex(mean_gap.shape):
+            finite = gaps[cell][np.isfinite(gaps[cell])]
+            if finite.size:
+                mean_gap[cell] = np.mean(finite)
+                std_gap[cell] = np.std(finite)
+    blew_up_fraction = np.count_nonzero(blown, axis=0) / trials
+    for column in (zero_stable, mean_gap, std_gap, blew_up_fraction):
+        column.flags.writeable = False
+    return SweepReport(
+        tuple(schemes), tuple(specs), zero_stable, mean_gap, std_gap, blew_up_fraction
+    )

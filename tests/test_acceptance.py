@@ -173,11 +173,10 @@ def test_criterion_7_robustness_ordering():
     )
     elapsed = time.perf_counter() - start
 
-    at_sigma = {
-        sig: [c for c in sweep.cells if c.noise.sigma == sig] for sig in sigmas
-    }
-    stable = [c.mean_gap for c in at_sigma[0.02] if c.zero_stable]
-    unstable = [c.mean_gap for c in at_sigma[0.02] if not c.zero_stable]
+    # mean_gap has one row per scheme and one column per sigma.
+    at_002 = sweep.mean_gap[:, sigmas.index(0.02)]
+    stable = at_002[sweep.zero_stable].tolist()
+    unstable = at_002[~sweep.zero_stable].tolist()
     ordering_ok = max(stable) < min(unstable)
     finite_unstable = [g for g in unstable if math.isfinite(g)]
     group_ratio = (
@@ -186,13 +185,7 @@ def test_criterion_7_robustness_ordering():
         else float(np.mean(finite_unstable)) / float(np.mean(stable))
     )
     monotone_ok = True
-    for s in schemes:
-        gaps = [
-            c.mean_gap
-            for sig in sigmas
-            for c in at_sigma[sig]
-            if c.scheme == s
-        ]
+    for gaps in sweep.mean_gap.tolist():
         finite = [g for g in gaps if math.isfinite(g)]
         if any(a > b for a, b in zip(finite, finite[1:])):
             monotone_ok = False

@@ -294,6 +294,19 @@ class TestIntegrate:
         rows = list(csv.reader(io.StringIO(proc.stdout)))
         assert len(rows) == 1 + 299 and rows[-1][0] == "298"
 
+    def test_rhs_overflow_is_a_blow_up(self, capsys):
+        # Float ** and math.exp raise OverflowError where y*y overflows to
+        # inf; each ends the run as a blow-up, not as a usage error.
+        argv = ("integrate", "--alphas", "3,-3,1", "--h", "0.05", "--steps", "2000")
+        squared = run(capsys, *argv, "--rhs", "y**2")
+        assert squared == run(capsys, *argv, "--rhs", "y*y")
+        assert squared[0] == EXIT_OK and squared[2] == "blow-up at step 20\n"
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", "--rhs", "exp(y)", "--h", "1", "--steps", "100",
+        )
+        assert code == EXIT_OK and err == "blow-up at step 4\n"
+        assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4
+
     def test_unknown_preset(self, capsys):
         code, _, _ = run(
             capsys,
@@ -494,8 +507,10 @@ class TestPropagate:
             ("--depth", str(MAX_SWEEP_WEIGHTS + 1), "--trials", "1", "--width", "1"),
             # the smallest width over the budget at depth 1, one trial
             ("--depth", "1", "--trials", "1", "--width", str(math.isqrt(MAX_SWEEP_WEIGHTS) + 1)),
+            # within the weight budget, over the block budget (depth x trials)
+            ("--depth", "1", "--trials", str(MAX_SWEEP_WEIGHTS), "--width", "1"),
         ],
-        ids=["trials", "depth", "width"],
+        ids=["trials", "depth", "width", "blocks"],
     )
     def test_sweep_over_budget(self, capsys, monkeypatch, size):
         monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn

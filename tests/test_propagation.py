@@ -12,7 +12,6 @@ import zstab.propagation as propagation
 from zstab.propagation import (
     BlockMap,
     NoiseSpec,
-    SweepCell,
     SweepReport,
     growth_rate,
     inject_noise,
@@ -34,7 +33,9 @@ class _Zero:
 
 def _reference_sweep(schemes, specs, depth, width, trials, seed=1):
     """The sweep as one clean and one noisy 1-D propagation per (scheme,
-    spec, trial), with the same per-trial seeding as robustness_sweep."""
+    spec, trial), with the same per-trial seeding as robustness_sweep: the
+    arrays ``zero_stable``, ``mean_gap``, ``std_gap`` and
+    ``blew_up_fraction`` of its report."""
     trial_inputs = []
     trial_blocks = []
     trial_noise_seeds = []
@@ -47,10 +48,10 @@ def _reference_sweep(schemes, specs, depth, width, trials, seed=1):
         )
         trial_noise_seeds.append(int(base.integers(0, 2**31)))
 
-    cells = []
-    for s in schemes:
-        zero_stable = root_condition(s).zero_stable
-        for spec in specs:
+    shape = (len(schemes), len(specs))
+    mean_gap, std_gap, blew_up_fraction = np.empty(shape), np.empty(shape), np.empty(shape)
+    for i, s in enumerate(schemes):
+        for k, spec in enumerate(specs):
             gaps = []
             blew = 0
             for t in range(trials):
@@ -67,17 +68,20 @@ def _reference_sweep(schemes, specs, depth, width, trials, seed=1):
                     blew += 1
                 gaps.append(report.final_gap)
             finite = [g for g in gaps if math.isfinite(g)]
-            cells.append(
-                SweepCell(
-                    scheme=s,
-                    zero_stable=zero_stable,
-                    noise=spec,
-                    mean_gap=float(np.mean(finite)) if finite else math.inf,
-                    std_gap=float(np.std(finite)) if finite else math.inf,
-                    blew_up_fraction=blew / trials,
-                )
-            )
-    return cells
+            mean_gap[i, k] = float(np.mean(finite)) if finite else math.inf
+            std_gap[i, k] = float(np.std(finite)) if finite else math.inf
+            blew_up_fraction[i, k] = blew / trials
+    zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
+    return zero_stable, mean_gap, std_gap, blew_up_fraction
+
+
+def _arrays(report):
+    return report.zero_stable, report.mean_gap, report.std_gap, report.blew_up_fraction
+
+
+def _assert_arrays_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestBlockMap:
@@ -257,7 +261,8 @@ class TestRobustnessSweep:
             width=8,
             trials=2,
         )
-        assert all(cell.mean_gap == 0.0 for cell in report.cells)
+        assert report.mean_gap.shape == (2, 1)
+        assert np.all(report.mean_gap == 0.0)
 
     def test_stable_beats_unstable(self):
         report = robustness_sweep(
@@ -267,23 +272,24 @@ class TestRobustnessSweep:
             width=16,
             trials=2,
         )
-        unstable, stable = report.cells
-        assert not unstable.zero_stable and stable.zero_stable
-        assert stable.mean_gap * 5 <= unstable.mean_gap
+        assert report.zero_stable.tolist() == [False, True]
+        (unstable,), (stable,) = report.mean_gap.tolist()
+        assert stable * 5 <= unstable
 
     def test_monotone_in_sigma(self):
         specs = [NoiseSpec.gaussian(s) for s in (0.01, 0.02, 0.04)]
         report = robustness_sweep(
             [zerosnet_coeffs(-9 / 5)], specs, depth=30, width=16, trials=3
         )
-        gaps = [cell.mean_gap for cell in report.cells]
+        (gaps,) = report.mean_gap.tolist()
         assert gaps[0] <= gaps[1] <= gaps[2]
 
     def test_deterministic(self):
         args = ([first_order(1)], [NoiseSpec.gaussian(0.02)], 15, 8, 2)
         a = robustness_sweep(*args, seed=9)
         b = robustness_sweep(*args, seed=9)
-        assert a.cells == b.cells
+        assert a.schemes == b.schemes and a.specs == b.specs
+        _assert_arrays_equal(_arrays(a), _arrays(b))
 
     def test_csv_columns(self):
         report = robustness_sweep(
@@ -345,11 +351,11 @@ class TestRobustnessSweep:
             trials=3,
             seed=4,
         )
-        assert max(c.mean_gap for c in report.cells) > 1e20
-        for cell in report.cells:
-            assert cell.blew_up_fraction == 0.0
-            if cell.noise.parameter() == 0.0:
-                assert cell.mean_gap == 0.0 and cell.std_gap == 0.0
+        assert report.mean_gap.max() > 1e20
+        assert np.all(report.blew_up_fraction == 0.0)
+        silent = [spec.parameter() == 0.0 for spec in specs]
+        assert np.all(report.mean_gap[:, silent] == 0.0)
+        assert np.all(report.std_gap[:, silent] == 0.0)
 
     def test_identical_noisy_input_shares_clean_blow_up(self):
         report = robustness_sweep(
@@ -359,11 +365,9 @@ class TestRobustnessSweep:
             width=8,
             trials=2,
         )
-        blown_noisy, blown_none, finite_noisy, finite_none = report.cells
-        assert blown_noisy.blew_up_fraction == blown_none.blew_up_fraction == 1.0
-        assert math.isinf(blown_none.mean_gap)
-        assert finite_noisy.blew_up_fraction == finite_none.blew_up_fraction == 0.0
-        assert finite_none.mean_gap == finite_none.std_gap == 0.0
+        assert report.blew_up_fraction.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+        assert math.isinf(report.mean_gap[0, 1])
+        assert report.mean_gap[1, 1] == report.std_gap[1, 1] == 0.0
 
     def test_blow_up_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -377,8 +381,18 @@ class TestRobustnessSweep:
             )
             seeds = [np.full(4, 1e300), np.zeros(4), np.zeros(4)]
             _, _, blew = propagate(make_scheme([-3, 5, -1], 4), [_Zero()], seeds, 500)
-        assert [c.blew_up_fraction for c in report.cells] == [1.0, 0.0]
+        assert report.blew_up_fraction.tolist() == [[1.0], [0.0]]
         assert blew is not None
+
+    def test_overflowing_noise_raises_no_warning(self):
+        # sigma * a standard draw overflows on some features: those inputs
+        # are infinite and their trials blow up.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = robustness_sweep(
+                [first_order(1)], [NoiseSpec.gaussian(1e308)], depth=3, width=4, trials=9
+            )
+        assert report.blew_up_fraction.tolist() == [[5 / 9]]
 
     def test_size_budget(self, monkeypatch):
         monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn
@@ -393,6 +407,25 @@ class TestRobustnessSweep:
                 [first_order(1)], [NoiseSpec.none()], depth=1, width=1,
                 trials=propagation.MAX_SWEEP_WEIGHTS + 1,
             )
+        with pytest.raises(ValueError, match="blocks"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()], depth=1, width=1,
+                trials=propagation.MAX_SWEEP_BLOCKS + 1,
+            )
+        with pytest.raises(ValueError, match="blocks"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()], depth=propagation.MAX_SWEEP_BLOCKS,
+                width=1, trials=2,
+            )
+        # Within the weight and block budgets, but one run of width features
+        # over the state's.
+        width = 2**12
+        runs = propagation.MAX_SWEEP_STATE // width
+        with pytest.raises(ValueError, match="state"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()] * runs, depth=1, width=width,
+                trials=1,
+            )
 
     def test_rows_number_each_scheme_once(self):
         a, b = first_order(1), zerosnet_coeffs(-9 / 5)
@@ -404,14 +437,21 @@ class TestRobustnessSweep:
             trials=1,
         )
         columns = report.columns()
-        assert columns[0] == [0, 0, 1, 1, 0, 0]
+        assert columns[0].tolist() == [0, 0, 1, 1, 0, 0]
         assert len(columns) == len(SweepReport.CSV_COLUMNS)
-        assert all(len(c) == len(report.cells) for c in columns)
-        cell = report.cells[3]
+        assert all(len(c) == 6 for c in columns)
+        assert isinstance(columns[1], list) and isinstance(columns[4], list)
+        # Row 3 is the second scheme's second spec.
         assert tuple(c[3] for c in columns[1:]) == (
-            b.alphas, b.beta, cell.zero_stable, "gaussian", 0.02,
-            cell.mean_gap, cell.std_gap, cell.blew_up_fraction,
+            b.alphas, b.beta, report.zero_stable[1], "gaussian", 0.02,
+            report.mean_gap[1, 1], report.std_gap[1, 1], report.blew_up_fraction[1, 1],
         )
+        assert report.zero_stable.shape == (3,)
+        for values in _arrays(report)[1:]:
+            assert values.shape == (3, 2)
+        for values in _arrays(report):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
 
 
 _NOISE_CHOICES = (
@@ -441,7 +481,7 @@ _schemes = st.lists(
 class TestSweepMatchesReference:
     """The batched sweep against one 1-D propagation per (scheme, spec,
     trial).  The engine makes the same matrix-vector products as the
-    per-trial path, so the cells are expected to be equal, not just close."""
+    per-trial path, so the arrays are expected to be equal, not just close."""
 
     @settings(
         max_examples=15,
@@ -464,8 +504,34 @@ class TestSweepMatchesReference:
         trials=2,
         seed=1,
     )
+    # Cells where some trials blow up, the noisy input having overflowed:
+    # 5 of 9 in the first, 9 of 24 in the second.  Over 8 values np.mean
+    # sums in another order, and the second leaves 15 finite trials, whose
+    # mean a sum over all 24 with the blown ones as 0 misses by an ulp.
+    @example(
+        schemes=[first_order(1)],
+        specs=[NoiseSpec.gaussian(1e308)],
+        depth=3,
+        width=4,
+        trials=9,
+        seed=1,
+    )
+    @example(
+        schemes=[make_scheme([1e-300], 1), zerosnet_coeffs(-9 / 5)],
+        specs=[NoiseSpec.gaussian(1e308), NoiseSpec.gaussian(0.02)],
+        depth=2,
+        width=4,
+        trials=24,
+        seed=1,
+    )
     def test_cells_equal_reference(self, schemes, specs, depth, width, trials, seed):
         report = robustness_sweep(schemes, specs, depth, width, trials, seed)
         with np.errstate(all="ignore"):
             reference = _reference_sweep(schemes, specs, depth, width, trials, seed)
-        assert list(report.cells) == reference
+        assert report.schemes == tuple(schemes) and report.specs == tuple(specs)
+        _assert_arrays_equal(_arrays(report), reference)
+        zero_stable, mean_gap = reference[:2]
+        for flag in (True, False):
+            means = [g for stable, row in zip(zero_stable, mean_gap) if stable == flag for g in row]
+            want = float(np.mean(means)) if means else math.nan
+            np.testing.assert_equal(report.group_means()[flag], want)

@@ -41,13 +41,12 @@ for name, s in (("euler", euler), ("three-step family", family)):
 
 # Zero-stability probe: perturb the seed states by 1e-3 and watch the gap.
 print("\ndivergence probes, eps = 1e-3")
-clean = integrate(family, problem, h=0.01, n_steps=100)
-stable = zero_stability_probe(family, problem, clean, eps=1e-3, h=0.01)
+_, stable = zero_stability_probe(family, problem, eps=1e-3, h=0.01, n_steps=100)
 print(f"  three-step family: amplification ratio {stable.ratio:.3f}")
 
-constant = constant_problem()
-clean = integrate(first_order(2), constant, h=0.01, n_steps=20)
-unstable = zero_stability_probe(first_order(2), constant, clean, eps=1e-3, h=0.01)
+_, unstable = zero_stability_probe(
+    first_order(2), constant_problem(), eps=1e-3, h=0.01, n_steps=20
+)
 print(f"  first_order(2): amplification ratio {unstable.ratio:.3g} "
       f"(gap doubles every step)")
 print("  last five gaps:",

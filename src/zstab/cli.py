@@ -195,16 +195,20 @@ def _problem_from_args(args) -> ivp.IVPProblem:
         env = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
 
         def rhs(t, y):
+            # A float for a float, so that a run on Python floats stays on
+            # them; a 1-element array for an array.
+            scalar = isinstance(y, float)
             local = dict(env)
-            local.update({"t": t, "y": float(np.atleast_1d(y)[0])})
+            local.update({"t": t, "y": y if scalar else float(np.atleast_1d(y)[0])})
             try:
-                return np.array([float(eval(code, {"__builtins__": {}}, local))])
+                value = float(eval(code, {"__builtins__": {}}, local))
             except OverflowError:
                 # Where float ** and math functions raise, numpy overflows:
                 # the run blows up at this step, as it does through y*y.
-                return np.array([math.nan])
+                value = math.nan
             except (ArithmeticError, NameError, TypeError, ValueError) as exc:
                 raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
+            return value if scalar else np.array([value])
 
         y0 = 1.0 if args.y0 is None else args.y0
         return ivp.IVPProblem(rhs, 0.0, args.h * args.steps, (np.array([y0]),))
@@ -214,8 +218,7 @@ def _problem_from_args(args) -> ivp.IVPProblem:
 def cmd_integrate(args) -> int:
     if not 0.0 < args.h < math.inf:
         raise UsageError("--h must be positive and finite")
-    # Checked here because the probe itself runs only after the trajectory
-    # is written.
+    # Checked here, before the order fit runs, and named as the flag.
     if args.probe is not None and not 0.0 < args.probe < math.inf:
         raise UsageError("--probe must be positive and finite")
     if args.y0 is not None:
@@ -235,16 +238,23 @@ def cmd_integrate(args) -> int:
     est = None
     if args.orders is not None:
         est = ivp.convergence_order(scheme, problem, _parse_floats(args.orders))
-    traj = ivp.integrate(scheme, problem, args.h, args.steps)
-    # Written before the probe runs: the other order raised the peak memory
-    # of a probed 10k-step JSON run by about 5 MiB.
+    # With --probe, the trajectory is the probe's clean run, written after
+    # its twin has run too.  A fresh process writing a probed 10k-step
+    # oscillator as JSON peaked at 40.8 MiB RSS when the trajectory was
+    # written before the twin ran, and at 44.0 MiB so: numpy.random's first
+    # use (~6 MiB, the probe's direction) now precedes the writer.  A
+    # 1e5-step decay as CSV peaks at 45.5 MiB either way.
+    series = None
+    if args.probe is None:
+        traj = ivp.integrate(scheme, problem, args.h, args.steps)
+    else:
+        traj, series = ivp.zero_stability_probe(
+            scheme, problem, args.probe, args.h, args.steps, seed=args.seed
+        )
     _emit(_table_text(traj, args.format), args.out)
     if traj.blew_up_at is not None:
         print(f"blow-up at step {traj.blew_up_at}", file=sys.stderr)
-    if args.probe is not None:
-        series = ivp.zero_stability_probe(
-            scheme, problem, traj, args.probe, args.h, seed=args.seed
-        )
+    if series is not None:
         flagged = " (diverged)" if series.blew_up_at is not None or series.ratio > 1e3 else ""
         print(f"probe amplification ratio={fmt(series.ratio)}{flagged}", file=sys.stderr)
     if est is not None:

@@ -34,7 +34,10 @@ __all__ = [
 
 # dy/dt = rhs(t, y).  A one-feature rhs takes y as a Python float as well as
 # a 1-element array, and may return a float: integrate hands it the float at
-# step 0, and if it returns a float there the whole run is on floats.
+# step 0, and if it returns a float there the whole run is on floats.  An
+# array rhs maps each row of a (rows, dim) state as it maps a (dim,) state,
+# bit for bit: zero_stability_probe advances a run and its twin as the two
+# rows of one state, and rejects an rhs that mixes them.
 RHS = Callable[[float, Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 # The most steps one integration may run; a run asking for more is rejected
@@ -172,46 +175,80 @@ def _check_steps(p: IVPProblem, h: float, d: int, n_steps: int) -> None:
         raise ValueError(f"the time of state {last} at h={h!r} is not finite")
 
 
-def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
-    """Run the explicit recurrence for n_steps, yielding d + n_steps states.
+def _seeded_run(
+    s: Scheme, p: IVPProblem, h: float, seeds: list[np.ndarray], n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the recurrence for n_steps from the d ``seeds``, each of shape
+    (dim,) for one run or (rows, dim) for that many runs advanced together.
 
-    The d seed states come from startup_states and the steps from the
-    shared loop ``schemes._recur``.  Non-finite states stop the run and set
-    ``blew_up_at`` on the result.
+    Returns the time of each state the loop kept, those states as one array
+    of shape (states, *seed shape), and per row the first step at which it
+    turned non-finite (0 if it never did), as ``schemes._recur`` counts
+    them.  A row that blows up while another runs on keeps its non-finite
+    states in the array.
 
-    A one-element state is handed to the rhs as a Python float at step 0.
+    A one-element seed is handed to the rhs as a Python float at step 0.
     If the rhs returns a float there, every state of the run is a Python
     float; otherwise, and for a state of more elements, the states are
     arrays.  Both give the same bits, and the rhs is called once per step
     either way: step 0's value is computed before the loop and reused.
     """
     d = s.order
-    _check_steps(p, h, d, n_steps)
-    states = startup_states(p, h, d)
-
     rhs, t_start = p.rhs, p.t_start
-    y = states[-1].item() if states[-1].size == 1 else states[-1]
+    shape = seeds[-1].shape
+    y = seeds[-1].item() if seeds[-1].size == 1 else seeds[-1]
     with np.errstate(all="ignore"):  # as inside the loop
         first = rhs(t_start + (d - 1) * h, y)
+        if len(shape) > 1:
+            _check_row_wise(rhs, t_start + (d - 1) * h, y, first)
     scalar = isinstance(y, float) and isinstance(first, float)
-    if scalar:
-        states = [state.item() for state in states]
+    history = [seed.item() for seed in seeds] if scalar else list(seeds)
 
     def f(step: int, y):
         if step:
             return rhs(t_start + (d - 1 + step) * h, y)
         return first
 
-    blew = int(_recur(s.alphas, h * s.beta, states, n_steps, f))
+    blew = _recur(s.alphas, h * s.beta, history, n_steps, f)
     # State q sits at t_start + q*h; after the seeds the time is the previous
     # step's time plus h, as the step itself computes it.
-    q = np.arange(len(states), dtype=float)
+    q = np.arange(len(history), dtype=float)
     with np.errstate(over="ignore"):
-        times = np.where(q < d, p.t_start + q * h, (p.t_start + (q - 1.0) * h) + h)
-    # One copy into a (steps, dim) array; np.stack would first make a view of
-    # every state.
-    flat = np.array(states, dtype=float) if scalar else np.concatenate(states)
-    states = flat.reshape(len(states), -1)
+        times = np.where(q < d, t_start + q * h, (t_start + (q - 1.0) * h) + h)
+    # One copy into a (states, *shape) array; np.stack would first make a
+    # view of every state.  The history is freed with this frame.
+    flat = np.array(history, dtype=float) if scalar else np.concatenate(history)
+    return times, flat.reshape(len(history), *shape), blew
+
+
+def _check_row_wise(rhs: RHS, t: float, y: np.ndarray, value) -> None:
+    """Raise ValueError unless ``value``, the rhs at the stacked rows ``y``,
+    has the bits of the rhs at each row on its own."""
+    rows = [rhs(t, row) for row in y]
+    try:
+        stacked = np.broadcast_to(np.asarray(value, dtype=float), y.shape)
+        one_by_one = np.stack(
+            [np.broadcast_to(np.asarray(r, dtype=float), row.shape) for r, row in zip(rows, y)]
+        )
+        row_wise = stacked.tobytes() == one_by_one.tobytes()
+    except ValueError:  # a value that does not broadcast to the state
+        row_wise = False
+    if not row_wise:
+        raise ValueError(
+            "the rhs must map each row of a (rows, dim) state as it maps a (dim,) state"
+        )
+
+
+def _trajectory(d: int, times: np.ndarray, states: np.ndarray, blew) -> Trajectory:
+    """One run of a d-step scheme as a Trajectory, from its times, states
+    and blow-up step as ``_seeded_run`` returned them: the run stops before
+    its first non-finite state."""
+    blew = int(blew)
+    if blew:
+        times, states = times[: d - 1 + blew], states[: d - 1 + blew]
+    # A row of stacked runs is a strided view; copied, it has the bytes of
+    # a run of its own.
+    states = np.ascontiguousarray(states)
     for column in (times, states):
         column.flags.writeable = False
     return Trajectory(
@@ -219,6 +256,19 @@ def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
         states=states,
         blew_up_at=d - 1 + blew if blew else None,
     )
+
+
+def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
+    """Run the explicit recurrence for n_steps, yielding d + n_steps states.
+
+    The d seed states come from startup_states and the steps from the
+    shared loop ``schemes._recur``.  Non-finite states stop the run and set
+    ``blew_up_at`` on the result.  A one-feature run whose rhs maps a float
+    to a float is computed on Python floats (see ``_seeded_run``).
+    """
+    d = s.order
+    _check_steps(p, h, d, n_steps)
+    return _trajectory(d, *_seeded_run(s, p, h, startup_states(p, h, d), n_steps))
 
 
 def _unit_direction(dim: int, seed: int) -> np.ndarray:
@@ -234,38 +284,56 @@ def _unit_direction(dim: int, seed: int) -> np.ndarray:
 def zero_stability_probe(
     s: Scheme,
     p: IVPProblem,
-    clean: Trajectory,
     eps: float,
     h: float,
+    n_steps: int,
     seed: int = 1,
-) -> DivergenceSeries:
-    """Integrate a twin of ``clean`` whose seed states are shifted by eps.
+) -> tuple[Trajectory, DivergenceSeries]:
+    """Integrate the problem and a twin whose seed states are shifted by eps.
 
-    ``clean`` is ``integrate(s, p, h, n_steps)``.  The shift is eps times a
-    fixed seeded random unit direction, applied to every seed state, so runs
-    are reproducible.  The twin runs no further than ``clean`` did: the gaps
-    stop at the shorter run, and a blow-up of either makes the ratio inf.
-    Gaps are sup-norm per step; the initial gap is the largest gap over the
-    d seed states.
+    Returns the clean run, byte for byte ``integrate(s, p, h, n_steps)``,
+    and the divergence of the twin from it.  The shift is eps times a fixed
+    seeded random unit direction, applied to every seed state, so runs are
+    reproducible.  Each run stops at its own blow-up: the gaps stop at the
+    shorter run, and a blow-up of either makes the ratio inf.  Gaps are
+    sup-norm per step; the initial gap is the largest gap over the d seed
+    states.
+
+    A run of more than one feature and its twin advance together, as the
+    two rows of one (2, dim) state.  The rhs must therefore map each row of
+    a (rows, dim) state as it maps a (dim,) state; one that does not is
+    rejected with ValueError before any step runs.  A one-feature run may
+    be on Python floats, which do not stack: it runs first, and then its
+    twin, no further than the clean run went.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     d = s.order
-    shifted = clean.states[:d] + eps * _unit_direction(p.dimension, seed)
-    noisy_problem = IVPProblem(p.rhs, p.t_start, p.t_end, tuple(shifted))
-    noisy = integrate(s, noisy_problem, h, max(len(clean.states) - d, 1))
+    _check_steps(p, h, d, n_steps)
+    seeds = startup_states(p, h, d)
+    shift = eps * _unit_direction(p.dimension, seed)
+    shifted = [y + shift for y in seeds]
+    if p.dimension == 1:
+        clean = _trajectory(d, *_seeded_run(s, p, h, seeds, n_steps))
+        _, twin, twin_blew = _seeded_run(s, p, h, shifted, max(len(clean.states) - d, 1))
+    else:
+        rows = [np.stack(pair) for pair in zip(seeds, shifted)]
+        times, stacked, (clean_blew, twin_blew) = _seeded_run(s, p, h, rows, n_steps)
+        clean = _trajectory(d, times, stacked[:, 0], clean_blew)
+        twin = stacked[:, 1]
 
-    # Both runs stop at their own blow-up; the gaps cover the steps both have.
-    m = min(len(clean.states), len(noisy.states))
-    gaps = tuple(np.max(np.abs(clean.states[:m] - noisy.states[:m]), axis=1).tolist())
+    # The gaps cover the steps both runs have before their blow-ups.
+    twin_blew_up_at = d - 1 + int(twin_blew) if twin_blew else None
+    m = min(len(clean.states), len(twin) if twin_blew_up_at is None else twin_blew_up_at)
+    gaps = tuple(np.max(np.abs(clean.states[:m] - twin[:m]), axis=1).tolist())
     initial_gap = max(gaps[:d])
     blew_up_at = min(
-        (t.blew_up_at for t in (clean, noisy) if t.blew_up_at is not None), default=None
+        (b for b in (clean.blew_up_at, twin_blew_up_at) if b is not None), default=None
     )
     ratio = max(gaps) / initial_gap if initial_gap > 0 else math.inf
     if blew_up_at is not None:
         ratio = math.inf
-    return DivergenceSeries(
+    return clean, DivergenceSeries(
         per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=blew_up_at
     )
 
@@ -341,8 +409,11 @@ def constant_problem(t_end: float = 1.0) -> IVPProblem:
 def oscillator_problem(t_end: float = 1.0) -> IVPProblem:
     """Planar rotation y' = (-y2, y1); exact solution (cos t, sin t)."""
     matrix = np.array([[0.0, -1.0], [1.0, 0.0]])
+    # y @ matrix.T maps each row of a (rows, 2) state; its products are
+    # exact, so a (2,) state gets the bits of matrix @ y.
+    transpose = matrix.T.copy()
     return IVPProblem(
-        rhs=lambda t, y: matrix @ y,
+        rhs=lambda t, y: y @ transpose,
         t_start=0.0,
         t_end=t_end,
         initial_states=(np.array([1.0, 0.0]),),

@@ -32,6 +32,7 @@ __all__ = [
     "MAX_SWEEP_WEIGHTS",
     "MAX_SWEEP_BLOCKS",
     "MAX_SWEEP_STATE",
+    "MAX_SWEEP_WORK",
 ]
 
 _STD_FLOOR = 1e-12
@@ -45,6 +46,12 @@ MAX_SWEEP_BLOCKS = 2**13
 # The most features in its state, trials x schemes x (1 + specs) x width;
 # the recurrence holds a few such states at once.
 MAX_SWEEP_STATE = 2**25
+# The most work in its recurrence, depth x trials x schemes x (1 + specs) x
+# (width^2 + 2^10): a run's step is a width x width product plus a fixed cost
+# that measured about as much as 2^10 of its multiply-adds.  At the 0.3-0.43
+# ns a unit measured at widths 1 to 256 (2-vCPU host), the largest sweep it
+# admits runs in about a minute.
+MAX_SWEEP_WORK = 2**37
 
 
 @dataclass(frozen=True)
@@ -337,10 +344,16 @@ def robustness_sweep(
         raise ValueError(
             f"sweep draws more than {MAX_SWEEP_BLOCKS} blocks (depth x trials)"
         )
-    if trials * len(schemes) * (1 + len(specs)) * width > MAX_SWEEP_STATE:
+    runs = len(schemes) * (1 + len(specs))
+    if trials * runs * width > MAX_SWEEP_STATE:
         raise ValueError(
             f"sweep state holds more than {MAX_SWEEP_STATE} features "
             "(trials x schemes x (1 + specs) x width)"
+        )
+    if depth * trials * runs * (width * width + 2**10) > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"sweep does more than {MAX_SWEEP_WORK} units of work "
+            "(depth x trials x schemes x (1 + specs) x (width^2 + 2^10))"
         )
 
     block_seeds = []

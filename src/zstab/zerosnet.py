@@ -5,9 +5,17 @@ For a nonzero scalar lambda the update is
     y_{n+1} = 3(1+L)/(4L) y_n - 1/L y_{n-1} + (1+L)/(4L) y_{n-2}
               + (3L-1)/(2L) h f(t_n, y_n)
 
-It is consistent for every nonzero lambda, zero-stable exactly for
-lambda in (-inf, -1) union (1/3, +inf), and the maximum nonprincipal root
-modulus is minimized (value 1/3) at lambda = -9/5.
+It is consistent for every nonzero lambda, and the maximum nonprincipal
+root modulus is minimized (value 1/3) at lambda = -9/5.
+
+The closed-form region, lambda in (-inf, -1) union (1/3, +inf), is that of
+*strict* stability: both nonprincipal roots lie strictly inside the unit
+circle.  It is stricter than zero stability (the root condition, which
+``schemes.root_condition`` decides) at one point: at lambda = -1 the roots
+are 1, -1 and 0, all simple, so the scheme is zero-stable but not strictly
+stable.  At lambda = 1/3, the triple root 1, it is neither.  Both
+boundaries are excluded from scans, so a scan never prints -1, and on its
+grid the two notions agree.
 
 Each closed form is written once for a float or a numpy array of lambdas:
 the scalar functions validate their lambda and call it, and ``scan_region``
@@ -121,7 +129,12 @@ def closed_form_roots(lam: float) -> tuple[complex, complex, complex]:
 
 
 def in_stability_region(lam: float) -> bool:
-    """True iff lam < -1 or lam > 1/3 (strict; boundaries excluded)."""
+    """True iff lam < -1 or lam > 1/3: strict stability, with both
+    nonprincipal roots strictly inside the unit circle.
+
+    False at lam = -1, where the scheme is zero-stable: its roots 1, -1 and
+    0 are simple, and only the strict notion excludes -1 on the circle.
+    """
     return _in_region(_require_nonzero(lam))
 
 
@@ -135,7 +148,8 @@ class RegionScan:
     """Grid scan of the family over a lambda interval, as read-only columns.
 
     ``grid`` holds the scanned lambdas, ascending; ``max_moduli`` and
-    ``zero_stable`` hold max(|rho1|, |rho2|) and the region verdict at each.
+    ``zero_stable`` hold max(|rho1|, |rho2|) and the region verdict at each
+    (strict stability, which agrees with the root condition on the grid).
     ``argmin_lambda`` is the zero-stable grid point with the smallest
     maximum nonprincipal modulus (ties broken toward the smaller lambda);
     None when no grid point is zero-stable.  Excluded points (too close to

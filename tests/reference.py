@@ -215,7 +215,7 @@ def companion_power_modulus(
         return SpectralRadiusEstimate(abs(mon.coefficients[1]), True)
 
     companion = np.zeros((n, n))
-    companion[0, :] = [-c.real for c in mon.coefficients[1:]]
+    companion[0, :] = [-c for c in mon.coefficients[1:]]
     companion[1:, :-1] = np.eye(n - 1)
 
     rng = np.random.default_rng(seed)

@@ -557,6 +557,18 @@ class TestPropagate:
         )
         assert_cheap_rejection(code, out, err, peak)
 
+    def test_work_budget_is_reached_within_the_argument_cap(self, capsys):
+        # The "work" case above needs ~670 tokens; the argument cap must let
+        # it through to the sweep's own budget.
+        argv = (
+            "propagate", "--lambda", "-1.8", "--table8", "--depth", "8192",
+            "--trials", "1", "--width", "64",
+            *["--noise", "none"] * (MAX_SWEEP_WORK // (8192 * 10 * (64 * 64 + 2**10))),
+        )
+        assert len(argv) <= cli.MAX_ARGS
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and "units of work" in err
+
     def test_json_matches_csv(self, capsys):
         args = (
             "propagate", "--table8", "--noise", "gaussian:0.02", "--noise", "none",
@@ -575,6 +587,49 @@ class TestPropagate:
             assert [float(x) for x in (row[2], *row[5:])] == [
                 obj[k] for k in (header[2], *header[5:])
             ]
+
+
+class TestArgumentCap:
+    """argparse's time grows with the square of the flag count: 8000 flags
+    took ~3.6 s to parse, so no parse may take more than ``MAX_ARGS``
+    tokens."""
+
+    SWEEP = ("propagate", "--alphas", "1", "--depth", "1", "--width", "1", "--trials", "1")
+
+    @pytest.fixture
+    def parse_sizes(self, monkeypatch):
+        """The number of tokens each parse (and subcommand parse) takes."""
+        sizes = []
+        parse = cli._Parser.parse_known_args
+
+        def recording(self, args=None, namespace=None):
+            sizes.append(len(args))
+            return parse(self, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", recording)
+        return sizes
+
+    def test_long_argv(self, capsys, parse_sizes):
+        argv = self.SWEEP + ("--noise=none",) * (8000 - len(self.SWEEP))
+        code, out, err, peak = run_traced(capsys, *argv)
+        assert_cheap_rejection(code, out, err, peak)
+        assert f"at most {cli.MAX_ARGS} arguments" in err
+        assert parse_sizes == []
+
+    def test_long_config(self, capsys, parse_sizes, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("noise=none\n" * 8000)
+        code, out, err, peak = run_traced(capsys, *self.SWEEP, "--config", str(cfg))
+        assert_cheap_rejection(code, out, err, peak)
+        assert "flag lines" in err
+        assert max(parse_sizes) == len(self.SWEEP) + 2
+
+    def test_bound_is_inclusive(self, capsys, parse_sizes):
+        argv = ("analyze", "--alphas", "1") + ("--beta=1",) * (cli.MAX_ARGS - 3)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert max(parse_sizes) == cli.MAX_ARGS
+        code, _, err = run(capsys, *argv, "--beta=1")
+        assert code == EXIT_USAGE and "arguments" in err
 
 
 class TestOutputPlumbing:

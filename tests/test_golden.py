@@ -29,6 +29,10 @@ GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ANALYZE = ("analyze", "--alphas", "3,-3,1")
+# (r^2 + 1.5r + 1)^2 takes Yun's decomposition; the degree-6 scheme is
+# proven square-free modulo the prime.
+DOUBLE_PAIR = ("analyze", "--alphas=-3,-4.25,-3,-1", "--format", "json")
+DEGREE_SIX = ("analyze", "--alphas", "0.3,0.2,0.1,0.1,0.05,0.05")
 SCAN = ("lambda-scan", "--min", "-2", "--max", "-1.6", "--step", "0.1")
 DECAY = ("integrate", "--lambda", "-1.8", "--h", "0.1", "--steps", "12")
 OSCILLATOR = (
@@ -57,6 +61,8 @@ CASES = {
     "analyze_text": ANALYZE,
     "analyze_csv": ANALYZE + ("--format", "csv"),
     "analyze_json": ANALYZE + ("--format", "json"),
+    "double_pair_json": DOUBLE_PAIR,
+    "degree_six_text": DEGREE_SIX,
     "scan_csv": SCAN,
     "scan_json": SCAN + ("--format", "json"),
     "decay_csv": DECAY + ("--probe", "1e-3", "--orders", "0.1,0.05,0.025"),
@@ -114,6 +120,12 @@ def test_demo_bytes(demo):
     actual = _run_demo(demo)
     expected = tuple(path.read_text() for path in _demo_files(demo))
     assert actual == expected
+
+
+def test_no_orphan_goldens():
+    wired = {path for name in CASES for path in _files(name)}
+    wired |= {path for demo in DEMOS for path in _demo_files(demo)}
+    assert sorted(set(GOLDEN.iterdir()) - wired) == []
 
 
 if __name__ == "__main__":

@@ -24,12 +24,26 @@ from conftest import match_roots
 from reference import companion_power_modulus, exact_roots
 
 
+def conjugate_closed(values):
+    """Each value with its conjugate; a real value once."""
+    return [w for z in values for w in ((z,) if z.imag == 0 else (z, z.conjugate()))]
+
+
 def poly_from_roots(roots):
-    """Forward construction: monic polynomial with the given roots."""
-    out = np.array([1.0 + 0j])
-    for r in roots:
-        out = np.convolve(out, np.array([1.0, -r], dtype=complex))
+    """Forward construction: the monic real polynomial with the given roots,
+    a multiset closed under conjugation.  A pair z, conj(z) enters as the
+    factor r^2 - 2 Re(z) r + |z|^2."""
+    assert sum(z.imag > 0 for z in roots) == sum(z.imag < 0 for z in roots)
+    out = np.array([1.0])
+    for z in roots:
+        if z.imag > 0:
+            out = np.convolve(out, [1.0, -2.0 * z.real, z.real**2 + z.imag**2])
+        elif z.imag == 0:
+            out = np.convolve(out, [1.0, -z.real])
     return Polynomial(out.tolist())
+
+
+_ROOT_VALUES = dict(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 
 
 def assert_matches_exact(p, rs):
@@ -116,6 +130,23 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial([1, float("nan")])
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [[1, 1j], [1.0, 0j], np.array([1, 2], dtype=complex),
+         [1.0, np.complex64(2)], [np.complex128(1 + 2j)], [1.0, "2"]],
+        ids=["complex", "zero-imaginary", "numpy-array", "complex64", "complex128", "string"],
+    )
+    def test_non_real_rejected(self, coefficients):
+        # float(np.complex128(1 + 2j)) is 1.0 with only a warning; the
+        # imaginary part must not vanish silently.
+        with pytest.raises(ValueError, match="must be real"):
+            Polynomial(coefficients)
+
+    def test_reals_become_floats(self):
+        p = Polynomial([np.int64(3), np.float32(0.5), Fraction(1, 4), True])
+        assert p.coefficients == (3.0, 0.5, 0.25, 1.0)
+        assert all(type(c) is float for c in p.coefficients)
+
 
 class TestFindRoots:
     def test_reference_cubic_moduli(self):
@@ -146,8 +177,10 @@ class TestFindRoots:
 
     def test_residual_invariant(self, rng):
         for _ in range(50):
-            coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            p = Polynomial(coeffs.tolist())
+            # a real root and a conjugate pair
+            values = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            values[0] = values[0].real
+            p = poly_from_roots(conjugate_closed(values.tolist()))
             rs = find_roots(p)
             for z, _ in rs.roots:
                 r = abs(p.eval(z))
@@ -198,11 +231,13 @@ class TestFindRoots:
         rs = find_roots(Polynomial([1, -1, 0, 0]))  # rho^2 (rho - 1)
         assert rs.roots == ((1 + 0j, 1), (0j, 2))
 
-    def test_complex_coefficients_with_multiple_roots(self):
-        # (z - 1 - 2i)^2 (z - i/2) (z + 1/4)^3: exact Gaussian coefficients
-        p = poly_from_roots([1 + 2j, 1 + 2j, 0.5j, -0.25, -0.25, -0.25])
+    def test_double_conjugate_pair_through_yun(self):
+        # (z^2 - 2z + 5)^2 (z - 1/2) (z + 1/4)^3: exact dyadic coefficients,
+        # with the double pair 1 +/- 2i
+        p = poly_from_roots([1 + 2j, 1 - 2j] * 2 + [0.5] + [-0.25] * 3)
+        assert not polyroots._squarefree(list(p.coefficients))
         rs = find_roots(p)
-        assert sorted(m for _, m in rs.roots) == [1, 2, 3]
+        assert sorted(m for _, m in rs.roots) == [1, 2, 2, 3]
         assert_matches_exact(p, rs)
 
     def test_overflow_is_a_root_finding_error(self):
@@ -227,15 +262,13 @@ class TestFindRoots:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(
-            st.complex_numbers(
-                min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False
-            ),
-            min_size=3,
-            max_size=3,
-        )
+        st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+        st.complex_numbers(**_ROOT_VALUES),
     )
-    def test_forward_constructed_cubics(self, roots):
+    def test_forward_constructed_cubics(self, real, pair):
+        # A real root and a conjugate pair (or two more real roots).
+        roots = [complex(real)] + conjugate_closed([pair])
+        assume(len(roots) == 3)
         # Well-separated roots only: recovery to 1e-8 is a simple-root claim.
         pairs = [(a, b) for i, a in enumerate(roots) for b in roots[i + 1:]]
         if any(abs(a - b) < 1e-2 for a, b in pairs):
@@ -246,13 +279,8 @@ class TestFindRoots:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(
-            st.complex_numbers(
-                min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False
-            ),
-            min_size=2,
-            max_size=5,
-        )
+        st.lists(st.complex_numbers(**_ROOT_VALUES), min_size=1, max_size=3)
+        .map(conjugate_closed)
     )
     def test_product_of_roots(self, roots):
         # A root of multiplicity m is recovered to about eps**(1/m), so the
@@ -333,15 +361,14 @@ class TestExactOracle:
 
 
 class TestSquarefreeTest:
-    def test_prime_and_square_root_of_minus_one(self):
+    def test_prime(self):
         q = polyroots._Q
-        assert sympy.isprime(q) and q % 4 == 1 and q.bit_length() == 61
-        assert polyroots._SQRT_M1 ** 2 % q == q - 1
+        assert sympy.isprime(q) and q.bit_length() == 61
 
     @settings(max_examples=60, deadline=None)
     @given(multiset_alphas())
     def test_proves_only_square_free(self, alphas):
-        coeffs = [1.0 + 0j] + [complex(-a) for a in alphas]
+        coeffs = [1.0] + [-a for a in alphas]
         if polyroots._squarefree(coeffs):
             assert all(m == 1 for _, m in exact_roots(coeffs))
 

@@ -58,17 +58,17 @@ class TestMakeScheme:
 class TestCharacteristicPolynomial:
     def test_first_order_unit(self):
         p = characteristic_polynomial(first_order(1))
-        assert p.coefficients == (1.0 + 0j, -1.0 + 0j)
+        assert p.coefficients == (1.0, -1.0)
 
     def test_two_step_factored_form(self):
         # rho^2 + (k-1)rho - k factors as (rho - 1)(rho + k)
         k = 0.5
         p = characteristic_polynomial(lm_second_order(k))
-        assert p.coefficients == (1.0 + 0j, complex(k - 1.0), complex(-k))
+        assert p.coefficients == (1.0, k - 1.0, -k)
 
     def test_three_step_example(self):
         p = characteristic_polynomial(make_scheme([3.75, -4, 1.25], -0.5))
-        assert p.coefficients == (1.0 + 0j, -3.75 + 0j, 4.0 + 0j, -1.25 + 0j)
+        assert p.coefficients == (1.0, -3.75, 4.0, -1.25)
 
     def test_beta_absent(self):
         a = characteristic_polynomial(make_scheme([0.5, 0.5], 0))
@@ -347,12 +347,29 @@ class TestRecurMatchesReference:
         assert history == [sign * 1e308]
 
     def test_float_beyond_self_product_range_is_finite(self):
-        # 1e200 * 1e200 overflows, so the step's finite test fails; the
-        # per-row rule then finds the state finite and the run goes on.
+        # 1e200 * 1e200 overflows, but 1e200 * 0.0 is zero: the step's
+        # finite test passes and the run goes on.
         history = [1e200]
         _assert_same_as_reference([1.0], 0.5, history, 3, lambda n, y: 0.0)
         assert _recur([1.0], 0.5, history, 3, lambda n, y: 0.0).tolist() == 0
         assert history == [1e200] * 4
+
+    def test_rows_are_examined_only_where_one_blows_up(self, monkeypatch):
+        # Row 1 is beyond 1e154 from the start and overflows at step 28; row
+        # 0 stays finite.  Only the state of step 28 is examined row by row:
+        # before it the dot product with zeros clears each step, and after it
+        # row 1 is left out.
+        def history():
+            return [np.array([[1.0, -1.0], [1e300, -1e300]])]
+
+        _assert_same_as_reference([2.0], 1.0, history(), 200, lambda n, y: 0.0)
+        examined = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: examined.append(x) or isfinite(x))
+        states = history()
+        assert _recur([2.0], 1.0, states, 200, lambda n, y: 0.0).tolist() == [0, 28]
+        assert len(examined) == 1 and examined[0] is states[28]
+        assert len(states) == 201 and np.isfinite(states[-1][0]).all()
 
     def test_state_that_grows_by_broadcasting(self):
         # f widens the state at step 1 and returns inf in it at step 2.

@@ -273,6 +273,16 @@ class TestStabilityRegion:
         assert in_stability_region(-1.0) is False
         assert in_stability_region(2.0) is True
 
+    def test_minus_one_is_zero_stable_but_not_strictly_stable(self):
+        # rho^3 - rho: the simple roots 1, -1 and 0 meet the root condition,
+        # but -1 lies on the circle, so the strict region excludes it.
+        s = zerosnet_coeffs(-1.0)
+        assert in_stability_region(-1.0) is False
+        assert root_condition(s).zero_stable is True
+        assert sorted(abs(z) for z in closed_form_roots(-1.0)) == [0.0, 1.0, 1.0]
+        scan = scan_region(-1.5, -0.5, 0.25)
+        assert -1.0 in scan.excluded and -1.0 not in scan.grid
+
     @given(nonzero_lambda)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_root_condition(self, lam):

@@ -7,7 +7,8 @@ each column once, and CSV and JSON are built from the same cell strings:
 - a float prints with 10 significant digits, ``float.__format__(v, ".10g")``;
   JSON takes that text through ``_number``, which gives the text of
   ``json.dumps(float(text))`` (``2`` becomes ``2.0``, ``inf`` becomes
-  ``Infinity``) without parsing it back;
+  ``Infinity``) without parsing it back, save that a finite float whose
+  text overflows (``1.797693135e+308``) is the largest finite float;
 - a bool is ``true`` or ``false``, and an int prints as itself;
 - a tuple or list is ``;``-joined in CSV and a list in JSON;
 - a string is quoted in CSV as ``csv.writer`` quotes it, and is a JSON string;
@@ -27,6 +28,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 from itertools import repeat
 from typing import Sequence
 
@@ -52,14 +55,19 @@ def _number(text: str) -> str:
     gains ``.0``, exponents 10 to 15 print positionally, and the non-finite
     words are JSON's.  From decimal exponent 308 up or -308 down the rounded
     float may be subnormal, with a shorter repr, or overflow; there the text
-    is converted.
+    is converted.  A text that overflows, ``1.797693135e+308``, is a finite
+    float rounded up past the largest, so it becomes the largest, not
+    ``Infinity``.
     """
     mantissa, e, exponent = text.partition("e")
     if not e:
         return text if "." in text else _WORDS.get(text, text + ".0")
     power = int(exponent)
     if abs(power) >= 308:
-        return json.dumps(float(text))
+        value = float(text)
+        if math.isinf(value):
+            value = math.copysign(sys.float_info.max, value)
+        return json.dumps(value)
     if not 10 <= power < 16:
         return text
     sign = "-" if mantissa.startswith("-") else ""

@@ -10,7 +10,8 @@ so numbers carry 10 significant digits in CSV, JSON and text alike.
 
 A flat key=value config file (--config) supplies defaults; flags override
 it.  Each line is parsed as its flag would be.  The command line and the
-config's flag lines together hold at most ``MAX_ARGS`` tokens.  The
+config's flag lines together hold at most ``MAX_ARGS`` tokens, and the
+config file at most ``MAX_CONFIG_BYTES`` bytes.  The
 ZSTAB_OUT_DIR environment variable sets the directory that relative --out
 paths are resolved against.
 """
@@ -44,6 +45,9 @@ EXIT_USAGE = 64
 # flag lines.  argparse's time grows with the square of the flag count; at
 # this bound a parse takes ~60 ms on a 2-vCPU host, at 8000 flags ~3.6 s.
 MAX_ARGS = 2**10
+# Most bytes a --config file may hold; it is read no further than one byte
+# past this, so a long file or an endless device is refused unread.
+MAX_CONFIG_BYTES = 2**20
 
 ANALYZE_KEYS = (
     "alphas", "beta", "moduli", "zero_stable", "violations",
@@ -386,11 +390,21 @@ _shared_parser = functools.cache(build_parser)
 def _config_tokens(args, flags: dict[str, argparse.Action], budget: int) -> list[str]:
     """The config file's lines as flag tokens.  A line whose flag the
     command line already set is dropped, so that flag wins even when it
-    is repeatable.  More than ``budget`` flag lines are a usage error."""
+    is repeatable.  More than ``budget`` flag lines, or a file of more than
+    ``MAX_CONFIG_BYTES`` bytes, are a usage error."""
+    data = bytearray()
     try:
-        text = Path(args.config).read_text()
+        with open(args.config, "rb") as file:
+            # In chunks: read(n) sets aside n bytes, however short the file.
+            while chunk := file.read(min(2**16, MAX_CONFIG_BYTES + 1 - len(data))):
+                data += chunk
     except OSError as exc:
         raise UsageError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise UsageError(
+            f"config file {args.config!r} is longer than {MAX_CONFIG_BYTES} bytes"
+        )
+    text = data.decode()
     tokens = []
     flag_lines = 0
     for line_no, line in enumerate(text.splitlines(), 1):

@@ -74,25 +74,38 @@ class BlockMap:
         object.__setattr__(self, "weights", w)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return _standardize(np.maximum(self.weights @ y, 0.0))
+        v = np.maximum(self.weights @ y, 0.0)
+        _standardize(v)
+        return v
 
 
-def _standardize(v: np.ndarray) -> np.ndarray:
-    """(v - mean) / std along the last axis; rows whose std is below the
-    floor map to zeros."""
-    mean = np.mean(v, axis=-1, keepdims=True)
-    std = np.std(v, axis=-1, keepdims=True)
+def _standardize(v: np.ndarray) -> None:
+    """Replace ``v`` by (v - mean) / std along the last axis, in place; rows
+    whose std is below the floor become zeros.
+
+    The std is sqrt(mean((v - mean)^2)), the operations ``np.std`` makes, so
+    the result equals the allocating (v - mean) / std bit for bit.
+    """
+    v -= np.mean(v, axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(v * v, axis=-1, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (v - mean) / std
-    return np.where(std < _STD_FLOOR, 0.0, out)
+        v /= std
+    np.copyto(v, 0.0, where=std < _STD_FLOOR)
+
+
+def _draw_weights(seed: int, out: np.ndarray) -> None:
+    """Fill the square ``out`` with the block weights for ``seed``: standard
+    normal draws over sqrt(width), so unit-scale."""
+    np.random.default_rng(seed).standard_normal(out=out)
+    out /= math.sqrt(out.shape[-1])
 
 
 def make_block(seed: int, width: int) -> BlockMap:
     """Deterministic block for (seed, width) with unit-scale random weights."""
     if width < 1:
         raise ValueError("width must be >= 1")
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((width, width)) / math.sqrt(width)
+    weights = np.empty((width, width))
+    _draw_weights(seed, weights)
     return BlockMap(width=width, weights=weights)
 
 
@@ -319,17 +332,19 @@ def robustness_sweep(
     Per trial, one clean input in [0, 1], one block seed and one noise seed
     are drawn from ``default_rng([seed, t])`` only, so every scheme and
     noise spec sees identical inputs and blocks and the sweep is invariant
-    to evaluation order.  The block at depth n of trial t is
-    ``make_block(block_seed_t + n, width)``.
+    to evaluation order.  The block at depth n of trial t holds the weights
+    of ``make_block(block_seed_t + n, width)``.
 
     All runs advance together through one recurrence whose state has shape
     (trials, schemes, 1 + specs, width): index 0 on the third axis is the
     clean run, computed once per (trial, scheme).  Schemes of lower order
     are zero-padded to the largest order, which leaves their arithmetic
-    unchanged.  Each depth draws that depth's block for every trial just
-    before applying them as one batched matmul, so ``make_block`` is called
-    trials x depth times (fewer only if every run blows up before the last
-    depth) and at most one depth's weights are held at a time.
+    unchanged.  Each depth draws that depth's block for every trial with
+    ``_draw_weights`` just before applying them as one batched matmul, so it
+    is called trials x depth times (fewer only if every run blows up before
+    the last depth).  The draws and the products go into two buffers made
+    once per sweep, one depth's weights (trials x width^2) and one
+    product per run, which every depth reuses.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -373,14 +388,22 @@ def robustness_sweep(
     state = np.repeat(np.array(inputs)[:, None], len(schemes), axis=1)
     history = deque([state] * order, maxlen=order)
 
+    weights = np.empty((trials, width, width))
+    product = np.empty((trials, runs, width, 1))
+    v = product[..., 0]
+
     def blocks(n: int, y: np.ndarray) -> np.ndarray:
-        weights = np.stack([make_block(b + n, width).weights for b in block_seeds])
+        for t, b in enumerate(block_seeds):
+            _draw_weights(b + n, weights[t])
         # One call that makes a matrix-vector product per run: numpy runs
         # each on the BLAS gemv kernel that BlockMap uses, so every run equals
         # its 1-D propagation bit for bit.  A matrix-matrix product sums in
         # another order, and the blocks amplify that rounding with depth.
-        v = weights[:, None] @ y.reshape(trials, -1, width, 1)
-        return _standardize(np.maximum(v[..., 0], 0.0)).reshape(y.shape)
+        np.matmul(weights[:, None], y.reshape(product.shape), out=product)
+        np.maximum(v, 0.0, out=v)
+        _standardize(v)
+        # _recur reads the result into a new state before the next call.
+        return v.reshape(y.shape)
 
     blew = _recur(
         [a[:, None, None] for a in alphas.T],

@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -48,7 +49,7 @@ from zstab.ivp import (
     startup_states,
 )
 from zstab.polyroots import Polynomial
-from zstab.propagation import BlockMap, _log_slope, propagate
+from zstab.propagation import _STD_FLOOR, BlockMap, _log_slope, propagate
 from zstab.schemes import Scheme, characteristic_polynomial
 
 _DIGITS = ".10g"
@@ -71,7 +72,11 @@ def _text(v) -> str:
 
 def _json(v):
     if isinstance(v, float):
-        return float(_fmt(v)) if math.isfinite(v) else v
+        if not math.isfinite(v):
+            return v
+        # A finite float whose 10 digits overflow is written as the largest.
+        rounded = float(_fmt(v))
+        return rounded if math.isfinite(rounded) else math.copysign(sys.float_info.max, v)
     if isinstance(v, np.ndarray):
         v = v.tolist()
     if isinstance(v, (tuple, list)):
@@ -171,6 +176,17 @@ def compare_propagations(
         growth_slope=_log_slope(gaps, start),
         blew_up_at=blew_up_at,
     )
+
+
+def standardize(v: np.ndarray) -> np.ndarray:
+    """(v - mean) / std along the last axis as a new array, through
+    ``np.mean`` and ``np.std``; rows whose std is below the floor map to
+    zeros."""
+    mean = np.mean(v, axis=-1, keepdims=True)
+    std = np.std(v, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (v - mean) / std
+    return np.where(std < _STD_FLOOR, 0.0, out)
 
 
 def lipschitz_estimate(

@@ -550,7 +550,7 @@ class TestPropagate:
         ids=["trials", "depth", "width", "blocks", "work"],
     )
     def test_sweep_over_budget(self, capsys, monkeypatch, size):
-        monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn
+        monkeypatch.setattr(propagation, "_draw_weights", None)  # nothing may be drawn
         monkeypatch.setattr(propagation, "inject_noise", None)
         code, out, err, peak = run_traced(
             capsys, "propagate", "--lambda", "-1.8", "--noise", "none", *size,
@@ -630,6 +630,24 @@ class TestArgumentCap:
         assert max(parse_sizes) == cli.MAX_ARGS
         code, _, err = run(capsys, *argv, "--beta=1")
         assert code == EXIT_USAGE and "arguments" in err
+
+    @pytest.mark.parametrize("size", [cli.MAX_CONFIG_BYTES + 1, 8 * cli.MAX_CONFIG_BYTES])
+    def test_config_over_the_byte_cap(self, capsys, parse_sizes, tmp_path, size):
+        # One comment line, which no flag-line bound counts.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"#" * (size - 1) + b"\n")
+        code, out, err, peak = run_traced(capsys, *self.SWEEP, "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert f"longer than {cli.MAX_CONFIG_BYTES} bytes" in err
+        assert max(parse_sizes) == len(self.SWEEP) + 2
+        assert peak < 2 * cli.MAX_CONFIG_BYTES  # read no further than past the cap
+
+    def test_config_byte_cap_is_inclusive(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"beta=2\n" + b"#" * (cli.MAX_CONFIG_BYTES - 8) + b"\n")
+        code, out, _ = run(capsys, "analyze", "--alphas", "1", "--config", str(cfg))
+        assert code == EXIT_OK and kv(out)["beta"] == "2"
 
 
 class TestOutputPlumbing:

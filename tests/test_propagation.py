@@ -23,7 +23,7 @@ from zstab.schemes import first_order, make_scheme, root_condition
 from zstab.table8 import REFERENCE_ROWS
 from zstab.zerosnet import zerosnet_coeffs
 
-from reference import compare_propagations, lipschitz_estimate
+from reference import compare_propagations, lipschitz_estimate, standardize
 
 
 class _Zero:
@@ -116,6 +116,47 @@ class TestBlockMap:
         ell = lipschitz_estimate(make_block(1, 8), n_pairs=1000, seed=0)
         assert math.isfinite(ell)
         assert ell > 0
+
+
+class TestStandardize:
+    """The in-place ``_standardize`` against the allocating formula, bit for
+    bit."""
+
+    @staticmethod
+    def _assert_bits_equal(v):
+        want = standardize(v)
+        got = v.copy()
+        propagation._standardize(got)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 16), (2, 5, 3, 64)])
+    def test_random_states(self, shape):
+        rng = np.random.default_rng(len(shape))
+        self._assert_bits_equal(rng.standard_normal(shape))
+        # Rectified, as the blocks standardize them.
+        self._assert_bits_equal(np.maximum(rng.standard_normal(shape) * 1e3, 0.0))
+
+    def test_degenerate_rows(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((6, 16))
+        v[1] = 0.25  # std 0
+        v[2] = 0.0
+        v[3, 5] = math.inf
+        v[4, 7] = math.nan
+        v[5, :2] = (math.inf, -math.inf)
+        with np.errstate(all="ignore"):
+            got = self._assert_bits_equal(v)
+        assert np.all(got[1:3] == 0.0)
+        assert np.all(np.isnan(got[3:]))
+
+    def test_block_leaves_its_input_alone(self):
+        block = make_block(5, 16)
+        y = np.random.default_rng(1).uniform(-1, 1, 16)
+        before = y.copy()
+        out = block(y)
+        assert y.tobytes() == before.tobytes()
+        assert out.tobytes() == standardize(np.maximum(block.weights @ y, 0.0)).tobytes()
 
 
 class TestPropagate:
@@ -317,22 +358,44 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError):
             robustness_sweep([first_order(1)], [NoiseSpec.none()], 0, 8, 1)
 
-    def test_one_block_per_trial_and_depth(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def _recorded_draws(monkeypatch, depth, trials):
+        """(seed, out data address) of every block draw of a small sweep.
+        Each ``out`` is kept alive, so that a buffer made per depth could not
+        take the address of one freed before it."""
+        draws = []
+        outs = []
+        draw = propagation._draw_weights
 
-        def counted(seed, width):
-            calls.append(seed)
-            return make_block(seed, width)
+        def recording(block_seed, out):
+            draws.append((block_seed, out.__array_interface__["data"][0]))
+            outs.append(out)
+            draw(block_seed, out)
 
-        monkeypatch.setattr(propagation, "make_block", counted)
+        monkeypatch.setattr(propagation, "_draw_weights", recording)
         robustness_sweep(
             [first_order(1), zerosnet_coeffs(-9 / 5), make_scheme([0.5, 0.5], 1)],
             [NoiseSpec.none(), NoiseSpec.gaussian(0.02)],
-            depth=7,
+            depth=depth,
             width=8,
-            trials=3,
+            trials=trials,
         )
-        assert len(calls) == 3 * 7
+        return draws
+
+    def test_one_block_per_trial_and_depth(self, monkeypatch):
+        draws = self._recorded_draws(monkeypatch, depth=7, trials=3)
+        assert len(draws) == 3 * 7
+        bases = []
+        for t in range(3):  # as robustness_sweep draws them: input, then block seed
+            base = np.random.default_rng([1, t])
+            base.uniform(0.0, 1.0, 8)
+            bases.append(int(base.integers(0, 2**31)))
+        assert {s for s, _ in draws} == {b + n for b in bases for n in range(7)}
+
+    def test_sweep_reuses_one_weights_buffer(self, monkeypatch):
+        draws = self._recorded_draws(monkeypatch, depth=9, trials=4)
+        assert len(draws) == 4 * 9
+        assert len({address for _, address in draws}) <= 4
 
     def test_identical_noisy_input_gives_exact_zero_gap(self):
         # The non-zero-stable rows reach gaps of ~1e33 at this size, so a
@@ -395,7 +458,7 @@ class TestRobustnessSweep:
         assert report.blew_up_fraction.tolist() == [[5 / 9]]
 
     def test_size_budget(self, monkeypatch):
-        monkeypatch.setattr(propagation, "make_block", None)  # nothing may be drawn
+        monkeypatch.setattr(propagation, "_draw_weights", None)  # nothing may be drawn
         monkeypatch.setattr(propagation, "inject_noise", None)
         with pytest.raises(ValueError, match="block weights"):
             robustness_sweep(

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -82,7 +83,8 @@ def test_csv_quotes_strings_as_csv_writer_does():
 _EDGE_FLOATS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
     2.2250738585072009e-308, 2.2250738585072014e-308, 1e-307, 1.7976931348623157e308,
-    -1.797693134e308, 1e-4, 9.99999999995e-5, 1e-5, 0.5, 2.0, -3.0,
+    -1.7976931348623157e308, 1.7976931345e308, -1.797693134e308, 1e-4, 9.99999999995e-5,
+    1e-5, 0.5, 2.0, -3.0,
     999999999.9, 9999999999.0, 9999999999.5, 1e10, -1.5e10, 123456789012345.0,
     999999999999999.9, 9.9999999995e15, 1e16, 1.5e16, 1e100, 12345678901.0,
 ]
@@ -97,17 +99,29 @@ _floats = st.one_of(
 )
 
 
+def _rounded_json(v: float) -> str:
+    """json.dumps of the float that ``v``'s .10g text denotes; a finite
+    ``v`` whose text overflows, 1.797693135e+308, gives the largest float."""
+    rounded = float(format(v, ".10g"))
+    if math.isfinite(v) and math.isinf(rounded):
+        rounded = math.copysign(sys.float_info.max, v)
+    return json.dumps(rounded)
+
+
 @given(_floats)
 @settings(max_examples=2000)
 def test_json_number_is_json_dumps_of_the_rounded_float(v):
-    text = format(v, ".10g")
-    assert _number(text) == json.dumps(float(text))
+    assert _number(format(v, ".10g")) == _rounded_json(v)
 
 
 def test_json_number_edges():
     for v in _EDGE_FLOATS:
         text = format(v, ".10g")
-        assert _number(text) == json.dumps(float(text)), v
+        want = json.dumps(float(text))
+        if abs(v) >= 1.7976931345e308 and math.isfinite(v):
+            assert text.lstrip("-") == "1.797693135e+308"
+            want = json.dumps(math.copysign(1.7976931348623157e308, v))
+        assert _number(text) == want, v
 
 
 _text = st.text(alphabet=st.sampled_from(list('ab ,";%\n\r\té\\')), max_size=6)

@@ -5,10 +5,12 @@ values per name, all of one length, the number of rows.  The writers format
 each column once, and CSV and JSON are built from the same cell strings:
 
 - a float prints with 10 significant digits, ``float.__format__(v, ".10g")``;
-  JSON takes that text through ``_number``, which gives the text of
-  ``json.dumps(float(text))`` (``2`` becomes ``2.0``, ``inf`` becomes
-  ``Infinity``) without parsing it back, save that a finite float whose
-  text overflows (``1.797693135e+308``) is the largest finite float;
+  JSON writes the float that this text denotes, as ``json.dumps`` would:
+  a text without an exponent is kept, gaining ``.0`` if integral, and
+  ``inf``, ``-inf`` and ``nan`` become ``Infinity``, ``-Infinity`` and
+  ``NaN``; a text with one is parsed and written as its float's ``repr``,
+  save that a finite float whose text overflows (``1.797693135e+308``) is
+  the largest finite float;
 - a bool is ``true`` or ``false``, and an int prints as itself;
 - a tuple or list is ``;``-joined in CSV and a list in JSON;
 - a string is quoted in CSV as ``csv.writer`` quotes it, and is a JSON string;
@@ -48,31 +50,13 @@ def fmt(x: float) -> str:
 
 
 def _number(text: str) -> str:
-    """The JSON text of the float that a ``.10g`` text denotes.
-
-    Ten significant digits of a normal float are also the shortest repr of
-    the float they round to, so only the layout changes: an integral value
-    gains ``.0``, exponents 10 to 15 print positionally, and the non-finite
-    words are JSON's.  From decimal exponent 308 up or -308 down the rounded
-    float may be subnormal, with a shorter repr, or overflow; there the text
-    is converted.  A text that overflows, ``1.797693135e+308``, is a finite
-    float rounded up past the largest, so it becomes the largest, not
-    ``Infinity``.
-    """
-    mantissa, e, exponent = text.partition("e")
-    if not e:
+    """The JSON text of the float that a ``.10g`` text denotes."""
+    if "e" not in text:
         return text if "." in text else _WORDS.get(text, text + ".0")
-    power = int(exponent)
-    if abs(power) >= 308:
-        value = float(text)
-        if math.isinf(value):
-            value = math.copysign(sys.float_info.max, value)
-        return json.dumps(value)
-    if not 10 <= power < 16:
-        return text
-    sign = "-" if mantissa.startswith("-") else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    return sign + digits.ljust(power + 1, "0") + ".0"
+    value = float(text)
+    if math.isinf(value):  # a finite float rounded up past the largest
+        value = math.copysign(sys.float_info.max, value)
+    return repr(value)
 
 
 def _text(v) -> str:

@@ -10,8 +10,9 @@ so numbers carry 10 significant digits in CSV, JSON and text alike.
 
 A flat key=value config file (--config) supplies defaults; flags override
 it.  Each line is parsed as its flag would be.  The command line and the
-config's flag lines together hold at most ``MAX_ARGS`` tokens, and the
-config file at most ``MAX_CONFIG_BYTES`` bytes.  The
+config's flag lines together hold at most ``MAX_ARGS`` tokens, the
+config file at most ``MAX_CONFIG_BYTES`` bytes, and an --rhs expression at
+most ``MAX_RHS_CHARS`` characters.  The
 ZSTAB_OUT_DIR environment variable sets the directory that relative --out
 paths are resolved against.
 """
@@ -19,6 +20,7 @@ paths are resolved against.
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import math
 import os
@@ -31,7 +33,7 @@ import numpy as np
 from . import ivp
 from ._table import fmt, json_table, record
 from .polyroots import RootFindingError
-from .propagation import NoiseSpec, robustness_sweep
+from .propagation import NOISE_KINDS, NoiseSpec, robustness_sweep
 from .schemes import Scheme, consistency_check, make_scheme, root_condition
 from .table8 import REFERENCE_ROWS, verify_reference_table
 from .zerosnet import scan_region, zerosnet_coeffs
@@ -48,6 +50,27 @@ MAX_ARGS = 2**10
 # Most bytes a --config file may hold; it is read no further than one byte
 # past this, so a long file or an endless device is refused unread.
 MAX_CONFIG_BYTES = 2**20
+# Most characters an --rhs expression may hold; it is refused unparsed.
+MAX_RHS_CHARS = 2**10
+
+# What an --rhs expression may name: t, y, three constants, and the math
+# functions that map floats to a float, which it may call.  Its numbers are
+# made floats, so that no operator builds an integer: every call and
+# operator then takes a bounded time.
+_RHS_CONSTANTS = {"pi": math.pi, "e": math.e, "tau": math.tau}
+_RHS_VALUES = ("t", "y", *_RHS_CONSTANTS)
+_RHS_FUNCTIONS = {name: getattr(math, name) for name in (
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "copysign",
+    "cos", "cosh", "degrees", "erf", "erfc", "exp", "expm1", "fabs", "fmod",
+    "gamma", "hypot", "lgamma", "log", "log10", "log1p", "log2", "pow",
+    "radians", "remainder", "sin", "sinh", "sqrt", "tan", "tanh",
+)}
+_RHS_GLOBALS = {"__builtins__": {}, **_RHS_CONSTANTS, **_RHS_FUNCTIONS}
+# The other syntax it may use: + - * / ** and unary + and -.
+_RHS_NODES = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
 
 ANALYZE_KEYS = (
     "alphas", "beta", "moduli", "zero_stable", "violations",
@@ -119,34 +142,11 @@ def _scheme_from_args(args) -> Scheme:
     if has_alphas == has_lambda:
         raise UsageError("provide exactly one of --alphas or --lambda")
     if has_lambda:
+        # The family fixes its own beta.
+        if args.beta is not None:
+            raise UsageError("--beta is read only with --alphas")
         return zerosnet_coeffs(args.lam)
-    return make_scheme(_parse_floats(args.alphas), args.beta)
-
-
-# Each --noise kind but "none": its NoiseSpec constructor and the number of
-# values that follow its name.
-_NOISE_KINDS = {
-    "gaussian": (NoiseSpec.gaussian, 1),
-    "constant": (NoiseSpec.constant, 1),
-    "uniform": (NoiseSpec.uniform, 2),
-}
-
-
-def _parse_noise(raw: str, clip: bool) -> NoiseSpec:
-    """The spec of one --noise flag.  Only reading its numbers is checked
-    here: a spec that NoiseSpec rejects raises NoiseSpec's ValueError, which
-    names the reason."""
-    kind, *fields = raw.split(":")
-    if kind == "none":
-        return NoiseSpec.none()
-    if kind not in _NOISE_KINDS:
-        raise UsageError(f"unknown noise kind {kind!r}")
-    build, count = _NOISE_KINDS[kind]
-    try:
-        values = [float(fields[i]) for i in range(count)]
-    except (IndexError, ValueError) as exc:
-        raise UsageError(f"malformed noise spec {raw!r}") from exc
-    return build(*values, clip=clip)
+    return make_scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
 
 
 def cmd_analyze(args) -> int:
@@ -195,28 +195,62 @@ def cmd_table_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
 
 
+def _compile_rhs(expr: str):
+    """The code of an --rhs expression, its numbers made floats; a usage
+    error unless every part of it is in the grammar above."""
+    if len(expr) > MAX_RHS_CHARS:
+        raise UsageError(f"--rhs is longer than {MAX_RHS_CHARS} characters")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise UsageError(f"malformed --rhs expression {expr!r}") from exc
+    except RecursionError as exc:
+        raise UsageError(f"--rhs {expr!r} is nested too deeply") from exc
+    callees = set()
+    for node in ast.walk(tree):  # a call before the name it calls
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) not in _RHS_FUNCTIONS:
+                raise UsageError(f"--rhs {expr!r} may not call {_rhs_label(node.func)}")
+            callees.add(node.func)
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:
+                node.value = float(node.value)
+            except OverflowError:  # an integer past the float range
+                node.value = math.inf
+        elif not (isinstance(node, _RHS_NODES) or node in callees
+                  or isinstance(node, ast.Name) and node.id in _RHS_VALUES):
+            raise UsageError(f"--rhs {expr!r} may not use {_rhs_label(node)}")
+    try:
+        return compile(tree, "--rhs", "eval")
+    except RecursionError as exc:
+        raise UsageError(f"--rhs {expr!r} is nested too deeply") from exc
+
+
+def _rhs_label(node: ast.AST) -> str:
+    if isinstance(node, ast.Name):
+        return repr(node.id)
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    return type(node).__name__
+
+
 def _problem_from_args(args) -> ivp.IVPProblem:
     if args.rhs is not None:
         expr = args.rhs
-        try:
-            code = compile(expr, "--rhs", "eval")
-        except SyntaxError as exc:
-            raise UsageError(f"malformed --rhs expression {expr!r}") from exc
-        env = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        code = _compile_rhs(expr)
 
         def rhs(t, y):
             # A float for a float, so that a run on Python floats stays on
             # them; a 1-element array for an array.
             scalar = isinstance(y, float)
-            local = dict(env)
-            local.update({"t": t, "y": y if scalar else float(np.atleast_1d(y)[0])})
+            names = {"t": t, "y": y if scalar else float(np.atleast_1d(y)[0])}
             try:
-                value = float(eval(code, {"__builtins__": {}}, local))
+                value = float(eval(code, _RHS_GLOBALS, names))
             except OverflowError:
                 # Where float ** and math functions raise, numpy overflows:
                 # the run blows up at this step, as it does through y*y.
                 value = math.nan
-            except (ArithmeticError, NameError, TypeError, ValueError) as exc:
+            except (ArithmeticError, TypeError, ValueError) as exc:
                 raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
             return value if scalar else np.array([value])
 
@@ -275,12 +309,14 @@ def cmd_integrate(args) -> int:
 
 def cmd_propagate(args) -> int:
     if args.table8:
+        if (args.alphas, args.beta, args.lam) != (None, None, None):
+            raise UsageError("--table8 takes no --alphas, --beta or --lambda")
         schemes = [row.scheme() for row in REFERENCE_ROWS]
     else:
         schemes = [_scheme_from_args(args)]
     if not args.noise:
         raise UsageError("provide at least one --noise spec")
-    specs = [_parse_noise(raw, args.clip) for raw in args.noise]
+    specs = [NoiseSpec.parse(raw, args.clip) for raw in args.noise]
     report = robustness_sweep(
         schemes, specs, depth=args.depth, width=args.width,
         trials=args.trials, seed=args.seed,
@@ -296,7 +332,9 @@ def cmd_propagate(args) -> int:
 
 def _add_scheme_flags(parser) -> None:
     parser.add_argument("--alphas", help="comma-separated alpha coefficients")
-    parser.add_argument("--beta", type=float, default=1.0, help="beta coefficient (default 1)")
+    parser.add_argument(
+        "--beta", type=float, help="beta coefficient (default 1; only with --alphas)",
+    )
     parser.add_argument(
         "--lambda", dest="lam", type=float,
         help="build the three-step family scheme for this lambda",
@@ -370,8 +408,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--noise", action="append", default=None,
-        help="noise spec: none | gaussian:SIGMA | constant:MU | uniform:LO:HI "
-             "(repeatable)",
+        help="noise spec: " + " | ".join(
+            ":".join([kind, *map(str.upper, names)]) for kind, names in NOISE_KINDS.items()
+        ) + " (repeatable)",
     )
     p.add_argument("--clip", action="store_true", help="clamp noisy inputs to [0,1]")
     p.add_argument("--depth", type=int, default=56)

@@ -23,6 +23,7 @@ from .schemes import Scheme, _recur, root_condition
 __all__ = [
     "BlockMap",
     "NoiseSpec",
+    "NOISE_KINDS",
     "SweepReport",
     "make_block",
     "propagate",
@@ -109,6 +110,16 @@ def make_block(seed: int, width: int) -> BlockMap:
     return BlockMap(width=width, weights=weights)
 
 
+# Each noise kind and the names of its parameters, in the order that its
+# ``kind:value...`` text gives them.
+NOISE_KINDS = {
+    "none": (),
+    "gaussian": ("sigma",),
+    "constant": ("mu",),
+    "uniform": ("lo", "hi"),
+}
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Input perturbation: uniform(lo, hi), gaussian(sigma), or constant(mu).
@@ -125,7 +136,7 @@ class NoiseSpec:
     clip: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian", "constant", "none"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         # hi - lo too: the uniform draw overflows on a range past the float max.
         params = (self.lo, self.hi, self.hi - self.lo, self.sigma, self.mu)
@@ -135,6 +146,19 @@ class NoiseSpec:
             raise ValueError("uniform noise needs lo <= hi")
         if self.kind == "gaussian" and self.sigma < 0:
             raise ValueError("gaussian noise needs sigma >= 0")
+
+    @staticmethod
+    def parse(text: str, clip: bool = False) -> "NoiseSpec":
+        """The spec that ``kind:value...`` names: a kind of ``NOISE_KINDS``,
+        then one number per parameter that it names."""
+        kind, *fields = text.split(":")
+        if kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {kind!r}")
+        try:
+            params = dict(zip(NOISE_KINDS[kind], map(float, fields), strict=True))
+        except ValueError as exc:  # a field too many or too few, or not a number
+            raise ValueError(f"malformed noise spec {text!r}") from exc
+        return NoiseSpec(kind, **params, clip=clip)
 
     @staticmethod
     def uniform(lo: float, hi: float, clip: bool = False) -> "NoiseSpec":

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +44,11 @@ def assert_cheap_rejection(code, out, err, peak):
     assert out == ""
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert peak < 2**20
+
+
+def _short(text):
+    """A test id for a text that may be long."""
+    return text if len(text) <= 20 else f"{text[:10]}...({len(text)} chars)"
 
 
 def kv(out):
@@ -132,6 +138,25 @@ class TestAnalyze:
             assert float(rows["moduli"].split(";")[i]) == m
         assert float(rows["sum_alpha"]) == blob["sum_alpha"]
         assert float(rows["beta"]) == blob["beta"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("analyze", "--lambda", "-1.8", "--beta", "99"),
+         ("integrate", "--lambda", "-1.8", "--beta", "1", "--h", "0.1", "--steps", "3"),
+         ("propagate", "--lambda", "-1.8", "--beta", "2", "--noise", "none",
+          "--depth", "2", "--width", "2", "--trials", "1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_beta_without_alphas_is_refused(self, capsys, argv):
+        # The family fixes its own beta, so --beta would be ignored.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --beta is read only with --alphas\n")
+
+    def test_beta_from_config_without_alphas_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=99\n")
+        code, out, err = run(capsys, "analyze", "--lambda", "-1.8", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --beta is read only with --alphas\n")
 
 
 class TestLambdaScan:
@@ -340,6 +365,66 @@ class TestIntegrate:
         assert code == EXIT_OK and err == "blow-up at step 4\n"
         assert len(list(csv.reader(io.StringIO(out)))) == 1 + 4
 
+    @pytest.mark.parametrize(
+        "expr, reason",
+        [
+            ("().__class__.__base__.__subclasses__().__len__()*0 + 1", "may not call Attribute"),
+            ("factorial(2**22)*0 + y", "may not call 'factorial'"),
+            ("-" * 100_000 + "y", f"is longer than {cli.MAX_RHS_CHARS} characters"),
+        ],
+        ids=["attributes", "factorial", "long"],
+    )
+    def test_rhs_is_an_expression_not_code(self, capsys, expr, reason):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", f"--rhs={expr}", "--h", "0.1", "--steps", "3",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error: --rhs") and err.count("\n") == 1
+        assert reason in err
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["y % 2", "floor(y)", "sin", "t(1)", "sin(y=1)", "y if t else 1", "y < 1", "[y]",
+         "True * y", "1j", "'1'", "x", "__import__('os')", "math.sin(y)", "(lambda: y)()"],
+    )
+    def test_rhs_outside_the_grammar(self, capsys, expr):
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", f"--rhs={expr}", "--h", "0.1", "--steps", "3",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_rhs_nested_past_the_compiler(self, capsys):
+        # Python's compiler refuses some depth below the length cap; where
+        # it does, that is a usage error too.
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", "--rhs=" + "-" * 1023 + "y",
+            "--h", "0.1", "--steps", "3",
+        )
+        if code == EXIT_USAGE:
+            assert out == "" and err.endswith("is nested too deeply\n") and err.count("\n") == 1
+        else:
+            assert code == EXIT_OK and err == ""
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["sin(t) - y", "-y", "+y**2.5 / 3", "pi * e - tau", "hypot(t, y, 1)", "atan2(y, 1e400)",
+         "1" * 400 + " * y", "9**9**9", "-" * 400 + "y", "exp(-t) * y"],
+        ids=_short,
+    )
+    def test_rhs_grammar_gives_a_float(self, capsys, expr):
+        code, _, err = run(
+            capsys, "integrate", "--alphas", "1", f"--rhs={expr}", "--h", "0.1", "--steps", "3",
+        )
+        assert code == EXIT_OK and "usage error" not in err
+        rhs = cli._problem_from_args(
+            cli.build_parser().parse_args(["integrate", f"--rhs={expr}", "--h", "1", "--steps", "1"])
+        ).rhs
+        assert type(rhs(0.5, 2.0)) is float
+        assert rhs(0.5, np.array([2.0])).shape == (1,)
+
     def test_unknown_preset(self, capsys):
         code, _, _ = run(
             capsys,
@@ -472,6 +557,33 @@ class TestPropagate:
         _, b, _ = run(capsys, *args)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--alphas", "5"), ("--beta", "1"), ("--lambda", "2"), ("--alphas", "5", "--lambda", "2"),
+         ("--alphas", "1", "--beta", "1")],
+        ids=["alphas", "beta", "lambda", "alphas-lambda", "alphas-beta"],
+    )
+    def test_table8_refuses_scheme_flags(self, capsys, flags):
+        code, out, err = run(
+            capsys, "propagate", "--table8", *flags, "--noise", "none",
+            "--depth", "2", "--width", "2", "--trials", "1",
+        )
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "usage error: --table8 takes no --alphas, --beta or --lambda\n"
+        )
+
+    @pytest.mark.parametrize("line", ["alphas=5", "beta=1", "lambda=2"])
+    def test_table8_refuses_scheme_flags_from_config(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(
+            capsys, "propagate", "--table8", "--noise", "none",
+            "--depth", "2", "--width", "2", "--trials", "1", "--config", str(cfg),
+        )
+        assert (code, out, err) == (
+            EXIT_USAGE, "", "usage error: --table8 takes no --alphas, --beta or --lambda\n"
+        )
+
     def test_noise_required(self, capsys):
         code, _, _ = run(capsys, "propagate", "--lambda", "-1.8")
         assert code == EXIT_USAGE
@@ -485,6 +597,15 @@ class TestPropagate:
             capsys, "propagate", "--lambda", "-1.8", "--noise", "salt:1"
         )
         assert code == EXIT_USAGE
+        # A field too many, or one that is not a number, is not dropped.
+        for spec in ("gaussian:0.1:7", "uniform:0:1:2", "constant:1:x", "none:junk"):
+            code, out, err = run(
+                capsys, "propagate", "--lambda", "-1.8", f"--noise={spec}",
+                "--depth", "2", "--width", "2", "--trials", "1",
+            )
+            assert (code, out, err) == (
+                EXIT_USAGE, "", f"usage error: malformed noise spec {spec!r}\n"
+            )
 
     @pytest.mark.parametrize(
         "spec",
@@ -552,16 +673,19 @@ class TestPropagate:
     def test_sweep_over_budget(self, capsys, monkeypatch, size):
         monkeypatch.setattr(propagation, "_draw_weights", None)  # nothing may be drawn
         monkeypatch.setattr(propagation, "inject_noise", None)
+        scheme = () if "--table8" in size else ("--lambda", "-1.8")
         code, out, err, peak = run_traced(
-            capsys, "propagate", "--lambda", "-1.8", "--noise", "none", *size,
+            capsys, "propagate", *scheme, "--noise", "none", *size,
         )
         assert_cheap_rejection(code, out, err, peak)
+        if "--table8" in size:
+            assert "units of work" in err
 
     def test_work_budget_is_reached_within_the_argument_cap(self, capsys):
         # The "work" case above needs ~670 tokens; the argument cap must let
         # it through to the sweep's own budget.
         argv = (
-            "propagate", "--lambda", "-1.8", "--table8", "--depth", "8192",
+            "propagate", "--table8", "--depth", "8192",
             "--trials", "1", "--width", "64",
             *["--noise", "none"] * (MAX_SWEEP_WORK // (8192 * 10 * (64 * 64 + 2**10))),
         )

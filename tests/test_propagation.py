@@ -260,6 +260,39 @@ class TestInjectNoise:
         twice = inject_noise(once, NoiseSpec(kind="none", clip=True), seed=3)
         assert np.array_equal(once, twice)
 
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("none", NoiseSpec(kind="none")),
+            ("gaussian:0.25", NoiseSpec.gaussian(0.25)),
+            ("constant:-1e-3", NoiseSpec.constant(-1e-3)),
+            ("uniform:-0.5:2", NoiseSpec.uniform(-0.5, 2.0)),
+        ],
+        ids=["none", "gaussian", "constant", "uniform"],
+    )
+    def test_parse_round_trips_each_kind(self, text, spec, clip):
+        parsed = NoiseSpec.parse(text, clip)
+        assert parsed == NoiseSpec(spec.kind, spec.lo, spec.hi, spec.sigma, spec.mu, clip)
+        assert NoiseSpec.parse(text) == spec  # clip defaults to False
+        # The text its parameters print back to parses to the same spec.
+        fields = [repr(getattr(parsed, name)) for name in propagation.NOISE_KINDS[parsed.kind]]
+        assert NoiseSpec.parse(":".join([parsed.kind, *fields]), clip) == parsed
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("salt:1", "unknown noise kind 'salt'"), ("", "unknown noise kind ''"),
+         ("gaussian", "malformed"), ("gaussian:0.1:7", "malformed"),
+         ("uniform:0:1:2", "malformed"), ("uniform:0", "malformed"),
+         ("constant:1:x", "malformed"), ("constant:x", "malformed"),
+         ("none:junk", "malformed"), ("none:", "malformed"),
+         ("gaussian:-1", "needs sigma >= 0"), ("uniform:1:0", "needs lo <= hi"),
+         ("constant:inf", "must be finite")],
+    )
+    def test_parse_refuses_with_a_reason(self, text, reason):
+        with pytest.raises(ValueError, match=reason):
+            NoiseSpec.parse(text)
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             NoiseSpec.uniform(0.5, -0.5)

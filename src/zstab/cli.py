@@ -12,7 +12,7 @@ A flat key=value config file (--config) supplies defaults; flags override
 it.  Each line is parsed as its flag would be.  The command line and the
 config's flag lines together hold at most ``MAX_ARGS`` tokens, the
 config file at most ``MAX_CONFIG_BYTES`` bytes, and an --rhs expression at
-most ``MAX_RHS_CHARS`` characters.  The
+most ``MAX_RHS_CHARS`` characters nested at most ``MAX_RHS_DEPTH`` levels.  The
 ZSTAB_OUT_DIR environment variable sets the directory that relative --out
 paths are resolved against.
 """
@@ -52,6 +52,10 @@ MAX_ARGS = 2**10
 MAX_CONFIG_BYTES = 2**20
 # Most characters an --rhs expression may hold; it is refused unparsed.
 MAX_RHS_CHARS = 2**10
+# Most levels its syntax tree may have, counted before it is compiled, so
+# that what is refused does not depend on the interpreter's recursion limit:
+# CPython 3.11 compiles ~900 levels of unary minus at top level, not 1000.
+MAX_RHS_DEPTH = 2**9
 
 # What an --rhs expression may name: t, y, three constants, and the math
 # functions that map floats to a float, which it may call.  Its numbers are
@@ -205,25 +209,34 @@ def _compile_rhs(expr: str):
     except SyntaxError as exc:
         raise UsageError(f"malformed --rhs expression {expr!r}") from exc
     except RecursionError as exc:
-        raise UsageError(f"--rhs {expr!r} is nested too deeply") from exc
+        raise UsageError(_too_deep(expr)) from exc
     callees = set()
-    for node in ast.walk(tree):  # a call before the name it calls
-        if isinstance(node, ast.Call):
-            if getattr(node.func, "id", None) not in _RHS_FUNCTIONS:
-                raise UsageError(f"--rhs {expr!r} may not call {_rhs_label(node.func)}")
-            callees.add(node.func)
-        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            try:
-                node.value = float(node.value)
-            except OverflowError:  # an integer past the float range
-                node.value = math.inf
-        elif not (isinstance(node, _RHS_NODES) or node in callees
-                  or isinstance(node, ast.Name) and node.id in _RHS_VALUES):
-            raise UsageError(f"--rhs {expr!r} may not use {_rhs_label(node)}")
-    try:
-        return compile(tree, "--rhs", "eval")
-    except RecursionError as exc:
-        raise UsageError(f"--rhs {expr!r} is nested too deeply") from exc
+    # Level by level, in the order of ast.walk: a call before the name it calls.
+    level = [tree]
+    for _ in range(MAX_RHS_DEPTH):
+        below = []
+        for node in level:
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", None) not in _RHS_FUNCTIONS:
+                    raise UsageError(f"--rhs {expr!r} may not call {_rhs_label(node.func)}")
+                callees.add(node.func)
+            elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+                try:
+                    node.value = float(node.value)
+                except OverflowError:  # an integer past the float range
+                    node.value = math.inf
+            elif not (isinstance(node, _RHS_NODES) or node in callees
+                      or isinstance(node, ast.Name) and node.id in _RHS_VALUES):
+                raise UsageError(f"--rhs {expr!r} may not use {_rhs_label(node)}")
+            below.extend(ast.iter_child_nodes(node))
+        level = below
+    if level:
+        raise UsageError(_too_deep(expr))
+    return compile(tree, "--rhs", "eval")
+
+
+def _too_deep(expr: str) -> str:
+    return f"--rhs {expr!r} is nested more than {MAX_RHS_DEPTH} levels deep"
 
 
 def _rhs_label(node: ast.AST) -> str:
@@ -256,7 +269,7 @@ def _problem_from_args(args) -> ivp.IVPProblem:
 
         y0 = 1.0 if args.y0 is None else args.y0
         return ivp.IVPProblem(rhs, 0.0, args.h * args.steps, (np.array([y0]),))
-    return ivp.PRESETS[args.preset](t_end=args.h * args.steps)
+    return ivp.PRESETS[args.preset or "decay"](t_end=args.h * args.steps)
 
 
 def cmd_integrate(args) -> int:
@@ -271,6 +284,10 @@ def cmd_integrate(args) -> int:
             raise UsageError("--y0 is read only with --rhs")
         if not math.isfinite(args.y0):
             raise UsageError("--y0 must be finite")
+    if args.preset is not None and args.rhs is not None:
+        raise UsageError("--preset and --rhs each name the problem; give one")
+    if args.seed is not None and args.probe is None:
+        raise UsageError("--seed is read only with --probe")
     if args.steps < 1:
         raise UsageError("--steps must be positive")
     if args.steps > ivp.MAX_STEPS:
@@ -293,7 +310,8 @@ def cmd_integrate(args) -> int:
         traj = ivp.integrate(scheme, problem, args.h, args.steps)
     else:
         traj, series = ivp.zero_stability_probe(
-            scheme, problem, args.probe, args.h, args.steps, seed=args.seed
+            scheme, problem, args.probe, args.h, args.steps,
+            seed=1 if args.seed is None else args.seed,
         )
     _emit(_table_text(traj, args.format), args.out)
     if traj.blew_up_at is not None:
@@ -385,8 +403,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("integrate", help="integrate an initial-value problem")
     _add_scheme_flags(p)
     p.add_argument(
-        "--preset", default="decay", choices=sorted(ivp.PRESETS),
-        help="built-in problem (default decay)",
+        "--preset", choices=sorted(ivp.PRESETS),
+        help="built-in problem (default decay; not with --rhs)",
     )
     p.add_argument("--rhs", help="scalar rhs expression in t and y, e.g. '-y'")
     p.add_argument(
@@ -396,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, required=True, help="number of steps")
     p.add_argument("--probe", type=float, help="probe divergence with this epsilon")
     p.add_argument("--orders", help="comma-separated h list for an order estimate")
-    p.add_argument("--seed", type=int, default=1, help="probe direction seed (default 1)")
+    p.add_argument("--seed", type=int, help="probe direction seed (default 1; only with --probe)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_integrate, format="csv")
 

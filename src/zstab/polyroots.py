@@ -2,12 +2,16 @@
 
 The coefficients are real floats, as those of every characteristic
 polynomial rho^d - sum_i alpha_i rho^(d-1-i) are; a complex one is rejected.
-They are exact dyadic rationals, so the multiplicities are decided exactly
-over Q: Yun's square-free decomposition (Yun, SYMSAC 1976) splits the
-polynomial into factors whose roots are simple, and every root of the i-th
-factor has multiplicity i.  A gcd test modulo a prime proves most
-polynomials square-free first, so the rational arithmetic runs only for
-the ones that are not.  An Aberth-Ehrlich iteration in scalar complex
+They are exact dyadic rationals, so the multiplicities are decided exactly:
+scaled by one power of two the coefficients are integers, and Yun's
+square-free decomposition (Yun, SYMSAC 1976) splits the polynomial over Z
+into factors whose roots are simple; every root of the i-th factor has
+multiplicity i.  Its gcds are taken by primitive pseudo-remainders (Brown,
+JACM 1971) and its quotients by exact integer division, so no rational
+number is formed until each factor is made monic, one correctly rounded
+division per coefficient.  A gcd test modulo a prime proves most
+polynomials square-free first, so the integer gcds run only for the ones
+that are not.  An Aberth-Ehrlich iteration in scalar complex
 arithmetic, started on the radii of the Newton polygon (Bini, Numer.
 Algorithms 1996), finds the simple roots of each factor; at the small
 degrees of multistep schemes a numpy call costs more than the arithmetic
@@ -21,7 +25,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -134,6 +137,14 @@ def _root_sort_key(value: complex) -> tuple[float, float]:
 
 # -- is f square-free? -------------------------------------------------------
 
+def _scaled(coeffs: Sequence[float]) -> list[int]:
+    """The coefficients times the one power of two that makes them all
+    integers: the largest of their denominators."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    shift = max(d for _, d in ratios).bit_length()
+    return [num << (shift - d.bit_length()) for num, d in ratios]
+
+
 def _rem_mod_q(a: list[int], b: list[int]) -> list[int]:
     """a mod b over GF(Q), b[0] != 0; the remainder without leading zeros."""
     a = list(a)
@@ -152,16 +163,17 @@ def _rem_mod_q(a: list[int], b: list[int]) -> list[int]:
 def _squarefree(coeffs: Sequence[float]) -> bool:
     """True if gcd(f, f') = 1 modulo Q, which proves f square-free.
 
-    Scaled by one power of two, the coefficients are integers.  The leading
-    one is a power of two times an odd part below 2^53 < Q, so it is nonzero
-    in GF(Q), and so is n times it, the derivative's.  A repeated factor g
-    of f over Q can be taken primitive over Z (Gauss's lemma); its leading
-    coefficient divides f's, so g keeps its degree modulo Q and divides
-    gcd(f, f') there too.  False means only "not proven".
+    It runs on the integers of ``_scaled`` reduced modulo Q, where no
+    coefficient grows, so on square-free input it is cheaper than the
+    integer gcd of ``_yun``, which runs only where this test fails.  The
+    leading coefficient is a power of two times an odd part below
+    2^53 < Q, so it is nonzero in GF(Q), and so is n times it, the
+    derivative's.  A repeated factor g of f over Q can be taken primitive
+    over Z (Gauss's lemma); its leading coefficient divides f's, so g keeps
+    its degree modulo Q and divides gcd(f, f') there too.  False means
+    only "not proven".
     """
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    shift = max(d for _, d in ratios).bit_length()
-    f = [(num << (shift - d.bit_length())) % _Q for num, d in ratios]
+    f = [c % _Q for c in _scaled(coeffs)]
     n = len(f) - 1
     a, b = f, [c * (n - i) % _Q for i, c in enumerate(f[:-1])]
     while b:
@@ -169,60 +181,95 @@ def _squarefree(coeffs: Sequence[float]) -> bool:
     return len(a) == 1
 
 
-# -- Yun's square-free decomposition in rational arithmetic ------------------
+# -- Yun's square-free decomposition over the integers -----------------------
 
-def _trim(a: list[Fraction]) -> list[Fraction]:
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients, with the sign that makes the
+    leading one positive; a nonzero."""
+    g = math.gcd(*a) if a[0] > 0 else -math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _trim(a: list[int]) -> list[int]:
+    """a without leading zeros; [] is the zero polynomial."""
     i = 0
-    while i < len(a) - 1 and not a[i]:
+    while i < len(a) and not a[i]:
         i += 1
     return a[i:]
 
 
-def _deriv(a: list[Fraction]) -> list[Fraction]:
+def _deriv(a: list[int]) -> list[int]:
     n = len(a) - 1
-    return [c * (n - i) for i, c in enumerate(a[:-1])] or [Fraction(0)]
+    return [c * (n - i) for i, c in enumerate(a[:-1])]
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return _trim([x - y for x, y in zip([0] * (n - len(a)) + a, [0] * (n - len(b)) + b)])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder of a by b, lc(b)^(deg a - deg b + 1) a mod b,
+    without leading zeros; len(a) >= len(b) >= 2."""
     a = list(a)
-    steps = len(a) - len(b) + 1
+    lead = b[0]
+    for k in range(len(a) - len(b) + 1):
+        f = a[k]
+        for i in range(k + 1, len(a)):
+            a[i] *= lead
+        for i in range(1, len(b)):
+            a[k + i] -= f * b[i]
+    return _trim(a[len(a) - len(b) + 1:])
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of a and b, a nonzero, by primitive remainders
+    (Brown, JACM 1971): each pseudo-remainder is divided by its content, a
+    rational factor that leaves the gcd over Q as it is and keeps the
+    coefficients from growing from step to step."""
+    a = _primitive(a)
+    if not b:
+        return a
+    b = _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over Q.  By Gauss's lemma the
+    quotient has integer coefficients, so every division is exact."""
+    a = list(a)
+    lead = b[0]
     q = []
-    for k in range(steps):
-        f = a[k] / b[0]
+    for k in range(len(a) - len(b) + 1):
+        f = a[k] // lead
         q.append(f)
         for i in range(1, len(b)):
-            a[k + i] = a[k + i] - f * b[i]
-    return q or [Fraction(0)], _trim(a[max(steps, 0):])
+            a[k + i] -= f * b[i]
+    return q
 
 
-def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while any(b):
-        a, b = b, _divmod(a, b)[1]
-    return [c / a[0] for c in a]
-
-
-def _sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = [Fraction(0)] * (n - len(a)) + a
-    b = [Fraction(0)] * (n - len(b)) + b
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _yun(f: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """The factors a_i of f = lc(f) * prod_i a_i^i, monic, coprime and
-    square-free, as (a_i, i) for every a_i that is not 1."""
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """The factors a_i of f = c * prod_i a_i^i, primitive, coprime and
+    square-free, as (a_i, i) for every a_i that is not constant."""
     df = _deriv(f)
-    a = _monic_gcd(f, df)
-    b = _divmod(f, a)[0]
-    d = _sub(_divmod(df, a)[0], _deriv(b))
+    a = _gcd(f, df)
+    b = _quo(f, a)
+    d = _sub(_quo(df, a), _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
-        a = _monic_gcd(b, d)
+        a = _gcd(b, d)
         if len(a) > 1:
             out.append((a, i))
-        b = _divmod(b, a)[0]
-        d = _sub(_divmod(d, a)[0], _deriv(b))
+        b = _quo(b, a)
+        d = _sub(_quo(d, a), _deriv(b))
         i += 1
     return out
 
@@ -232,7 +279,8 @@ def _squarefree_factors(coeffs: list[float]) -> list[tuple[list[float], int]]:
     factor has simple roots."""
     if len(coeffs) < 3 or _squarefree(coeffs):
         return [(coeffs, 1)]
-    return [([float(c) for c in a], i) for a, i in _yun([Fraction(c) for c in coeffs])]
+    # int / int is correctly rounded: each float is that of the monic factor.
+    return [([c / a[0] for c in a], i) for a, i in _yun(_scaled(coeffs))]
 
 
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------

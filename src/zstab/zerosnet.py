@@ -74,12 +74,24 @@ def _rho(lam):
     discriminant gives two real roots with imaginary part +0.0; a negative
     one gives the conjugates (3-L)/(8L) +/- i sqrt(-disc)/(8L), and ``im``
     is rho1's imaginary part.
+
+    Past |L| ~ 3.5e153 the discriminant overflows, and past ~2.2e307 so
+    does 8L.  There, and only there, every term is divided by L: the roots
+    are (3/L - 1 +/- sign(L) sqrt((9/L + 5)(1/L - 3))) / 8, which tend to
+    the pair of modulus 1/2.
     """
     with np.errstate(all="ignore"):
         disc = (9.0 + 5.0 * lam) * (1.0 - 3.0 * lam)
-        real = disc >= 0.0
         sq = np.sqrt(np.abs(disc))
         num, den = 3.0 - lam, 8.0 * lam
+        big = np.isinf(disc)
+        if big.any():
+            inv = 1.0 / lam
+            disc = np.where(big, (9.0 * inv + 5.0) * (inv - 3.0), disc)
+            sq = np.where(big, np.copysign(np.sqrt(np.abs(disc)), lam), sq)
+            num = np.where(big, 3.0 * inv - 1.0, num)
+            den = np.where(big, 8.0, den)
+        real = disc >= 0.0
         re1 = np.where(real, (num + sq) / den, num / den)
         re2 = np.where(real, (num - sq) / den, num / den)
         im = np.where(real, 0.0, sq / den)

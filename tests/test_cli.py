@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,25 @@ class TestAnalyze:
         assert pairs["zero_stable"] == "false"
         moduli = [round(float(v), 2) for v in pairs["moduli"].split(";")]
         assert moduli == [1.84, 0.74, 0.74]
+
+    def test_degree_161_double_factor_is_quick(self, capsys):
+        # (g^2)(r - 1), g of degree 80 with coefficients k/8: every
+        # coefficient is exact, so the square-free split runs in full.  It
+        # took ~30 s in rational arithmetic; over the integers, ~0.1 s.
+        rng = random.Random(0)
+        g = [Fraction(1)] + [Fraction(rng.randint(-8, 8), 8) for _ in range(80)]
+        poly = [Fraction(0)] * 162
+        for i, x in enumerate(g):
+            for j, y in enumerate(g):
+                poly[i + j] += x * y
+                poly[i + j + 1] -= x * y
+        alphas = ",".join(repr(float(-c)) for c in poly[1:])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", f"--alphas={alphas}", "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (EXIT_OK, "")
+        record = json.loads(out)
+        assert len(record["moduli"]) == 161 and record["zero_stable"] is False
 
     def test_euler(self, capsys):
         code, out, _ = run(capsys, "analyze", "--alphas", "1", "--beta", "1")
@@ -185,6 +206,19 @@ class TestLambdaScan:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert rows and all(r[6] == "false" for r in rows)
         assert "no zero-stable" in err
+
+    @pytest.mark.parametrize(
+        "bounds", [("--min=1e307", "--max=3e307"), ("--min=-3e307", "--max=-1e307")],
+        ids=["positive", "negative"],
+    )
+    def test_huge_lambdas_keep_the_limit(self, capsys, bounds):
+        # The closed form overflowed here: inf (and true) on the positive
+        # side, nan on the negative one.  The limit is 1/2.
+        code, out, err = run(capsys, "lambda-scan", *bounds, "--step=1e306")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 21 and all(r[5] == "0.5" and r[6] == "true" for r in rows)
+        assert err.endswith(" max_modulus=0.5\n")
 
     def test_invalid_range(self, capsys):
         code, _, _ = run(
@@ -397,16 +431,23 @@ class TestIntegrate:
         assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_rhs_nested_past_the_compiler(self, capsys):
-        # Python's compiler refuses some depth below the length cap; where
-        # it does, that is a usage error too.
+        # CPython 3.11's compiler refuses ~1000 levels, below the length
+        # cap; the depth bound refuses them first, on every interpreter.
         code, out, err = run(
             capsys, "integrate", "--alphas", "1", "--rhs=" + "-" * 1023 + "y",
             "--h", "0.1", "--steps", "3",
         )
-        if code == EXIT_USAGE:
-            assert out == "" and err.endswith("is nested too deeply\n") and err.count("\n") == 1
-        else:
-            assert code == EXIT_OK and err == ""
+        assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
+        assert err.endswith(f"is nested more than {cli.MAX_RHS_DEPTH} levels deep\n")
+
+    def test_rhs_depth_bound_is_exact(self, capsys):
+        # "-" * k + "y" has k + 3 levels: Expression, k UnaryOps, Name, Load.
+        at = cli.MAX_RHS_DEPTH - 3
+        argv = ("integrate", "--alphas", "1", "--h", "0.1", "--steps", "3")
+        code, _, err = run(capsys, *argv, "--rhs=" + "-" * at + "y")
+        assert code == EXIT_OK and err == ""
+        code, out, err = run(capsys, *argv, "--rhs=" + "-" * (at + 1) + "y")
+        assert code == EXIT_USAGE and out == "" and "nested more than" in err
 
     @pytest.mark.parametrize(
         "expr",
@@ -516,6 +557,31 @@ class TestIntegrate:
             "--config", str(cfg),
         )
         assert (code, out, err) == (EXIT_USAGE, "", "usage error: --y0 is read only with --rhs\n")
+
+    @pytest.mark.parametrize("given", [("--preset", "oscillator"), ("--config", "preset=decay")])
+    def test_preset_with_rhs_is_refused(self, capsys, tmp_path, given):
+        # Both name the problem; the preset was silently dropped.
+        if given[0] == "--config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(given[1] + "\n")
+            given = ("--config", str(cfg))
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", *given, "--rhs", "y", "--h", "0.1", "--steps", "2",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --preset and --rhs each name the problem; give one\n"
+
+    @pytest.mark.parametrize("given", [("--seed", "5"), ("--config", "seed=5")])
+    def test_seed_without_probe_is_refused(self, capsys, tmp_path, given):
+        # Only the probe reads the seed; the run without one ignored it.
+        if given[0] == "--config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(given[1] + "\n")
+            given = ("--config", str(cfg))
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", *given, "--h", "0.1", "--steps", "2",
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --seed is read only with --probe\n")
 
     def test_orders_with_an_infinite_step_count(self, capsys):
         code, out, err, peak = run_traced(

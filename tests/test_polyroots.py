@@ -373,6 +373,81 @@ class TestSquarefreeTest:
             assert all(m == 1 for _, m in exact_roots(coeffs))
 
 
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def squared_products(draw):
+    """Coefficients of c g^2 h: g monic of degree 1 to 40 with coefficients
+    k/8, |k| <= 8, h one of the multiset factors or 1, c a power of two or
+    -3; every coefficient exact in binary, degree up to 82."""
+    g = [Fraction(1)] + [Fraction(k, 8) for k in draw(st.lists(st.integers(-8, 8), min_size=1,
+                                                             max_size=40))]
+    h = draw(st.one_of(st.just((Fraction(1),)), _FACTORS))
+    c = draw(st.sampled_from([Fraction(1), Fraction(-3), Fraction(2) ** -60, Fraction(2) ** 40]))
+    poly = [c * x for x in _times(_times(g, g), list(h))]
+    assert all(Fraction(float(x)) == x for x in poly)
+    return [float(x) for x in poly]
+
+
+def assert_yun_matches_sympy(coeffs):
+    """Yun's factors of the exact coefficients are sympy's monic square-free
+    factors, as exact rationals and, where the factors reach the root
+    finder, as the floats it is given."""
+    x = sympy.Symbol("x")
+    exact = [sympy.Rational(*c.as_integer_ratio()) for c in coeffs]
+    _, factors = sympy.sqf_list(sympy.Poly(exact, x))
+    want = {m: [Fraction(int(r.p), int(r.q)) for r in f.monic().all_coeffs()]
+            for f, m in factors if f.degree() > 0}
+    got = polyroots._yun(polyroots._scaled(coeffs))
+    assert len(got) == len(want)
+    assert {m: [Fraction(c, a[0]) for c in a] for a, m in got} == want
+    if not polyroots._squarefree(coeffs):
+        floats = {m: list(map(repr, f)) for f, m in polyroots._squarefree_factors(coeffs)}
+        assert floats == {m: [repr(float(c)) for c in w] for m, w in want.items()}
+
+
+class TestYunOverIntegers:
+    """The square-free factors come from integer arithmetic and primitive
+    remainders; they must be sympy's, bit for bit once made floats."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(multiset_alphas())
+    @example((3.0, -3.0, 1.0))
+    @example((0.0, -2.0, 0.0, -1.0))
+    @example((-3.0, -4.25, -3.0, -1.0))
+    def test_multisets(self, alphas):
+        assert_yun_matches_sympy([1.0] + [-a for a in alphas])
+
+    @settings(max_examples=40, deadline=None)
+    @given(squared_products())
+    def test_squared_products(self, coeffs):
+        assert_yun_matches_sympy(coeffs)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1.0, -1.0, 0.0, 0.0], [-2.0, 4.0, -2.0], [2.0 ** -1074, -(2.0 ** -1073), 2.0 ** -1074],
+         [3.0, 0.0, 0.0, 0.0]],
+        ids=["zero-root", "negative-lead", "subnormal", "monomial"],
+    )
+    def test_edges(self, coeffs):
+        assert_yun_matches_sympy(coeffs)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_zero_coefficient_is_positive_zero(self, sign):
+        # +/-(r - 1)^2 (r^2 - 2): the simple factor's zero coefficient is
+        # +0.0, as the float of the monic rational factor is, whatever the
+        # sign of the integer gcd that the factor is divided out of.
+        p = [sign * float(c) for c in _times(_times([1, -1], [1, -1]), [1, 0, -2])]
+        assert polyroots._squarefree_factors(p) == [([1.0, 0.0, -2.0], 1), ([1.0, -1.0], 2)]
+        assert repr(polyroots._squarefree_factors(p)[0][0][1]) == "0.0"
+
+
 # Each factor Aberth sees has simple roots, so a fifth of the iteration
 # budget is enough where the clustering code crawled linearly to the end
 # of all 200 iterations.

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,13 +51,19 @@ def _reference_coeffs(lam):
 
 def _reference_roots(lam):
     disc = (9.0 + 5.0 * lam) * (1.0 - 3.0 * lam)
+    num, den, sign = 3.0 - lam, 8.0 * lam, 1.0
+    if math.isinf(disc):
+        # Where the discriminant overflows, every term is divided by lam.
+        inv = 1.0 / lam
+        disc = (9.0 * inv + 5.0) * (inv - 3.0)
+        num, den, sign = 3.0 * inv - 1.0, 8.0, math.copysign(1.0, lam)
     if disc >= 0.0:
-        sq = math.sqrt(disc)
-        rho1 = complex((3.0 - lam + sq) / (8.0 * lam))
-        rho2 = complex((3.0 - lam - sq) / (8.0 * lam))
+        sq = sign * math.sqrt(disc)
+        rho1 = complex((num + sq) / den)
+        rho2 = complex((num - sq) / den)
     else:
-        re = (3.0 - lam) / (8.0 * lam)
-        im = math.sqrt(-disc) / (8.0 * lam)
+        re = num / den
+        im = sign * math.sqrt(-disc) / den
         rho1 = complex(re, im)
         rho2 = rho1.conjugate()
     return (1.0 + 0.0j, rho1, rho2)
@@ -309,6 +316,19 @@ class TestMaxNonprincipalModulus:
     def test_large_lambda_limit(self):
         # |rho|^2 = 1/4 + 1/(4 lambda) -> 1/4, so the modulus tends to 1/2
         assert abs(max_nonprincipal_modulus(1e9) - 0.5) < 1e-9
+
+    @pytest.mark.parametrize(
+        "lam", [3.4e153, 3.5e153, 1e200, 2.2e307, 3e307, sys.float_info.max],
+    )
+    def test_huge_lambda_keeps_the_limit(self, lam):
+        # Past |lambda| ~ 3.5e153 the discriminant overflows, past ~2.2e307
+        # so does 8 lambda; the modulus stays at its limit 1/2 on both sides
+        # of each seam, with the conjugate pair at -1/8 +/- i sqrt(15)/8.
+        for x in (lam, -lam):
+            _, r1, r2 = closed_form_roots(x)
+            assert r1 == r2.conjugate() and abs(r1.real + 0.125) < 1e-15
+            assert abs(abs(r1.imag) - math.sqrt(15.0) / 8.0) < 1e-15
+            assert abs(max_nonprincipal_modulus(x) - 0.5) < 1e-15
 
     def test_strict_minimum_at_optimum(self):
         best = max_nonprincipal_modulus(OPTIMAL_LAMBDA)

@@ -30,7 +30,7 @@ for i, row in enumerate(REFERENCE_ROWS[:5]):
 
 # Sweep all ten reference schemes against gaussian input noise.
 schemes = [row.scheme() for row in REFERENCE_ROWS]
-specs = [NoiseSpec.gaussian(sigma) for sigma in (0.01, 0.02, 0.04)]
+specs = [NoiseSpec("gaussian", (sigma,)) for sigma in (0.01, 0.02, 0.04)]
 report = robustness_sweep(schemes, specs, depth=56, width=64, trials=3, seed=1)
 
 print("\nfinal clean-vs-noisy gaps, depth 56, width 64, 3 trials")

@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 not zero-stable under
 --strict, 64 usage error.  Input that the CLI or the library rejects (the
 library raises ValueError) and an --out path that cannot be written are
 usage errors, and so is a scheme whose roots the solver cannot find
-(RootFindingError).  Every report goes through the writers in ``zstab._table``,
-so numbers carry 10 significant digits in CSV, JSON and text alike.
+(RootFindingError).  Every report but table-verify's goes through the writers
+in ``zstab._table``, so numbers carry 10 significant digits in CSV, JSON and
+text alike; table-verify prints its moduli with two decimals (``:.2f``) and
+its verdicts as Python's ``True``/``False``.
 
 A flat key=value config file (--config) supplies defaults; flags override
 it.  Each line is parsed as its flag would be.  The command line and the
@@ -100,6 +102,16 @@ class _Parser(argparse.ArgumentParser):
             for name in (*action.option_strings, action.dest):
                 self.flags[name.removeprefix("--")] = action
         return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse before Python 3.13 drops the value of "--flag=--" and
+        # stores an empty list, which no type or choice check sees.
+        for dest, value in vars(namespace).items():
+            if isinstance(value, list) and (not value or [] in value) and dest in self.flags:
+                flag = self.flags[dest].option_strings[0]
+                self.error(f"argument {flag}: expected one argument")
+        return namespace, extras
 
     def error(self, message):
         raise UsageError(message)

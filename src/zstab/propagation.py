@@ -122,29 +122,31 @@ NOISE_KINDS = {
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Input perturbation: uniform(lo, hi), gaussian(sigma), or constant(mu).
+    """Input perturbation: uniform(lo, hi), gaussian(sigma), constant(mu) or
+    none, with ``params`` the numbers its kind names in ``NOISE_KINDS``.
 
     With ``clip`` set, features are clamped to [0, 1] after injection,
     mirroring pixel-range clipping of dirty inputs.
     """
 
     kind: str
-    lo: float = 0.0
-    hi: float = 0.0
-    sigma: float = 0.0
-    mu: float = 0.0
+    params: tuple[float, ...] = ()
     clip: bool = False
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        # hi - lo too: the uniform draw overflows on a range past the float max.
-        params = (self.lo, self.hi, self.hi - self.lo, self.sigma, self.mu)
-        if not all(map(math.isfinite, params)):
+        if len(self.params) != len(NOISE_KINDS[self.kind]):
+            raise ValueError(
+                f"{self.kind} noise takes {len(NOISE_KINDS[self.kind])} parameters, "
+                f"got {len(self.params)}"
+            )
+        # The width too: the uniform draw overflows on a range past the float max.
+        if not all(map(math.isfinite, (*self.params, self.parameter()))):
             raise ValueError("noise parameters and the uniform range must be finite")
-        if self.kind == "uniform" and self.lo > self.hi:
+        if self.kind == "uniform" and self.params[0] > self.params[1]:
             raise ValueError("uniform noise needs lo <= hi")
-        if self.kind == "gaussian" and self.sigma < 0:
+        if self.kind == "gaussian" and self.params[0] < 0:
             raise ValueError("gaussian noise needs sigma >= 0")
 
     @staticmethod
@@ -155,35 +157,19 @@ class NoiseSpec:
         if kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
         try:
-            params = dict(zip(NOISE_KINDS[kind], map(float, fields), strict=True))
-        except ValueError as exc:  # a field too many or too few, or not a number
+            params = tuple(map(float, fields))
+        except ValueError as exc:  # a field that is not a number
             raise ValueError(f"malformed noise spec {text!r}") from exc
-        return NoiseSpec(kind, **params, clip=clip)
-
-    @staticmethod
-    def uniform(lo: float, hi: float, clip: bool = False) -> "NoiseSpec":
-        return NoiseSpec(kind="uniform", lo=lo, hi=hi, clip=clip)
-
-    @staticmethod
-    def gaussian(sigma: float, clip: bool = False) -> "NoiseSpec":
-        return NoiseSpec(kind="gaussian", sigma=sigma, clip=clip)
-
-    @staticmethod
-    def constant(mu: float, clip: bool = False) -> "NoiseSpec":
-        return NoiseSpec(kind="constant", mu=mu, clip=clip)
-
-    @staticmethod
-    def none() -> "NoiseSpec":
-        return NoiseSpec(kind="none")
+        if len(params) != len(NOISE_KINDS[kind]):
+            raise ValueError(f"malformed noise spec {text!r}")
+        return NoiseSpec(kind, params, clip)
 
     def parameter(self) -> float:
+        """The uniform width, else the one parameter, else 0."""
         if self.kind == "uniform":
-            return self.hi - self.lo
-        if self.kind == "gaussian":
-            return self.sigma
-        if self.kind == "constant":
-            return self.mu
-        return 0.0
+            lo, hi = self.params
+            return hi - lo
+        return self.params[0] if self.params else 0.0
 
 
 def inject_noise(y: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
@@ -199,11 +185,11 @@ def inject_noise(y: np.ndarray, spec: NoiseSpec, seed: int) -> np.ndarray:
     # blows up, not a warning.
     with np.errstate(over="ignore"):
         if spec.kind == "uniform":
-            out = y + rng.uniform(spec.lo, spec.hi, y.shape)
+            out = y + rng.uniform(*spec.params, y.shape)
         elif spec.kind == "gaussian":
-            out = y + spec.sigma * rng.standard_normal(y.shape)
+            out = y + spec.params[0] * rng.standard_normal(y.shape)
         elif spec.kind == "constant":
-            out = y + spec.mu
+            out = y + spec.params[0]
         else:
             out = y.copy()
     if spec.clip:

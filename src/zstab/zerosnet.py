@@ -57,14 +57,27 @@ MAX_SCAN_POINTS = 10**6
 
 
 def _family(lam):
-    """(alpha0, alpha1, alpha2, beta) = (3(1+L)/(4L), -1/L, (1+L)/(4L), (3L-1)/(2L))."""
+    """(alpha0, alpha1, alpha2, beta) = (3(1+L)/(4L), -1/L, (1+L)/(4L), (3L-1)/(2L)).
+
+    Past |L| ~ 4.5e307 4L overflows, and past ~6e307 so do 3L and 3(1+L).
+    There, and only there, every term is divided by L: the coefficients are
+    (3(1/L + 1)/4, -1/L, (1/L + 1)/4, (3 - 1/L)/2), which tend to
+    (3/4, 0, 1/4, 3/2).
+    """
     with np.errstate(all="ignore"):
-        return (
-            3.0 * (1.0 + lam) / (4.0 * lam),
+        four = 4.0 * lam
+        terms = (
+            3.0 * (1.0 + lam) / four,
             -1.0 / lam,
-            (1.0 + lam) / (4.0 * lam),
+            (1.0 + lam) / four,
             (3.0 * lam - 1.0) / (2.0 * lam),
         )
+        big = np.isinf(four)
+        if big.any():
+            inv = 1.0 / lam
+            scaled = (3.0 * (inv + 1.0) / 4.0, -inv, (inv + 1.0) / 4.0, (3.0 - inv) / 2.0)
+            terms = tuple(np.where(big, b, t) for b, t in zip(scaled, terms))
+        return terms
 
 
 def _rho(lam):
@@ -234,9 +247,8 @@ def scan_region(lam_min: float, lam_max: float, step: float) -> RegionScan:
     argmin_lambda = argmin_modulus = None
     candidates = np.flatnonzero(stable)
     if candidates.size:
-        # The first smallest modulus; a NaN first one stays: nothing is below it.
-        first = np.isnan(moduli[candidates[0]])
-        best = candidates[0 if first else np.nanargmin(moduli[candidates])]
+        # The first smallest modulus, so a tie goes to the smaller lambda.
+        best = candidates[np.argmin(moduli[candidates])]
         argmin_lambda, argmin_modulus = float(grid[best]), float(moduli[best])
     excluded = tuple(values[near].tolist())
     return RegionScan(grid, moduli, stable, excluded, argmin_lambda, argmin_modulus)

@@ -167,7 +167,7 @@ def test_criterion_7_robustness_ordering():
     start = time.perf_counter()
     schemes = [row.scheme() for row in REFERENCE_ROWS]
     sigmas = (0.01, 0.02, 0.04)
-    specs = [NoiseSpec.gaussian(s) for s in sigmas]
+    specs = [NoiseSpec("gaussian", (s,)) for s in sigmas]
     sweep = robustness_sweep(
         schemes, specs, depth=56, width=64, trials=3, seed=1
     )

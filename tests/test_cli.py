@@ -105,6 +105,20 @@ class TestAnalyze:
         assert [round(a, 4) for a in alphas] == [0.3333, 0.5556, 0.1111]
         assert round(float(pairs["beta"]), 4) == 1.7778
 
+    @pytest.mark.parametrize("lam", [4.4e307, 4.5e307, 5e307, 6e307, 1e308, sys.float_info.max])
+    def test_huge_lambda_keeps_the_limit(self, capsys, lam):
+        # Past |lambda| ~ 4.5e307 4 lambda overflowed: alpha0 and alpha2 came
+        # out 0 and the scheme inconsistent, and past ~6e307 not finite.
+        for x in (lam, -lam):
+            code, out, err = run(capsys, "analyze", f"--lambda={x!r}")
+            assert (code, err) == (EXIT_OK, "")
+            pairs = kv(out)
+            alphas = pairs["alphas"].split(";")
+            assert (alphas[0], alphas[2], pairs["beta"]) == ("0.75", "0.25", "1.5")
+            assert math.isclose(float(alphas[1]), -1.0 / x, rel_tol=1e-9)
+            assert pairs["moduli"] == "1;0.5;0.5"
+            assert (pairs["zero_stable"], pairs["consistent"]) == ("true", "true")
+
     def test_strict_exit_code(self, capsys):
         code, _, _ = run(capsys, "analyze", "--alphas", "2", "--strict")
         assert code == EXIT_NOT_STABLE
@@ -219,6 +233,31 @@ class TestLambdaScan:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert len(rows) == 21 and all(r[5] == "0.5" and r[6] == "true" for r in rows)
         assert err.endswith(" max_modulus=0.5\n")
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--min=4e307", "--max=6e307", "--step=1e307"),
+         ("--min=-6e307", "--max=-4e307", "--step=1e307"),
+         ("--min=1.797693e308", f"--max={sys.float_info.max!r}", "--step=1e300"),
+         (f"--min={-sys.float_info.max!r}", "--max=-1.797693e308", "--step=1e300")],
+        ids=["positive", "negative", "to-max", "from-min"],
+    )
+    def test_huge_lambdas_keep_the_coefficients(self, capsys, bounds):
+        # 4 lambda overflowed here: alpha0 and alpha2 were 0, and past ~6e307
+        # the scan was a usage error.  The limits are 3/4, 1/4 and 3/2.
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "lambda-scan", *bounds, f"--format={fmt}")
+            assert code == EXIT_OK
+            assert err.endswith(" max_modulus=0.5\n")
+            rows = (
+                list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else json.loads(out)
+            )
+            assert len(rows) >= 3
+            for row in rows:
+                assert (str(row["alpha0"]), str(row["alpha2"]), str(row["beta"])) == (
+                    "0.75", "0.25", "1.5"
+                )
+                assert str(row["max_modulus"]) == "0.5"
 
     def test_invalid_range(self, capsys):
         code, _, _ = run(
@@ -777,6 +816,43 @@ class TestPropagate:
             assert [float(x) for x in (row[2], *row[5:])] == [
                 obj[k] for k in (header[2], *header[5:])
             ]
+
+
+class TestDoubleDashValue:
+    """argparse before Python 3.13 drops the value of ``--flag=--`` and
+    stores an empty list, which no type or choice check sees; it reached the
+    commands as a list (a traceback, or CSV for ``--format=--``).  From 3.13
+    on the value is the text ``--``, which each flag refuses in its own
+    words."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alphas=--"),
+            ("analyze", "--alphas=1", "--beta=--"),
+            ("analyze", "--alphas=1", "--format=--"),
+            ("integrate", "--alphas=1", "--h=--", "--steps=1"),
+            ("integrate", "--alphas=1", "--h=1", "--steps=--"),
+            ("lambda-scan", "--min=0", "--max=1", "--step=--"),
+            ("propagate", "--alphas=1", "--noise=none", "--noise=--", "--depth=1"),
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        flag = next(token for token in argv if token.endswith("=--")).removesuffix("=--")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        if sys.version_info < (3, 13):
+            assert err == f"usage error: argument {flag}: expected one argument\n"
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_from_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alphas=--\n")
+        code, out, err = run(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        if sys.version_info < (3, 13):
+            assert err == "usage error: argument --alphas: expected one argument\n"
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestArgumentCap:

@@ -1,18 +1,23 @@
-"""Fuzz of the two text grammars the CLI reads: ``--noise kind:value...``
-and the ``--rhs`` expression.  Each example runs one small command through
-``cli.main``; whatever the text, the command succeeds or is a usage error
-of one stderr line, never a traceback, and it finishes quickly."""
+"""Fuzz of the CLI's input: the two text grammars it reads, ``--noise
+kind:value...`` and the ``--rhs`` expression, and whole command lines.  Each
+example runs one small command through ``cli.main``; whatever the input, the
+command ends with one of the documented exit codes, a usage error is one
+stderr line, no traceback is printed, and it finishes quickly."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from zstab import cli
+from zstab import cli, ivp
 
 # Wall time one tiny command may take (depth, width and steps are at most 5).
 TIME_BOUND_S = 1.0
@@ -73,14 +78,17 @@ def _run(argv: list[str]) -> tuple[int, str, str, float]:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help prints and exits 0, as argparse does
+            code = exc.code
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
-def _assert_contract(argv: list[str]) -> tuple[int, str]:
+def _assert_contract(argv: list[str], codes=(cli.EXIT_OK, cli.EXIT_USAGE)) -> tuple[int, str]:
     code, out, err, seconds = _run(argv)
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (argv, code, err)
-    assert "Traceback" not in err
+    assert code in codes, (argv, code, err)
+    assert "Traceback" not in out + err
     if code == cli.EXIT_USAGE:
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1, err
@@ -121,3 +129,160 @@ def test_rhs_text(rhs, steps, probe):
     )
     if refused:
         assert code == cli.EXIT_USAGE, expr
+
+
+# Whole command lines: a subcommand (or junk), each of its flags placed on
+# the command line, in a --config file or nowhere, with a value in range or
+# junk, and stray tokens.  Every size stays far below its budget wherever it
+# is placed: depth, width and trials at most 4, steps at most 5, and a scan
+# of at most ~50 points (a few hundred where junk replaces a bound); the
+# order fit's step sizes keep each of its runs under 500 steps.
+_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "-1", "0", "1,2", "--", "=", " "])
+_SWITCH = st.sampled_from(["true", "false", "yes", "1", "0", "junk"])
+_SCHEME = {
+    "alphas": st.lists(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 10.0, 1e308, -1e-300])),
+        min_size=1, max_size=4,
+    ).map(lambda xs: ",".join(map(repr, xs))),
+    "beta": st.floats(-3.0, 3.0).map(repr),
+    "lambda": st.one_of(
+        st.floats(-12.0, 12.0), st.floats(allow_nan=False, allow_infinity=False)
+    ).map(repr),
+}
+_FORMAT = {"format": st.sampled_from(["text", "csv", "json"])}
+_OUT = {"out": st.sampled_from(["{tmp}/report", "{tmp}/blocker/report"])}
+_SIZE = st.integers(1, 4).map(str)
+_COMMANDS = {
+    "analyze": {**_SCHEME, "strict": None, **_FORMAT, **_OUT},
+    "lambda-scan": {**_FORMAT, **_OUT},  # and the scan's bounds, drawn together
+    "table-verify": _OUT,
+    "integrate": {
+        **_SCHEME,
+        "preset": st.sampled_from(sorted(ivp.PRESETS)),
+        "rhs": st.sampled_from(["-y", "sin(t) - y", "y**2", "exp(y)", "1/0", "x"]),
+        "y0": st.floats(-2.0, 2.0).map(repr),
+        "h": st.floats(0.01, 1.0).map(repr),
+        "steps": st.integers(1, 5).map(str),
+        "probe": st.floats(1e-9, 1.0).map(repr),
+        "orders": st.lists(st.floats(0.01, 1.0), min_size=3, max_size=4, unique=True).map(
+            lambda hs: ",".join(map(repr, hs))
+        ),
+        "seed": st.integers(-2, 2**64).map(str),
+        **_FORMAT, **_OUT,
+    },
+    "propagate": {
+        **_SCHEME,
+        "table8": None,
+        "noise": st.one_of(
+            st.just("none"),
+            st.floats(0.0, 1.0).map(lambda x: f"gaussian:{x!r}"),
+            st.floats(-1.0, 1.0).map(lambda x: f"constant:{x!r}"),
+            st.tuples(st.floats(-1.0, 0.0), st.floats(0.0, 1.0)).map(
+                lambda pair: f"uniform:{pair[0]!r}:{pair[1]!r}"
+            ),
+        ),
+        "clip": None,
+        "depth": _SIZE,
+        "width": _SIZE,
+        "trials": _SIZE,
+        "seed": st.integers(-2, 2**64).map(str),
+        **_FORMAT, **_OUT,
+    },
+}
+# Flags that go together: each example takes one choice per group (a flag in
+# no group is placed anywhere, or nowhere), except that one in eight takes
+# every flag freely.
+_SCHEME_CHOICES = [("alphas",), ("alphas", "beta"), ("lambda",)]
+_GROUPS = {
+    "analyze": [_SCHEME_CHOICES],
+    "integrate": [_SCHEME_CHOICES, [(), ("preset",), ("rhs",), ("rhs", "y0")],
+                  [(), ("probe",), ("probe", "seed")]],
+    "propagate": [_SCHEME_CHOICES + [("table8",)]],
+}
+# Flags placed on the command line or in the config, never left out: the
+# sizes, whose defaults are full-size sweeps, the required ones and --noise.
+# A required flag goes in the config only when the groups are dropped: argparse
+# checks the command line for it before the config is read.
+_REQUIRED = {"h", "steps", "min", "max", "step"}
+_PLACED = {"depth", "width", "trials", "noise", *_REQUIRED}
+_STRAY = st.sampled_from(["--bogus", "extra", "-h", "--help", "--strict", "--table8", "--"])
+
+
+@st.composite
+def _scan_bounds(draw):
+    """(min, max, step) of a scan of at most ~50 points, near zero or far
+    out where the closed forms divide by lambda."""
+    if draw(st.booleans()):
+        lo, step = draw(st.floats(-12.0, 12.0)), draw(st.floats(0.25, 1.0))
+    else:
+        lo = draw(st.floats(1e300, 1.7e308)) * draw(st.sampled_from([1.0, -1.0]))
+        step = abs(lo) / draw(st.integers(10, 50))
+    return {"min": repr(lo), "max": repr(lo + draw(st.integers(0, 50)) * step),
+            "step": repr(step)}
+
+
+def _or_junk(strategy, junk=_JUNK):
+    """A value of ``strategy``, or one time in ten a junk one."""
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 0 else strategy)
+
+
+@st.composite
+def _command_lines(draw):
+    """(subcommand, argv, config lines or None); ``{tmp}`` stands for a
+    scratch directory."""
+    config = [] if draw(st.booleans()) else None
+    command = draw(_or_junk(st.sampled_from(sorted(_COMMANDS)), st.sampled_from(["", "analyse"])))
+    groups = draw(st.sampled_from([_GROUPS.get(command, [])] * 7 + [[]]))
+    grouped = {name for group in groups for choice in group for name in choice}
+    chosen = {name for group in groups for name in draw(st.sampled_from(group))}
+    # Half the examples take no junk value.
+    pick = _or_junk if draw(st.booleans()) else lambda strategy: strategy
+    flags = {name: None if strategy is None else pick(strategy)
+             for name, strategy in _COMMANDS.get(command, {}).items()
+             if name not in grouped or name in chosen}
+    if command == "lambda-scan":
+        flags.update({name: pick(st.just(v)) for name, v in draw(_scan_bounds()).items()})
+    tokens = []
+    for name, strategy in flags.items():
+        places = ["argv"]
+        places += ["config"] if config is not None and (not groups or name not in _REQUIRED) else []
+        places += [] if name in _PLACED or name in chosen else [None]
+        for _ in range(draw(st.integers(1, 3)) if name == "noise" else 1):
+            place = draw(st.sampled_from(places))
+            value = None if strategy is None else draw(strategy)
+            if place == "config":
+                config.append(f"{name}={draw(_SWITCH) if value is None else value}")
+            elif place == "argv":
+                if value is None:
+                    tokens.append([f"--{name}"])
+                elif draw(st.booleans()):
+                    tokens.append([f"--{name}={value}"])
+                else:
+                    tokens.append([f"--{name}", value])
+    if draw(st.sampled_from([False] * 3 + [True])):
+        tokens += [[token] for token in draw(st.lists(_STRAY, min_size=1, max_size=2))]
+        if config is not None:
+            config += draw(st.lists(st.sampled_from(["# note", "", "bogus=1", "novalue"]),
+                                    min_size=1, max_size=2))
+    argv = [command] + [token for group in draw(st.permutations(tokens)) for token in group]
+    return command, argv, config and draw(st.permutations(config))
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_command_lines())
+def test_command_line(line):
+    command, argv, config = line
+    # A relative --out, junk included, lands in the scratch directory.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, ZSTAB_OUT_DIR=tmp):
+        (Path(tmp) / "blocker").write_text("")
+        argv = [token.replace("{tmp}", tmp) for token in argv]
+        if config is not None:
+            path = Path(tmp) / "zstab.cfg"
+            path.write_text("".join(entry.replace("{tmp}", tmp) + "\n" for entry in config))
+            argv.append(f"--config={path}")
+        codes = (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL, cli.EXIT_NOT_STABLE, cli.EXIT_USAGE)
+        code, _ = _assert_contract(argv, codes)
+    event(f"{command or '(none)'} exits {code}")
+    assert code != cli.EXIT_VERIFY_FAIL or command == "table-verify", argv

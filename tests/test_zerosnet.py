@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zstab import zerosnet
 from zstab._table import json_table
 from zstab.schemes import (
     characteristic_polynomial,
@@ -45,6 +46,11 @@ any_nonzero_lambda = st.floats(allow_nan=False, allow_infinity=False).filter(
 
 
 def _reference_coeffs(lam):
+    if math.isinf(4.0 * lam):
+        # Where 4 lam overflows, every term is divided by lam.
+        inv = 1.0 / lam
+        alphas = [3.0 * (inv + 1.0) / 4.0, -1.0 / lam, (inv + 1.0) / 4.0]
+        return make_scheme(alphas, (3.0 - inv) / 2.0)
     alphas = [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)]
     return make_scheme(alphas, (3.0 * lam - 1.0) / (2.0 * lam))
 
@@ -78,7 +84,7 @@ def _reference_scan(lam_min, lam_max, step):
     """(CSV, JSON, excluded, argmin_lambda, argmin_modulus) of the old scan.
 
     CSV and JSON are the ValueError's repr when building a row's scheme
-    fails, as it does once 4*lambda overflows.
+    fails.
     """
     count = int(round((lam_max - lam_min) / step))
     ratio = lam_min / step
@@ -131,13 +137,13 @@ def scan_bounds(draw):
 
     Grids on the step through one of -9/5, -1, 0 and 1/3, bounds off the
     step grid around them, anywhere in [-12, 12], and far out where the
-    moduli and then the coefficients overflow.
+    closed forms divide every term by lambda.
     """
     kind = draw(st.sampled_from(["through", "off-grid", "anywhere", "huge"]))
     below, above = draw(st.integers(0, 300)), draw(st.integers(1, 300))
     if kind == "huge":
-        # The moduli turn inf past ~1e154 and NaN past 2.2e307 (8*lambda
-        # overflows); the coefficients overflow past 4.5e307.
+        # The seams: the discriminant overflows past ~3.5e153, 8*lambda past
+        # ~2.2e307 and 4*lambda past ~4.5e307.
         lam_min = draw(st.floats(1e306, 1e307)) * draw(st.sampled_from([1.0, -1.0]))
         step = draw(st.floats(1e-3, 1.0)) * abs(lam_min) / 20
         return lam_min, lam_min + above * step, step
@@ -330,6 +336,21 @@ class TestMaxNonprincipalModulus:
             assert abs(abs(r1.imag) - math.sqrt(15.0) / 8.0) < 1e-15
             assert abs(max_nonprincipal_modulus(x) - 0.5) < 1e-15
 
+    @given(any_nonzero_lambda)
+    @example(5e-324)
+    @example(-sys.float_info.max)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_on_every_scan_grid_lambda(self, lam):
+        # A scan grid keeps |lambda| > 1e-9; below ~4e-309 the roots exceed
+        # the float max and the modulus is inf, but it is never NaN.
+        modulus = max_nonprincipal_modulus(lam)
+        assert math.isfinite(modulus) if abs(lam) > 1e-9 else not math.isnan(modulus)
+
+    def test_finite_on_a_log_uniform_screen(self):
+        lam = np.append(10.0 ** np.linspace(-9.0, 308.0, 200_001), sys.float_info.max)
+        for x in (lam, -lam):
+            assert np.isfinite(zerosnet._rho(x)[3]).all()
+
     def test_strict_minimum_at_optimum(self):
         best = max_nonprincipal_modulus(OPTIMAL_LAMBDA)
         for lam in (-5.0, -2.0, -1.7, 0.5, 1.0, 4.0):
@@ -404,8 +425,8 @@ class TestScanRegion:
         assert columns[6].dtype == bool
 
     @given(scan_bounds())
-    @example((1.5e307, 3e307, 1e305))  # inf moduli, then NaN ones
-    @example((-3e307, -1.5e307, 1e305))  # NaN moduli, then inf ones
+    @example((1.5e307, 3e307, 1e305))  # across the seam where 8*lambda overflows
+    @example((-3e307, -1.5e307, 1e305))  # the same seam, below zero
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_scan(self, bounds):
         try:

@@ -11,10 +11,11 @@ text alike; table-verify prints its moduli with two decimals (``:.2f``) and
 its verdicts as Python's ``True``/``False``.
 
 A flat key=value config file (--config) supplies defaults; flags override
-it.  Each line is parsed as its flag would be.  The command line and the
-config's flag lines together hold at most ``MAX_ARGS`` tokens, the
-config file at most ``MAX_CONFIG_BYTES`` bytes, and an --rhs expression at
-most ``MAX_RHS_CHARS`` characters nested at most ``MAX_RHS_DEPTH`` levels.  The
+it.  Each line is parsed as its flag would be, and a required flag may be
+given in either.  The command line and the config's flag lines together
+hold at most ``MAX_ARGS`` tokens, the config file at most
+``MAX_CONFIG_BYTES`` bytes, and an --rhs expression at most
+``MAX_RHS_CHARS`` characters nested at most ``MAX_RHS_DEPTH`` levels.  The
 ZSTAB_OUT_DIR environment variable sets the directory that relative --out
 paths are resolved against.
 """
@@ -90,14 +91,22 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError (exit 64) instead of exiting 2, and indexes its
-    flags by long name and by dest for --config."""
+    flags by long name and by dest for --config.
+
+    argparse checks a required flag as it parses, before a --config file
+    could supply it; here ``check_required`` checks it after the last parse,
+    and the usage line shows it in brackets, as the command line may omit it.
+    """
 
     def __init__(self, *args, **kwargs):
         self.flags: dict[str, argparse.Action] = {}
+        self.required_flags: list[argparse.Action] = []
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, required=False, **kwargs):
         action = super().add_argument(*args, **kwargs)
+        if required:
+            self.required_flags.append(action)
         if action.dest != argparse.SUPPRESS:  # not --help
             for name in (*action.option_strings, action.dest):
                 self.flags[name.removeprefix("--")] = action
@@ -112,6 +121,13 @@ class _Parser(argparse.ArgumentParser):
                 flag = self.flags[dest].option_strings[0]
                 self.error(f"argument {flag}: expected one argument")
         return namespace, extras
+
+    def check_required(self, namespace) -> None:
+        missing = [
+            a.option_strings[0] for a in self.required_flags if getattr(namespace, a.dest) is None
+        ]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
 
     def error(self, message):
         raise UsageError(message)
@@ -402,9 +418,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze, format="text")
 
     p = sub.add_parser("lambda-scan", help="scan the family's stability region")
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--min", type=float, required=True, help="lowest lambda (required)")
+    p.add_argument("--max", type=float, required=True, help="highest lambda (required)")
+    p.add_argument("--step", type=float, required=True, help="grid spacing (required)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_lambda_scan, format="csv")
 
@@ -422,8 +438,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--y0", type=float, help="initial value for --rhs (default 1; only with --rhs)",
     )
-    p.add_argument("--h", type=float, required=True, help="step size")
-    p.add_argument("--steps", type=int, required=True, help="number of steps")
+    p.add_argument("--h", type=float, required=True, help="step size (required)")
+    p.add_argument("--steps", type=int, required=True, help="number of steps (required)")
     p.add_argument("--probe", type=float, help="probe divergence with this epsilon")
     p.add_argument("--orders", help="comma-separated h list for an order estimate")
     p.add_argument("--seed", type=int, help="probe direction seed (default 1; only with --probe)")
@@ -517,6 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args, parser.commands[args.command].flags, MAX_ARGS - len(argv)
             )
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        parser.commands[args.command].check_required(args)
         return args.func(args)
     except (UsageError, ValueError, RootFindingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

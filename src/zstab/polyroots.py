@@ -9,13 +9,14 @@ into factors whose roots are simple; every root of the i-th factor has
 multiplicity i.  Its gcds are taken by primitive pseudo-remainders (Brown,
 JACM 1971) and its quotients by exact integer division, so no rational
 number is formed until each factor is made monic, one correctly rounded
-division per coefficient.  A gcd test modulo a prime proves most
-polynomials square-free first, so the integer gcds run only for the ones
-that are not.  An Aberth-Ehrlich iteration in scalar complex
-arithmetic, started on the radii of the Newton polygon (Bini, Numer.
-Algorithms 1996), finds the simple roots of each factor; at the small
-degrees of multistep schemes a numpy call costs more than the arithmetic
-it does.  The tolerances are the module constants below, read at each call.
+division per coefficient.  Yun's first gcd, of f and f', is also the
+square-free test: where it is constant, f is its own single factor and
+goes to the root finder as given.  An Aberth-Ehrlich iteration in scalar
+complex arithmetic, started on the radii of the Newton polygon (Bini,
+Numer. Algorithms 1996), finds the simple roots of each factor; at the
+small degrees of multistep schemes a numpy call costs more than the
+arithmetic it does.  The tolerances are the module constants below, read
+at each call.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ RESIDUAL_TOL = 1e-10
 # Aberth iteration budget per square-free factor.
 MAX_ITERATIONS = 200
 
-# A 61-bit prime, above the 2^53 bound on the odd part of a float.
-_Q = 2305843009213693921
 _EPS = sys.float_info.epsilon
 # Offset of the starting angles from the real axis (Bini's sigma).
 _START_ANGLE = 0.7
@@ -135,7 +134,7 @@ def _root_sort_key(value: complex) -> tuple[float, float]:
     return (-abs(value), cmath.phase(value))
 
 
-# -- is f square-free? -------------------------------------------------------
+# -- Yun's square-free decomposition over the integers -----------------------
 
 def _scaled(coeffs: Sequence[float]) -> list[int]:
     """The coefficients times the one power of two that makes them all
@@ -144,44 +143,6 @@ def _scaled(coeffs: Sequence[float]) -> list[int]:
     shift = max(d for _, d in ratios).bit_length()
     return [num << (shift - d.bit_length()) for num, d in ratios]
 
-
-def _rem_mod_q(a: list[int], b: list[int]) -> list[int]:
-    """a mod b over GF(Q), b[0] != 0; the remainder without leading zeros."""
-    a = list(a)
-    inv = pow(b[0], -1, _Q)
-    for k in range(len(a) - len(b) + 1):
-        f = a[k] * inv % _Q
-        if f:
-            for i in range(1, len(b)):
-                a[k + i] = (a[k + i] - f * b[i]) % _Q
-    r = a[len(a) - len(b) + 1:]
-    while r and not r[0]:
-        r.pop(0)
-    return r
-
-
-def _squarefree(coeffs: Sequence[float]) -> bool:
-    """True if gcd(f, f') = 1 modulo Q, which proves f square-free.
-
-    It runs on the integers of ``_scaled`` reduced modulo Q, where no
-    coefficient grows, so on square-free input it is cheaper than the
-    integer gcd of ``_yun``, which runs only where this test fails.  The
-    leading coefficient is a power of two times an odd part below
-    2^53 < Q, so it is nonzero in GF(Q), and so is n times it, the
-    derivative's.  A repeated factor g of f over Q can be taken primitive
-    over Z (Gauss's lemma); its leading coefficient divides f's, so g keeps
-    its degree modulo Q and divides gcd(f, f') there too.  False means
-    only "not proven".
-    """
-    f = [c % _Q for c in _scaled(coeffs)]
-    n = len(f) - 1
-    a, b = f, [c * (n - i) % _Q for i, c in enumerate(f[:-1])]
-    while b:
-        a, b = b, _rem_mod_q(a, b)
-    return len(a) == 1
-
-
-# -- Yun's square-free decomposition over the integers -----------------------
 
 def _primitive(a: list[int]) -> list[int]:
     """a divided by the gcd of its coefficients, with the sign that makes the
@@ -256,10 +217,13 @@ def _quo(a: list[int], b: list[int]) -> list[int]:
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
-    """The factors a_i of f = c * prod_i a_i^i, primitive, coprime and
-    square-free, as (a_i, i) for every a_i that is not constant."""
+    """The factors a_i of f = c * prod_i a_i^i, f of degree >= 1, primitive,
+    coprime and square-free, as (a_i, i) for every a_i that is not constant.
+    A constant gcd(f, f') proves f square-free: its one factor is f."""
     df = _deriv(f)
     a = _gcd(f, df)
+    if len(a) == 1:
+        return [(_primitive(f), 1)]
     b = _quo(f, a)
     d = _sub(_quo(df, a), _deriv(b))
     out = []
@@ -276,11 +240,15 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
 
 def _squarefree_factors(coeffs: list[float]) -> list[tuple[list[float], int]]:
     """(factor, multiplicity) pairs whose product is the polynomial; every
-    factor has simple roots."""
-    if len(coeffs) < 3 or _squarefree(coeffs):
+    factor has simple roots.  A square-free polynomial is its own factor,
+    with the caller's coefficients."""
+    if len(coeffs) < 3:
+        return [(coeffs, 1)]
+    factors = _yun(_scaled(coeffs))
+    if len(factors) == 1 and factors[0][1] == 1:
         return [(coeffs, 1)]
     # int / int is correctly rounded: each float is that of the monic factor.
-    return [([c / a[0] for c in a], i) for a, i in _yun(_scaled(coeffs))]
+    return [([c / a[0] for c in a], i) for a, i in factors]
 
 
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------

@@ -25,6 +25,7 @@ calls it once on the whole grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -225,15 +226,16 @@ def scan_region(lam_min: float, lam_max: float, step: float) -> RegionScan:
     index = np.arange(int(round(span)) + 1, dtype=float)
     # When the interval bounds sit on the step grid, build points as
     # (integer index) * step; accumulating lam_min + i*step drifts by a few
-    # ulps, which matters right at the double-root lambda.
+    # ulps, which matters right at the double-root lambda.  Next to the
+    # largest float k0 * step can overflow; the grid then starts at lam_min.
     ratio = lam_min / step
     k0 = round(ratio)
-    on_grid = abs(ratio - k0) < 1e-9
+    on_grid = abs(ratio - k0) < 1e-9 and math.isfinite(k0 * step)
     with np.errstate(over="ignore"):
         values = (float(k0) + index) * step if on_grid else lam_min + index * step
-    values = values[values <= lam_max + step * 1e-9]
-    if not np.isfinite(values).all():
-        raise ValueError("lambda must be finite")
+    # The bound saturates at the largest float, so that a point past the
+    # end that overflowed to inf is dropped: every value left is finite.
+    values = values[values <= min(lam_max + step * 1e-9, sys.float_info.max)]
 
     near = np.any(np.abs(values[:, None] - _SPECIAL_LAMBDAS) <= EXCLUSION_RADIUS, axis=1)
     grid = values[~near]

@@ -259,6 +259,31 @@ class TestLambdaScan:
                 )
                 assert str(row["max_modulus"]) == "0.5"
 
+    _MAX = sys.float_info.max
+    _NEAR_MAX = _MAX * (1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "lam_min, lam_max, step, rows",
+        [(1.7e308, _MAX, 1e306, 10),
+         (-_MAX, -1.7e308, 1e306, 10),
+         # lam_min / step is within 1e-9 of an integer k, and k * step overflows.
+         (-_MAX, -1e308, _MAX / 16.9999999995, 8),
+         (_NEAR_MAX, _MAX, _NEAR_MAX / 16.9999999995, 1)],
+        ids=["past-max", "from-min", "on-grid-negative", "on-grid-positive"],
+    )
+    def test_grid_stays_in_the_float_range(self, capsys, lam_min, lam_max, step, rows):
+        # A point that overflows to inf, past the end or at an on-grid start,
+        # stays out of the grid, and the scan runs.  Every modulus is 1/2,
+        # so the argmin is the first point, lam_min.
+        code, out, err = run(
+            capsys, "lambda-scan", f"--min={lam_min!r}", f"--max={lam_max!r}",
+            f"--step={step!r}", "--format=json",
+        )
+        assert (code, err) == (EXIT_OK, f"argmin lambda={cli.fmt(lam_min)} max_modulus=0.5\n")
+        lambdas = [row["lambda"] for row in json.loads(out)]
+        assert len(lambdas) == rows
+        assert all(lam_min <= lam <= lam_max for lam in lambdas)
+
     def test_invalid_range(self, capsys):
         code, _, _ = run(
             capsys, "lambda-scan", "--min", "5", "--max", "1", "--step", "0.1"
@@ -964,6 +989,35 @@ class TestOutputPlumbing:
         code, out, _ = run(capsys, "analyze", "--config", str(cfg))
         assert code == EXIT_OK
         assert round(float(kv(out)["beta"]), 4) == 1.7778
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (("integrate", "--alphas", "1"), ("h=0.1", "steps=3")),
+            (("lambda-scan",), ("min=0.4", "max=0.6", "step=0.1")),
+            (("lambda-scan", "--max", "0.6"), ("min=0.4", "step=0.1")),
+        ],
+    )
+    def test_required_flags_from_config(self, capsys, tmp_path, argv, lines):
+        # Required flags are checked once the config has joined the command
+        # line, so the file may supply them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines))
+        got = run(capsys, *argv, "--config", str(cfg))
+        flags = [token for line in lines for token in ("--" + line).split("=")]
+        assert got == run(capsys, *argv, *flags)
+        assert got[0] == EXIT_OK
+
+    @pytest.mark.parametrize("config, missing", [(None, "--h, --steps"), ("h=0.1\n", "--steps")])
+    def test_required_flag_given_nowhere(self, capsys, tmp_path, config, missing):
+        argv = ["integrate", "--alphas", "1"]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert run(capsys, *argv) == (
+            EXIT_USAGE, "", f"usage error: the following arguments are required: {missing}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

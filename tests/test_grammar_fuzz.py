@@ -201,10 +201,7 @@ _GROUPS = {
 }
 # Flags placed on the command line or in the config, never left out: the
 # sizes, whose defaults are full-size sweeps, the required ones and --noise.
-# A required flag goes in the config only when the groups are dropped: argparse
-# checks the command line for it before the config is read.
-_REQUIRED = {"h", "steps", "min", "max", "step"}
-_PLACED = {"depth", "width", "trials", "noise", *_REQUIRED}
+_PLACED = {"depth", "width", "trials", "noise", "h", "steps", "min", "max", "step"}
 _STRAY = st.sampled_from(["--bogus", "extra", "-h", "--help", "--strict", "--table8", "--"])
 
 
@@ -245,7 +242,7 @@ def _command_lines(draw):
     tokens = []
     for name, strategy in flags.items():
         places = ["argv"]
-        places += ["config"] if config is not None and (not groups or name not in _REQUIRED) else []
+        places += ["config"] if config is not None else []
         places += [] if name in _PLACED or name in chosen else [None]
         for _ in range(draw(st.integers(1, 3)) if name == "noise" else 1):
             place = draw(st.sampled_from(places))

@@ -235,7 +235,6 @@ class TestFindRoots:
         # (z^2 - 2z + 5)^2 (z - 1/2) (z + 1/4)^3: exact dyadic coefficients,
         # with the double pair 1 +/- 2i
         p = poly_from_roots([1 + 2j, 1 - 2j] * 2 + [0.5] + [-0.25] * 3)
-        assert not polyroots._squarefree(list(p.coefficients))
         rs = find_roots(p)
         assert sorted(m for _, m in rs.roots) == [1, 2, 2, 3]
         assert_matches_exact(p, rs)
@@ -361,16 +360,15 @@ class TestExactOracle:
 
 
 class TestSquarefreeTest:
-    def test_prime(self):
-        q = polyroots._Q
-        assert sympy.isprime(q) and q.bit_length() == 61
-
     @settings(max_examples=60, deadline=None)
-    @given(multiset_alphas())
-    def test_proves_only_square_free(self, alphas):
-        coeffs = [1.0] + [-a for a in alphas]
-        if polyroots._squarefree(coeffs):
-            assert all(m == 1 for _, m in exact_roots(coeffs))
+    @given(multiset_alphas(), st.sampled_from([1.0, -1.0, 3.0, -5.0]), st.integers(-60, 40))
+    def test_proves_only_square_free(self, alphas, lead, exponent):
+        # Yun's first gcd is the test: a polynomial is passed on whole, as
+        # its one simple factor, exactly when its roots are all simple.
+        scale = lead * 2.0 ** exponent
+        coeffs = [scale] + [-a * scale for a in alphas]
+        whole = polyroots._squarefree_factors(coeffs) == [(coeffs, 1)]
+        assert whole == all(m == 1 for _, m in exact_roots(coeffs))
 
 
 def _times(a, b):
@@ -397,8 +395,8 @@ def squared_products(draw):
 
 def assert_yun_matches_sympy(coeffs):
     """Yun's factors of the exact coefficients are sympy's monic square-free
-    factors, as exact rationals and, where the factors reach the root
-    finder, as the floats it is given."""
+    factors, as exact rationals and as the floats the root finder is given:
+    a square-free input's own coefficients, else the monic factors'."""
     x = sympy.Symbol("x")
     exact = [sympy.Rational(*c.as_integer_ratio()) for c in coeffs]
     _, factors = sympy.sqf_list(sympy.Poly(exact, x))
@@ -407,7 +405,9 @@ def assert_yun_matches_sympy(coeffs):
     got = polyroots._yun(polyroots._scaled(coeffs))
     assert len(got) == len(want)
     assert {m: [Fraction(c, a[0]) for c in a] for a, m in got} == want
-    if not polyroots._squarefree(coeffs):
+    if [m for _, m in got] == [1]:
+        assert polyroots._squarefree_factors(coeffs) == [(coeffs, 1)]
+    else:
         floats = {m: list(map(repr, f)) for f, m in polyroots._squarefree_factors(coeffs)}
         assert floats == {m: [repr(float(c)) for c in w] for m, w in want.items()}
 
@@ -437,6 +437,13 @@ class TestYunOverIntegers:
     )
     def test_edges(self, coeffs):
         assert_yun_matches_sympy(coeffs)
+
+    def test_square_free_is_one_primitive_factor(self):
+        # -12 (r - 1/2)(r^2 + 1): gcd(f, f') = 1, so f is its own factor,
+        # divided by its content -6.
+        f = [-12, 6, -12, 6]
+        assert polyroots._gcd(f, polyroots._deriv(f)) == [1]
+        assert polyroots._yun(f) == [([2, -1, 2, -1], 1)]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_zero_coefficient_is_positive_zero(self, sign):

@@ -35,7 +35,7 @@ for name, s in (("euler", euler), ("three-step family", family)):
 h_list = [0.02, 0.01, 0.005, 0.0025]
 print("\nconvergence orders on dy/dt = -y")
 for name, s in (("euler", euler), ("three-step family", family)):
-    est = convergence_order(s, problem, h_list)
+    est = convergence_order(s, problem, h_list, t_end=1.0)
     errs = ", ".join(f"{e:.2e}" for e in est.errors)
     print(f"  {name}: order {est.order:.3f} (errors {errs})")
 

@@ -22,14 +22,14 @@ from zstab import (
 # the activation path is disabled.
 print("growth rate vs dominant root modulus")
 for i, row in enumerate(REFERENCE_ROWS[:5]):
-    s = row.scheme()
+    s = row.scheme
     dominant = root_condition(s).moduli[0]
     slope = growth_rate(s, depth=50)
     print(f"  row {i + 1}: slope {slope:+.4f} log(dominant) "
           f"{math.log(dominant):+.4f}")
 
 # Sweep all ten reference schemes against gaussian input noise.
-schemes = [row.scheme() for row in REFERENCE_ROWS]
+schemes = [row.scheme for row in REFERENCE_ROWS]
 specs = [NoiseSpec("gaussian", (sigma,)) for sigma in (0.01, 0.02, 0.04)]
 report = robustness_sweep(schemes, specs, depth=56, width=64, trials=3, seed=1)
 

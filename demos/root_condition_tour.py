@@ -9,11 +9,11 @@ coefficient rows from scratch.
 import numpy as np
 
 from zstab import (
+    Scheme,
     characteristic_polynomial,
     consistency_check,
     first_order,
     lm_second_order,
-    make_scheme,
     root_condition,
     verify_reference_table,
 )
@@ -38,7 +38,7 @@ for k in (-1.5, -0.5, 0.5, 1.5):
 # A three-step scheme can be zero-stable without being consistent and the
 # other way around; the two checks are independent.
 print("\nstability vs consistency")
-s = make_scheme([0.1, 0.2, 0.3], 0.4)
+s = Scheme([0.1, 0.2, 0.3], 0.4)
 print(f"  scheme {s.label()}")
 print(f"  zero_stable={root_condition(s).zero_stable}")
 print(f"  consistent={consistency_check(s).consistent} "

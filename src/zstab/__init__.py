@@ -20,7 +20,6 @@ from .schemes import (
     consistency_check,
     first_order,
     lm_second_order,
-    make_scheme,
     root_condition,
 )
 from .zerosnet import (

@@ -37,7 +37,7 @@ from . import ivp
 from ._table import fmt, json_table, record
 from .polyroots import RootFindingError
 from .propagation import NOISE_KINDS, NoiseSpec, robustness_sweep
-from .schemes import Scheme, consistency_check, make_scheme, root_condition
+from .schemes import Scheme, consistency_check, root_condition
 from .table8 import REFERENCE_ROWS, verify_reference_table
 from .zerosnet import scan_region, zerosnet_coeffs
 
@@ -178,7 +178,7 @@ def _scheme_from_args(args) -> Scheme:
         if args.beta is not None:
             raise UsageError("--beta is read only with --alphas")
         return zerosnet_coeffs(args.lam)
-    return make_scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
+    return Scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
 
 
 def cmd_analyze(args) -> int:
@@ -296,8 +296,8 @@ def _problem_from_args(args) -> ivp.IVPProblem:
             return value if scalar else np.array([value])
 
         y0 = 1.0 if args.y0 is None else args.y0
-        return ivp.IVPProblem(rhs, 0.0, args.h * args.steps, (np.array([y0]),))
-    return ivp.PRESETS[args.preset or "decay"](t_end=args.h * args.steps)
+        return ivp.IVPProblem(rhs, 0.0, (np.array([y0]),))
+    return ivp.PRESETS[args.preset or "decay"]()
 
 
 def cmd_integrate(args) -> int:
@@ -326,7 +326,9 @@ def cmd_integrate(args) -> int:
     # of each of its runs, are checked before anything is integrated.
     est = None
     if args.orders is not None:
-        est = ivp.convergence_order(scheme, problem, _parse_floats(args.orders))
+        est = ivp.convergence_order(
+            scheme, problem, _parse_floats(args.orders), args.h * args.steps
+        )
     # With --probe, the trajectory is the probe's clean run, written after
     # its twin has run too.  A fresh process writing a probed 10k-step
     # oscillator as JSON peaked at 40.8 MiB RSS when the trajectory was
@@ -357,7 +359,7 @@ def cmd_propagate(args) -> int:
     if args.table8:
         if (args.alphas, args.beta, args.lam) != (None, None, None):
             raise UsageError("--table8 takes no --alphas, --beta or --lambda")
-        schemes = [row.scheme() for row in REFERENCE_ROWS]
+        schemes = [row.scheme for row in REFERENCE_ROWS]
     else:
         schemes = [_scheme_from_args(args)]
     if not args.noise:

@@ -26,7 +26,6 @@ __all__ = [
     "Scheme",
     "StabilityReport",
     "ConsistencyReport",
-    "make_scheme",
     "characteristic_polynomial",
     "root_condition",
     "consistency_check",
@@ -47,11 +46,22 @@ class Scheme:
     """Coefficients of an explicit d-step update.
 
     ``alphas[i]`` weights y_{n-i}; ``beta`` weights h*f(t_n, y_n).  Stored
-    exactly as given, no normalization.
+    as floats exactly as given, no normalization; empty or non-finite
+    coefficients are rejected.
     """
 
     alphas: tuple[float, ...]
     beta: float
+
+    def __post_init__(self):
+        alphas = tuple(float(a) for a in self.alphas)
+        beta = float(self.beta)
+        if not alphas:
+            raise ValueError("a scheme needs at least one alpha coefficient")
+        if not all(math.isfinite(a) for a in alphas) or not math.isfinite(beta):
+            raise ValueError("scheme coefficients must be finite")
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def order(self) -> int:
@@ -62,24 +72,14 @@ class Scheme:
         return f"alphas=[{alphas}] beta={fmt(self.beta)}"
 
 
-def make_scheme(alphas: Sequence[float], beta: float) -> Scheme:
-    """Validate and build a Scheme; empty or non-finite input is rejected."""
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ValueError("a scheme needs at least one alpha coefficient")
-    if not all(math.isfinite(a) for a in alphas) or not math.isfinite(beta):
-        raise ValueError("scheme coefficients must be finite")
-    return Scheme(alphas=alphas, beta=float(beta))
-
-
 def first_order(alpha: float) -> Scheme:
     """One-step scheme y_{n+1} = alpha*y_n + h*f; alpha=1 is Euler."""
-    return make_scheme([alpha], 1.0)
+    return Scheme((alpha,), 1.0)
 
 
 def lm_second_order(k: float) -> Scheme:
     """Two-step scheme y_{n+1} = (1-k)y_n + k*y_{n-1} + (2k+1)h*f."""
-    return make_scheme([1.0 - k, k], 2.0 * k + 1.0)
+    return Scheme((1.0 - k, k), 2.0 * k + 1.0)
 
 
 def _recur(

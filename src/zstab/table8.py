@@ -10,35 +10,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import Scheme, make_scheme, root_condition
+from .schemes import Scheme, root_condition
 
 __all__ = ["ReferenceRow", "RowResult", "REFERENCE_ROWS", "verify_reference_table"]
 
 
 @dataclass(frozen=True)
 class ReferenceRow:
-    alphas: tuple[float, float, float]
-    beta: float
+    scheme: Scheme  # three-step
     moduli: tuple[float, float, float]  # two-decimal, descending
     zero_stable: bool
 
-    def scheme(self) -> Scheme:
-        return make_scheme(self.alphas, self.beta)
-
 
 REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
-    ReferenceRow((1.0, 1.0, 1.0), 1.0, (1.84, 0.74, 0.74), False),
-    ReferenceRow((3.75, -4.0, 1.25), -0.5, (2.18, 1.00, 0.57), False),
-    ReferenceRow((-3.0, 5.0, -1.0), 4.0, (4.24, 1.00, 0.24), False),
-    ReferenceRow((-0.75, 2.0, -0.25), 2.5, (1.88, 1.00, 0.13), False),
-    ReferenceRow((2.25, -2.0, 0.75), 0.5, (1.00, 0.87, 0.87), True),
-    ReferenceRow((0.1, 0.2, 0.3), 0.4, (0.81, 0.61, 0.61), True),
-    ReferenceRow((0.5, 0.3, 0.1), 0.1, (0.94, 0.33, 0.33), True),
-    ReferenceRow((0.825, -0.1, 0.275), 1.45, (1.00, 0.52, 0.52), True),
-    ReferenceRow((1.0, 0.3, -0.4), 1.0, (0.82, 0.82, 0.60), True),
+    ReferenceRow(Scheme((1.0, 1.0, 1.0), 1.0), (1.84, 0.74, 0.74), False),
+    ReferenceRow(Scheme((3.75, -4.0, 1.25), -0.5), (2.18, 1.00, 0.57), False),
+    ReferenceRow(Scheme((-3.0, 5.0, -1.0), 4.0), (4.24, 1.00, 0.24), False),
+    ReferenceRow(Scheme((-0.75, 2.0, -0.25), 2.5), (1.88, 1.00, 0.13), False),
+    ReferenceRow(Scheme((2.25, -2.0, 0.75), 0.5), (1.00, 0.87, 0.87), True),
+    ReferenceRow(Scheme((0.1, 0.2, 0.3), 0.4), (0.81, 0.61, 0.61), True),
+    ReferenceRow(Scheme((0.5, 0.3, 0.1), 0.1), (0.94, 0.33, 0.33), True),
+    ReferenceRow(Scheme((0.825, -0.1, 0.275), 1.45), (1.00, 0.52, 0.52), True),
+    ReferenceRow(Scheme((1.0, 0.3, -0.4), 1.0), (0.82, 0.82, 0.60), True),
     # Printed as (0.3333, 0.5556, 0.1111, 1.7778); the actual coefficients
     # are the exact fractions (1/3, 5/9, 1/9, 16/9).
-    ReferenceRow((1.0 / 3.0, 5.0 / 9.0, 1.0 / 9.0), 16.0 / 9.0, (1.00, 0.33, 0.33), True),
+    ReferenceRow(Scheme((1.0 / 3.0, 5.0 / 9.0, 1.0 / 9.0), 16.0 / 9.0), (1.00, 0.33, 0.33), True),
 )
 
 
@@ -61,14 +57,14 @@ class RowResult:
         return self.moduli_match and self.verdict_match
 
 
-def verify_reference_table(
-    rows: tuple[ReferenceRow, ...] = REFERENCE_ROWS,
-) -> list[RowResult]:
-    """Recompute every row; moduli are compared after two-decimal rounding."""
+def verify_reference_table() -> list[RowResult]:
+    """Recompute every row of ``REFERENCE_ROWS``, as it reads at the call;
+    moduli are compared after two-decimal rounding, which keeps their
+    descending order."""
     results = []
-    for row in rows:
-        report = root_condition(row.scheme())
-        rounded = tuple(sorted((round(m, 2) for m in report.moduli), reverse=True))
+    for row in REFERENCE_ROWS:
+        report = root_condition(row.scheme)
+        rounded = tuple(round(m, 2) for m in report.moduli)
         results.append(
             RowResult(
                 row=row,

@@ -32,13 +32,12 @@ from typing import Optional
 import numpy as np
 
 from ._table import csv_table
-from .schemes import Scheme, make_scheme
+from .schemes import Scheme
 
 __all__ = [
     "OPTIMAL_LAMBDA",
     "RegionScan",
     "zerosnet_coeffs",
-    "derive_from_pair",
     "closed_form_roots",
     "in_stability_region",
     "max_nonprincipal_modulus",
@@ -118,33 +117,19 @@ def _in_region(lam):
     return (lam < -1.0) | (lam > 1.0 / 3.0)
 
 
-def _require_nonzero(lam: float, name: str = "lambda") -> float:
+def _require_nonzero(lam: float) -> float:
     lam = float(lam)
     if lam == 0.0:
-        raise ValueError(f"{name} must be nonzero")
+        raise ValueError("lambda must be nonzero")
     if not math.isfinite(lam):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("lambda must be finite")
     return lam
 
 
 def zerosnet_coeffs(lam: float) -> Scheme:
     """Scheme([3(1+L)/(4L), -1/L, (1+L)/(4L)], (3L-1)/(2L)) for L != 0."""
     *alphas, beta = _family(_require_nonzero(lam))
-    return make_scheme(alphas, beta)
-
-
-def derive_from_pair(lam1: float, lam2: float) -> Scheme:
-    """Scheme from the two-parameter derivation; equals zerosnet_coeffs(lam2/lam1).
-
-    The pair form reduces to the single-parameter family by lambda =
-    lam2/lam1, so the reduction is used directly and the two constructors
-    agree exactly.
-    """
-    lam1 = _require_nonzero(lam1, "lambda1")
-    lam2 = _require_nonzero(lam2, "lambda2")
-    if 3.0 * lam2 == lam1:
-        raise ValueError("3*lambda2 must differ from lambda1")
-    return zerosnet_coeffs(lam2 / lam1)
+    return Scheme(alphas, beta)
 
 
 def closed_form_roots(lam: float) -> tuple[complex, complex, complex]:
@@ -201,10 +186,7 @@ class RegionScan:
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The ``CSV_COLUMNS`` as arrays, one value per grid point."""
-        coeffs = _family(self.grid)
-        if not all(np.isfinite(c).all() for c in coeffs):
-            raise ValueError("scheme coefficients must be finite")
-        return (self.grid, *coeffs, self.max_moduli, self.zero_stable)
+        return (self.grid, *_family(self.grid), self.max_moduli, self.zero_stable)
 
     def to_csv(self) -> str:
         return csv_table(self.CSV_COLUMNS, self.columns())

@@ -278,8 +278,8 @@ def zero_stability_probe(
     seed_states = startup_states(p, h, d)
     direction = _unit_direction(p.dimension, seed)
     shifted = [y + eps * direction for y in seed_states]
-    clean = integrate(s, IVPProblem(p.rhs, p.t_start, p.t_end, tuple(seed_states)), h, n_steps)
-    noisy = integrate(s, IVPProblem(p.rhs, p.t_start, p.t_end, tuple(shifted)), h, n_steps)
+    clean = integrate(s, IVPProblem(p.rhs, p.t_start, tuple(seed_states)), h, n_steps)
+    noisy = integrate(s, IVPProblem(p.rhs, p.t_start, tuple(shifted)), h, n_steps)
 
     gaps = tuple(
         float(np.max(np.abs(a - b))) for a, b in zip(clean.states, noisy.states)

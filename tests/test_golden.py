@@ -30,7 +30,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 ANALYZE = ("analyze", "--alphas", "3,-3,1")
 # (r^2 + 1.5r + 1)^2 takes Yun's decomposition; the degree-6 scheme is
-# proven square-free modulo the prime.
+# proven square-free by Yun's first gcd.
 DOUBLE_PAIR = ("analyze", "--alphas=-3,-4.25,-3,-1", "--format", "json")
 DEGREE_SIX = ("analyze", "--alphas", "0.3,0.2,0.1,0.1,0.05,0.05")
 SCAN = ("lambda-scan", "--min", "-2", "--max", "-1.6", "--step", "0.1")

@@ -22,7 +22,7 @@ from zstab.ivp import (
     startup_states,
     zero_stability_probe,
 )
-from zstab.schemes import first_order, lm_second_order, make_scheme
+from zstab.schemes import Scheme, first_order, lm_second_order
 from zstab.zerosnet import zerosnet_coeffs
 
 import reference
@@ -62,7 +62,6 @@ def plain_decay():
     return IVPProblem(
         rhs=lambda t, y: -y,
         t_start=0.0,
-        t_end=1.0,
         initial_states=(np.array([1.0]),),
     )
 
@@ -73,17 +72,19 @@ class TestIVPProblem:
         assert oscillator_problem().dimension == 2
 
     def test_time_interval_validated(self):
-        with pytest.raises(ValueError):
-            IVPProblem(lambda t, y: y, 1.0, 0.0, (np.array([1.0]),))
+        # The order fit is the one reader of an end time, and checks it.
+        p = IVPProblem(lambda t, y: y, 1.0, (np.array([1.0]),), lambda t: np.array([1.0]))
+        with pytest.raises(ValueError, match="t_start must be below t_end"):
+            convergence_order(first_order(1), p, [0.1, 0.05, 0.02], 0.0)
 
     def test_states_required(self):
         with pytest.raises(ValueError):
-            IVPProblem(lambda t, y: y, 0.0, 1.0, ())
+            IVPProblem(lambda t, y: y, 0.0, ())
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(ValueError):
             IVPProblem(
-                lambda t, y: y, 0.0, 1.0, (np.array([1.0]), np.array([1.0, 2.0]))
+                lambda t, y: y, 0.0, (np.array([1.0]), np.array([1.0, 2.0]))
             )
 
 
@@ -97,7 +98,7 @@ class TestStartupStates:
 
     def test_constant_flow(self):
         p = IVPProblem(
-            lambda t, y: np.zeros_like(y), 0.0, 1.0, (np.array([3.5]),)
+            lambda t, y: np.zeros_like(y), 0.0, (np.array([3.5]),)
         )
         seeds = startup_states(p, 0.1, 3)
         assert all(s[0] == 3.5 for s in seeds)
@@ -123,10 +124,9 @@ class TestIntegrate:
         p = IVPProblem(
             lambda t, y: np.zeros_like(y),
             0.0,
-            1.0,
             (np.array([1.0]), np.array([2.0])),
         )
-        traj = integrate(make_scheme([0, 1], 0), p, 0.1, 6)
+        traj = integrate(Scheme([0, 1], 0), p, 0.1, 6)
         values = [s[0] for s in traj.states]
         assert values == [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
 
@@ -146,7 +146,7 @@ class TestIntegrate:
             assert traj.blew_up_at is None
 
     def test_blow_up_flagged(self):
-        s = make_scheme([1e150], 1.0)
+        s = Scheme([1e150], 1.0)
         with np.errstate(over="ignore"):
             traj = integrate(s, plain_decay(), 0.1, 10)
         assert traj.blew_up_at is not None
@@ -260,7 +260,7 @@ class TestScalarRuns:
         # Two seed states bootstrapped by RK4, four calls each.
         (zerosnet_coeffs(-9 / 5), False, 100, 8 + 100),
         # State 299 overflows: the run stops at its step, the 297th.
-        (make_scheme([10.0, 10.0, 10.0], 1.0), True, 1000, 297),
+        (Scheme([10.0, 10.0, 10.0], 1.0), True, 1000, 297),
     ])
     def test_rhs_called_once_per_step(self, scheme, exact, n_steps, calls):
         times = []
@@ -270,7 +270,7 @@ class TestScalarRuns:
             return -y
 
         p = IVPProblem(
-            rhs, 0.0, 1.0, (np.array([1.0]),),
+            rhs, 0.0, (np.array([1.0]),),
             exact_solution=decay_problem().exact_solution if exact else None,
         )
         integrate(scheme, p, 0.1, n_steps)
@@ -281,7 +281,7 @@ class TestScalarRuns:
     def test_long_decay_run_peak_memory(self):
         # 1e5 states as 1-element arrays peaked at 16.8 MiB; as Python
         # floats, copied once into the (steps, 1) array, at 6.2 MiB.
-        s, p = zerosnet_coeffs(-9 / 5), decay_problem(t_end=10.0)
+        s, p = zerosnet_coeffs(-9 / 5), decay_problem()
         tracemalloc.start()
         try:
             traj = integrate(s, p, 1e-4, 100_000)
@@ -322,7 +322,7 @@ class TestZeroStabilityProbe:
         # observed per-step factor after the transient with the power
         # iteration estimate.
         p = constant_problem()
-        for s in [first_order(1.5), make_scheme([1, 1, 1], 1), lm_second_order(0.5)]:
+        for s in [first_order(1.5), Scheme([1, 1, 1], 1), lm_second_order(0.5)]:
             _, series = zero_stability_probe(s, p, 1e-6, 0.1, 60)
             radius = reference.companion_spectral_radius(s).value
             gaps = series.per_step
@@ -338,7 +338,7 @@ class TestZeroStabilityProbe:
         # A @ y maps a (2,) state, but on the (2, 2) stack of a run and its
         # twin it mixes the rows.
         matrix = np.array([[0.0, 2.0], [-1.0, 0.5]])
-        p = IVPProblem(lambda t, y: matrix @ y, 0.0, 1.0, (np.array([1.0, 0.0]),))
+        p = IVPProblem(lambda t, y: matrix @ y, 0.0, (np.array([1.0, 0.0]),))
         integrate(first_order(1), p, 0.1, 5)
         monkeypatch.setattr(ivp, "_recur", None)  # any step would fail
         with pytest.raises(ValueError, match="each row"):
@@ -363,46 +363,46 @@ class TestConvergenceOrder:
     H_LIST = [0.04, 0.02, 0.01, 0.005]
 
     def test_euler_first_order(self):
-        est = convergence_order(first_order(1), decay_problem(), self.H_LIST)
+        est = convergence_order(first_order(1), decay_problem(), self.H_LIST, 1.0)
         assert 0.8 <= est.order <= 1.2
         assert not est.rounding_limited
 
     def test_family_second_order(self):
-        est = convergence_order(zerosnet_coeffs(-9 / 5), decay_problem(), self.H_LIST)
+        est = convergence_order(zerosnet_coeffs(-9 / 5), decay_problem(), self.H_LIST, 1.0)
         assert 1.7 <= est.order <= 2.3
 
     def test_halving_h_quarters_error(self):
         est = convergence_order(
-            zerosnet_coeffs(-9 / 5), decay_problem(), [0.02, 0.01, 0.005]
+            zerosnet_coeffs(-9 / 5), decay_problem(), [0.02, 0.01, 0.005], 1.0
         )
         for coarse, fine in zip(est.errors, est.errors[1:]):
             assert 3.4 <= coarse / fine <= 4.6
 
     def test_unstable_scheme_no_positive_order(self):
         est = convergence_order(
-            make_scheme([1, 1, 1], 1), decay_problem(), self.H_LIST
+            Scheme([1, 1, 1], 1), decay_problem(), self.H_LIST, 1.0
         )
         # the dominant root 1.84 amplifies startup error as h shrinks
         assert est.order < 0 or est.errors[-1] > est.errors[0]
 
     def test_requires_exact_solution(self):
         with pytest.raises(ValueError):
-            convergence_order(first_order(1), plain_decay(), self.H_LIST)
+            convergence_order(first_order(1), plain_decay(), self.H_LIST, 1.0)
 
     def test_requires_three_steps(self):
         with pytest.raises(ValueError):
-            convergence_order(first_order(1), decay_problem(), [0.1, 0.05])
+            convergence_order(first_order(1), decay_problem(), [0.1, 0.05], 1.0)
 
     def test_rejects_duplicate_step_sizes(self):
         with pytest.raises(ValueError, match="distinct"):
-            convergence_order(first_order(1), decay_problem(), [0.1, 0.1, 0.1])
+            convergence_order(first_order(1), decay_problem(), [0.1, 0.1, 0.1], 1.0)
 
     def test_step_budget_checked_before_any_run(self, monkeypatch):
         runs = []
         monkeypatch.setattr(ivp, "integrate", lambda *args: runs.append(args))
         h = 1.0 / (ivp.MAX_STEPS + 1)  # the last run needs MAX_STEPS + 1 steps
         with pytest.raises(ValueError, match="steps"):
-            convergence_order(first_order(1), decay_problem(), [0.5, 0.25, h])
+            convergence_order(first_order(1), decay_problem(), [0.5, 0.25, h], 1.0)
         assert runs == []
 
     def test_time_grid_checked_before_any_run(self, monkeypatch):
@@ -413,13 +413,13 @@ class TestConvergenceOrder:
         # at top, 0.8 * top and, overflowing, 1.2 * top.
         with pytest.raises(ValueError, match="not finite"):
             convergence_order(
-                first_order(1), decay_problem(t_end=top), [0.5 * top, 0.4 * top, 0.6 * top]
+                first_order(1), decay_problem(), [0.5 * top, 0.4 * top, 0.6 * top], top
             )
         assert runs == []
 
     def test_rejects_non_finite_step_sizes(self):
         with pytest.raises(ValueError):
-            convergence_order(first_order(1), decay_problem(), [0.1, math.nan, 0.05])
+            convergence_order(first_order(1), decay_problem(), [0.1, math.nan, 0.05], 1.0)
 
 
 def _forced_problem():
@@ -428,7 +428,6 @@ def _forced_problem():
     return IVPProblem(
         rhs=lambda t, y: np.cos(3.0 * t) - 0.5 * y,
         t_start=0.3,
-        t_end=2.0,
         initial_states=(np.array([0.7]),),
     )
 
@@ -438,7 +437,6 @@ def _many_seeds_problem():
     return IVPProblem(
         rhs=lambda t, y: -t * y,
         t_start=-1.0,
-        t_end=1.0,
         initial_states=tuple(np.array([1.0 + k, 0.5 - k]) for k in range(5)),
     )
 
@@ -446,7 +444,7 @@ def _many_seeds_problem():
 _PROBLEMS = {
     "decay": decay_problem(),
     "constant": IVPProblem(
-        rhs=lambda t, y: np.zeros_like(y), t_start=0.0, t_end=1.0,
+        rhs=lambda t, y: np.zeros_like(y), t_start=0.0,
         initial_states=(np.array([2.5]),), exact_solution=lambda t: np.array([2.5]),
     ),
     "constant_preset": constant_problem(),
@@ -475,7 +473,7 @@ class TestIntegrateMatchesReference:
     )
     @example(alphas=[10.0, 10.0, 10.0], beta=1.0, problem="decay", h=0.1, n_steps=1000)
     def test_equal_to_reference(self, alphas, beta, problem, h, n_steps):
-        s = make_scheme(alphas, beta)
+        s = Scheme(alphas, beta)
         p = _PROBLEMS[problem]
         traj = integrate(s, p, h, n_steps)
         with np.errstate(all="ignore"):
@@ -524,7 +522,7 @@ class TestProbeMatchesReference:
     @example(alphas=[-10.0, 10.0], beta=1.0, problem="oscillator", eps=1e3,
              h=0.1, n_steps=400, seed=7)
     def test_equal_to_reference(self, alphas, beta, problem, eps, h, n_steps, seed):
-        s = make_scheme(alphas, beta)
+        s = Scheme(alphas, beta)
         p = _PROBLEMS[problem]
         # Two finite states of opposite sign near the overflow threshold
         # overflow the subtraction in both rules alike.
@@ -544,7 +542,7 @@ class TestProbeMatchesReference:
     @staticmethod
     def _blow_ups(case) -> Trajectory:
         """The clean run of ``case``, whose twin blows up first."""
-        s = make_scheme(case["alphas"], case["beta"])
+        s = Scheme(case["alphas"], case["beta"])
         p = _PROBLEMS[case["problem"]]
         clean, series = zero_stability_probe(
             s, p, case["eps"], case["h"], case["n_steps"], case["seed"]

@@ -13,8 +13,8 @@ from zstab import polyroots
 from zstab.polyroots import Polynomial, RootFindingError, find_roots
 from zstab.schemes import (
     ROOT_CONDITION_TOL,
+    Scheme,
     characteristic_polynomial,
-    make_scheme,
     root_condition,
 )
 from zstab.table8 import REFERENCE_ROWS, verify_reference_table
@@ -346,7 +346,7 @@ class TestExactOracle:
     @example((10000.0, -1.0, 0.5))
     @example((1e-20, 1e-20, 1e-20))
     def test_roots_and_verdict(self, alphas):
-        s = make_scheme(alphas, 1.0)
+        s = Scheme(alphas, 1.0)
         rep = root_condition(s)
         exact = assert_matches_exact(characteristic_polynomial(s), rep.roots)
         outside = [z for z, _ in exact if abs(z) > 1 + ROOT_CONDITION_TOL]
@@ -464,7 +464,7 @@ _FORTY_ITERATION_INPUTS = {
     "(r^2+1.5r+1)^2": (-3.0, -4.25, -3.0, -1.0),
     "(r-1)^2(r-1/2)(r^2-r/2+1)": (3.0, -4.25, 4.0, -2.25, 0.5),
     "lambda=1/3": zerosnet_coeffs(1 / 3).alphas,
-    **{f"table8-row{i + 1}": row.alphas for i, row in enumerate(REFERENCE_ROWS)},
+    **{f"table8-row{i + 1}": row.scheme.alphas for i, row in enumerate(REFERENCE_ROWS)},
 }
 
 
@@ -474,7 +474,7 @@ class TestWorkCount:
     )
     def test_forty_iterations_suffice(self, monkeypatch, alphas):
         monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 40)
-        p = characteristic_polynomial(make_scheme(alphas, 1.0))
+        p = characteristic_polynomial(Scheme(alphas, 1.0))
         assert_matches_exact(p, find_roots(p))
 
     def test_table8_within_forty_iterations(self, monkeypatch):
@@ -493,5 +493,5 @@ class TestWorkCount:
         # pass in at most 4 iterations; started on one circle they took 7
         # to 21.
         monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 8)
-        p = characteristic_polynomial(make_scheme(alphas, 1.0))
+        p = characteristic_polynomial(Scheme(alphas, 1.0))
         assert_matches_exact(p, find_roots(p))

@@ -19,7 +19,7 @@ from zstab.propagation import (
     propagate,
     robustness_sweep,
 )
-from zstab.schemes import first_order, make_scheme, root_condition
+from zstab.schemes import Scheme, first_order, root_condition
 from zstab.table8 import REFERENCE_ROWS
 from zstab.zerosnet import zerosnet_coeffs
 
@@ -161,7 +161,7 @@ class TestStandardize:
 
 class TestPropagate:
     def test_scalar_states(self):
-        s = make_scheme([0.5, 0.5], 2.0)
+        s = Scheme([0.5, 0.5], 2.0)
         final, history, blew = propagate(s, [lambda y: 0.1 * y], [1.0, 2.0], 3)
         expected = [1.0, 2.0]
         for _ in range(3):
@@ -174,7 +174,7 @@ class TestPropagate:
     def test_linear_recurrence_matches_companion_power(self):
         # With blocks outputting zero the update is the linear recurrence;
         # the stacked state evolves by kron(companion, identity)
-        s = make_scheme([0.5, 0.3, 0.1], 0.1)
+        s = Scheme([0.5, 0.3, 0.1], 0.1)
         width = 4
         rng = np.random.default_rng(5)
         init = [rng.standard_normal(width) for _ in range(3)]
@@ -211,7 +211,7 @@ class TestPropagate:
             propagate(s, [_Zero()], [y, y, y], depth=0)
 
     def test_blow_up_flagged(self):
-        s = make_scheme([-3, 5, -1], 4)
+        s = Scheme([-3, 5, -1], 4)
         seeds = [np.full(4, 1e300), np.zeros(4), np.zeros(4)]
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, blew = propagate(s, [_Zero()], seeds, depth=500)
@@ -223,7 +223,7 @@ class TestGrowthRate:
         assert abs(growth_rate(first_order(1), depth=50)) < 1e-9
 
     def test_unstable_three_step(self):
-        slope = growth_rate(make_scheme([1, 1, 1], 1), depth=50)
+        slope = growth_rate(Scheme([1, 1, 1], 1), depth=50)
         assert abs(slope - math.log(1.8392867552141612)) <= 0.02 * math.log(1.84)
 
     def test_optimal_family_bounded(self):
@@ -340,7 +340,7 @@ class TestRobustnessSweep:
 
     def test_stable_beats_unstable(self):
         report = robustness_sweep(
-            [make_scheme([1, 1, 1], 1), zerosnet_coeffs(-9 / 5)],
+            [Scheme([1, 1, 1], 1), zerosnet_coeffs(-9 / 5)],
             [NoiseSpec("gaussian", (0.02,))],
             depth=56,
             width=16,
@@ -373,6 +373,14 @@ class TestRobustnessSweep:
         assert rows[0] == list(SweepReport.CSV_COLUMNS)
         assert rows[1][4] == "gaussian"
         assert float(rows[1][5]) == 0.02
+
+    def test_csv_of_a_scheme_given_list_alphas(self):
+        report = robustness_sweep(
+            [Scheme([0.5, 0.5], 1.5)], [NoiseSpec("none")], depth=4, width=4, trials=1
+        )
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert len(rows) == 2
+        assert rows[1][:4] == ["0", "0.5;0.5", "1.5", "true"]
 
     def test_group_means(self):
         report = robustness_sweep(
@@ -407,7 +415,7 @@ class TestRobustnessSweep:
 
         monkeypatch.setattr(propagation, "_draw_weights", recording)
         robustness_sweep(
-            [first_order(1), zerosnet_coeffs(-9 / 5), make_scheme([0.5, 0.5], 1)],
+            [first_order(1), zerosnet_coeffs(-9 / 5), Scheme([0.5, 0.5], 1)],
             [NoiseSpec("none"), NoiseSpec("gaussian", (0.02,))],
             depth=depth,
             width=8,
@@ -440,7 +448,7 @@ class TestRobustnessSweep:
             NoiseSpec("gaussian", (0.0,)),
         ]
         report = robustness_sweep(
-            [row.scheme() for row in REFERENCE_ROWS],
+            [row.scheme for row in REFERENCE_ROWS],
             specs,
             depth=56,
             width=64,
@@ -455,7 +463,7 @@ class TestRobustnessSweep:
 
     def test_identical_noisy_input_shares_clean_blow_up(self):
         report = robustness_sweep(
-            [make_scheme([10, 10, 10], 1), first_order(1)],
+            [Scheme([10, 10, 10], 1), first_order(1)],
             [NoiseSpec("gaussian", (0.1,)), NoiseSpec("none")],
             depth=320,
             width=8,
@@ -469,14 +477,14 @@ class TestRobustnessSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = robustness_sweep(
-                [make_scheme([10, 10, 10], 1), zerosnet_coeffs(-9 / 5)],
+                [Scheme([10, 10, 10], 1), zerosnet_coeffs(-9 / 5)],
                 [NoiseSpec("gaussian", (0.1,))],
                 depth=320,
                 width=16,
                 trials=2,
             )
             seeds = [np.full(4, 1e300), np.zeros(4), np.zeros(4)]
-            _, _, blew = propagate(make_scheme([-3, 5, -1], 4), [_Zero()], seeds, 500)
+            _, _, blew = propagate(Scheme([-3, 5, -1], 4), [_Zero()], seeds, 500)
         assert report.blew_up_fraction.tolist() == [[1.0], [0.0]]
         assert blew is not None
 
@@ -573,7 +581,7 @@ _NOISE_CHOICES = (
 
 _schemes = st.lists(
     st.builds(
-        make_scheme,
+        Scheme,
         st.lists(
             st.one_of(st.floats(-2.5, 2.5), st.sampled_from([10.0, -10.0])),
             min_size=1,
@@ -605,7 +613,7 @@ class TestSweepMatchesReference:
         seed=st.integers(0, 2**16),
     )
     @example(
-        schemes=[make_scheme([10, 10, 10], 1), first_order(1), make_scheme([0.5, 0.5], 1)],
+        schemes=[Scheme([10, 10, 10], 1), first_order(1), Scheme([0.5, 0.5], 1)],
         specs=[NoiseSpec("gaussian", (0.02,)), NoiseSpec("none")],
         depth=320,
         width=16,
@@ -625,7 +633,7 @@ class TestSweepMatchesReference:
         seed=1,
     )
     @example(
-        schemes=[make_scheme([1e-300], 1), zerosnet_coeffs(-9 / 5)],
+        schemes=[Scheme([1e-300], 1), zerosnet_coeffs(-9 / 5)],
         specs=[NoiseSpec("gaussian", (1e308,)), NoiseSpec("gaussian", (0.02,))],
         depth=2,
         width=4,

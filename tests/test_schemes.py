@@ -14,7 +14,6 @@ from zstab.schemes import (
     consistency_check,
     first_order,
     lm_second_order,
-    make_scheme,
     root_condition,
 )
 from zstab.zerosnet import zerosnet_coeffs
@@ -26,33 +25,52 @@ from reference import companion_spectral_radius
 
 class TestMakeScheme:
     def test_euler(self):
-        s = make_scheme([1], 1)
+        s = Scheme([1], 1)
         assert s.alphas == (1.0,)
         assert s.beta == 1.0
         assert s.order == 1
 
     def test_three_step(self):
-        s = make_scheme([1, 1, 1], 1)
+        s = Scheme([1, 1, 1], 1)
         assert s.order == 3
 
     def test_beta_zero_allowed(self):
-        s = make_scheme([0.5, 0.5], 0)
+        s = Scheme([0.5, 0.5], 0)
         assert s.beta == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            make_scheme([], 1)
+            Scheme([], 1)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            make_scheme([1, float("inf")], 1)
+            Scheme([1, float("inf")], 1)
         with pytest.raises(ValueError):
-            make_scheme([1], float("nan"))
+            Scheme([1], float("nan"))
 
     def test_stored_exactly(self):
-        s = make_scheme([3.75, -4, 1.25], -0.5)
+        s = Scheme([3.75, -4, 1.25], -0.5)
         assert s.alphas == (3.75, -4.0, 1.25)
         assert s.beta == -0.5
+
+    @pytest.mark.parametrize(
+        "alphas, beta, message",
+        [
+            ((), 1, "at least one alpha"),
+            ((math.nan,), 1, "must be finite"),
+            ((1,), math.inf, "must be finite"),
+        ],
+        ids=["no alphas", "nan alpha", "inf beta"],
+    )
+    def test_checked_at_construction(self, alphas, beta, message):
+        with pytest.raises(ValueError, match=message):
+            Scheme(alphas, beta)
+
+    def test_hashable_with_float_alphas(self):
+        s = Scheme([1, 2], 1)
+        assert s.alphas == (1.0, 2.0)
+        assert all(type(a) is float for a in (*s.alphas, s.beta))
+        assert hash(s) == hash(Scheme((1.0, 2.0), 1.0))
 
 
 class TestCharacteristicPolynomial:
@@ -67,12 +85,12 @@ class TestCharacteristicPolynomial:
         assert p.coefficients == (1.0, k - 1.0, -k)
 
     def test_three_step_example(self):
-        p = characteristic_polynomial(make_scheme([3.75, -4, 1.25], -0.5))
+        p = characteristic_polynomial(Scheme([3.75, -4, 1.25], -0.5))
         assert p.coefficients == (1.0, -3.75, 4.0, -1.25)
 
     def test_beta_absent(self):
-        a = characteristic_polynomial(make_scheme([0.5, 0.5], 0))
-        b = characteristic_polynomial(make_scheme([0.5, 0.5], 7.0))
+        a = characteristic_polynomial(Scheme([0.5, 0.5], 0))
+        b = characteristic_polynomial(Scheme([0.5, 0.5], 7.0))
         assert a.coefficients == b.coefficients
 
 
@@ -89,26 +107,26 @@ class TestRootCondition:
         assert match_roots([1.0, -0.5], rep.roots.values()) < 1e-10
 
     def test_three_ones_unstable(self):
-        rep = root_condition(make_scheme([1, 1, 1], 1))
+        rep = root_condition(Scheme([1, 1, 1], 1))
         assert not rep.zero_stable
         assert tuple(round(m, 2) for m in rep.moduli) == (1.84, 0.74, 0.74)
 
     def test_moduli_count_matches_order(self):
-        for s in [first_order(1), lm_second_order(-0.5), make_scheme([1, 1, 1], 1)]:
+        for s in [first_order(1), lm_second_order(-0.5), Scheme([1, 1, 1], 1)]:
             assert len(root_condition(s).moduli) == s.order
 
     def test_repeated_unit_root_flagged(self):
         # (rho - 1)^2: on-circle double root is a violation even though no
         # modulus exceeds 1
-        rep = root_condition(make_scheme([2, -1], 1))
+        rep = root_condition(Scheme([2, -1], 1))
         assert not rep.zero_stable
         assert any("multiplicity" in v for v in rep.violations)
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_beta_invariance(self, k, beta):
-        a = root_condition(make_scheme([1 - k, k], 2 * k + 1))
-        b = root_condition(make_scheme([1 - k, k], beta))
+        a = root_condition(Scheme([1 - k, k], 2 * k + 1))
+        b = root_condition(Scheme([1 - k, k], beta))
         assert a.zero_stable == b.zero_stable
         assert a.moduli == b.moduli
 
@@ -149,7 +167,7 @@ class TestConsistency:
         assert abs(rep.moment - 1.0) <= 1e-12
 
     def test_inconsistent_but_stable(self):
-        s = make_scheme([0.1, 0.2, 0.3], 0.4)
+        s = Scheme([0.1, 0.2, 0.3], 0.4)
         rep = consistency_check(s)
         assert not rep.consistent
         assert abs(rep.sum_alpha - 0.6) < 1e-15
@@ -170,7 +188,7 @@ class TestConsistency:
 
 class TestCompanionSpectralRadius:
     def test_three_ones(self):
-        est = companion_spectral_radius(make_scheme([1, 1, 1], 1))
+        est = companion_spectral_radius(Scheme([1, 1, 1], 1))
         assert abs(est.value - 1.84) < 0.01
 
     def test_euler(self):
@@ -178,13 +196,13 @@ class TestCompanionSpectralRadius:
         assert est.value == 1.0
 
     def test_table_row_three(self):
-        est = companion_spectral_radius(make_scheme([-3, 5, -1], 4))
+        est = companion_spectral_radius(Scheme([-3, 5, -1], 4))
         assert abs(est.value - 4.24) < 0.01
 
     def test_agrees_with_root_condition(self, rng):
         for _ in range(20):
             alphas = rng.uniform(-2, 2, 3)
-            s = make_scheme(alphas.tolist(), 1.0)
+            s = Scheme(alphas.tolist(), 1.0)
             moduli = sorted(root_condition(s).moduli, reverse=True)
             if len(moduli) > 1 and moduli[1] > 0.9 * moduli[0]:
                 continue

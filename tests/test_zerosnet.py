@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from zstab import zerosnet
 from zstab._table import json_table
 from zstab.schemes import (
+    Scheme,
     characteristic_polynomial,
     consistency_check,
-    make_scheme,
     root_condition,
 )
 from zstab.polyroots import find_roots
@@ -22,7 +22,6 @@ from zstab.zerosnet import (
     OPTIMAL_LAMBDA,
     RegionScan,
     closed_form_roots,
-    derive_from_pair,
     in_stability_region,
     max_nonprincipal_modulus,
     scan_region,
@@ -50,9 +49,9 @@ def _reference_coeffs(lam):
         # Where 4 lam overflows, every term is divided by lam.
         inv = 1.0 / lam
         alphas = [3.0 * (inv + 1.0) / 4.0, -1.0 / lam, (inv + 1.0) / 4.0]
-        return make_scheme(alphas, (3.0 - inv) / 2.0)
+        return Scheme(alphas, (3.0 - inv) / 2.0)
     alphas = [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)]
-    return make_scheme(alphas, (3.0 * lam - 1.0) / (2.0 * lam))
+    return Scheme(alphas, (3.0 * lam - 1.0) / (2.0 * lam))
 
 
 def _reference_roots(lam):
@@ -190,31 +189,6 @@ class TestCoefficients:
             zerosnet_coeffs(float("inf"))
 
 
-class TestDeriveFromPair:
-    def test_reduces_to_single_parameter(self):
-        assert derive_from_pair(1.0, -9 / 5) == zerosnet_coeffs(-9 / 5)
-
-    def test_scale_invariance(self):
-        assert derive_from_pair(2.0, 2.0) == zerosnet_coeffs(1.0)
-
-    def test_excluded_ray(self):
-        with pytest.raises(ValueError, match="3\\*lambda2"):
-            derive_from_pair(3.0, 1.0)
-
-    def test_zero_arguments_rejected(self):
-        with pytest.raises(ValueError, match="lambda1"):
-            derive_from_pair(0.0, 1.0)
-        with pytest.raises(ValueError, match="lambda2"):
-            derive_from_pair(1.0, 0.0)
-
-    @given(nonzero_lambda, nonzero_lambda)
-    @settings(max_examples=200, deadline=None)
-    def test_exact_equality_with_ratio_form(self, lam1, lam2):
-        if 3.0 * lam2 == lam1:
-            return
-        assert derive_from_pair(lam1, lam2) == zerosnet_coeffs(lam2 / lam1)
-
-
 class TestClosedFormRoots:
     def test_optimal_double_root(self):
         r0, r1, r2 = closed_form_roots(-9 / 5)
@@ -350,6 +324,8 @@ class TestMaxNonprincipalModulus:
         lam = np.append(10.0 ** np.linspace(-9.0, 308.0, 200_001), sys.float_info.max)
         for x in (lam, -lam):
             assert np.isfinite(zerosnet._rho(x)[3]).all()
+            # The coefficient columns of a scan, which are not checked there.
+            assert all(np.isfinite(c).all() for c in zerosnet._family(x))
 
     def test_strict_minimum_at_optimum(self):
         best = max_nonprincipal_modulus(OPTIMAL_LAMBDA)

@@ -8,8 +8,6 @@ instability looks like in practice.
 
 import math
 
-import numpy as np
-
 from zstab import (
     convergence_order,
     decay_problem,

@@ -5,8 +5,6 @@ lambda densely, compare the closed forms against the numeric root finder,
 and locate the coefficient set whose nonprincipal roots are smallest.
 """
 
-import numpy as np
-
 from zstab import (
     OPTIMAL_LAMBDA,
     closed_form_roots,

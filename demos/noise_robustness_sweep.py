@@ -8,8 +8,6 @@ non-zero-stable schemes amplify it geometrically with depth.
 
 import math
 
-import numpy as np
-
 from zstab import (
     NoiseSpec,
     REFERENCE_ROWS,

@@ -6,8 +6,6 @@ are zero-stable.  The reference table at the end recomputes all ten known
 coefficient rows from scratch.
 """
 
-import numpy as np
-
 from zstab import (
     Scheme,
     characteristic_polynomial,

@@ -122,6 +122,18 @@ class _Parser(argparse.ArgumentParser):
                 self.error(f"argument {flag}: expected one argument")
         return namespace, extras
 
+    def _parse_optional(self, arg_string):
+        # argparse reads a value only as plain as "-1" or "-.5", and takes
+        # "-1e-3", "-inf" and "-0.5,0.2" for flags; a token whose text before
+        # its first comma is a float is a value.  No float starts with "--".
+        if arg_string[:1] == "-" and arg_string[1:2] != "-":
+            try:
+                float(arg_string.partition(",")[0])
+                return None
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
+
     def check_required(self, namespace) -> None:
         missing = [
             a.option_strings[0] for a in self.required_flags if getattr(namespace, a.dest) is None

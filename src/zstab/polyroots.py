@@ -9,14 +9,14 @@ into factors whose roots are simple; every root of the i-th factor has
 multiplicity i.  Its gcds are taken by primitive pseudo-remainders (Brown,
 JACM 1971) and its quotients by exact integer division, so no rational
 number is formed until each factor is made monic, one correctly rounded
-division per coefficient.  Yun's first gcd, of f and f', is also the
-square-free test: where it is constant, f is its own single factor and
-goes to the root finder as given.  An Aberth-Ehrlich iteration in scalar
-complex arithmetic, started on the radii of the Newton polygon (Bini,
-Numer. Algorithms 1996), finds the simple roots of each factor; at the
-small degrees of multistep schemes a numpy call costs more than the
-arithmetic it does.  The tolerances are the module constants below, read
-at each call.
+division per coefficient.  Every factor, square-free or not, reaches the
+root finder monic, so the roots do not depend on the leading coefficient:
+k p has the roots of p, bit for bit, wherever k p's coefficients are
+exact.  An Aberth-Ehrlich iteration in scalar complex arithmetic, started
+on the radii of the Newton polygon (Bini, Numer. Algorithms 1996), finds
+the simple roots of each factor; at the small degrees of multistep schemes
+a numpy call costs more than the arithmetic it does.  The tolerances are
+the module constants below, read at each call.
 """
 
 from __future__ import annotations
@@ -94,17 +94,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def eval(self, z: complex) -> complex:
-        """Horner evaluation at ``z``."""
-        acc = 0j
-        for c in self.coefficients:
-            acc = acc * z + c
-        return acc
-
-    def monic(self) -> "Polynomial":
-        lead = self.coefficients[0]
-        return Polynomial([c / lead for c in self.coefficients])
 
 
 @dataclass(frozen=True)
@@ -184,16 +173,14 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of a and b, a nonzero, by primitive remainders
-    (Brown, JACM 1971): each pseudo-remainder is divided by its content, a
-    rational factor that leaves the gcd over Q as it is and keeps the
-    coefficients from growing from step to step."""
+    """The primitive gcd of a and b, a nonzero and no shorter than b, by
+    primitive remainders (Brown, JACM 1971): each pseudo-remainder is divided
+    by its content, a rational factor that leaves the gcd over Q as it is and
+    keeps the coefficients from growing from step to step."""
     a = _primitive(a)
     if not b:
         return a
     b = _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
@@ -217,9 +204,10 @@ def _quo(a: list[int], b: list[int]) -> list[int]:
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:
-    """The factors a_i of f = c * prod_i a_i^i, f of degree >= 1, primitive,
-    coprime and square-free, as (a_i, i) for every a_i that is not constant.
-    A constant gcd(f, f') proves f square-free: its one factor is f."""
+    """The factors a_i of f = c * prod_i a_i^i, f nonzero, primitive, coprime
+    and square-free, as (a_i, i) for every a_i that is not constant.  A
+    constant gcd(f, f') proves f square-free: its one factor is f, made
+    primitive ([1], with no roots, for a constant f)."""
     df = _deriv(f)
     a = _gcd(f, df)
     if len(a) == 1:
@@ -236,19 +224,6 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
         d = _sub(_quo(d, a), _deriv(b))
         i += 1
     return out
-
-
-def _squarefree_factors(coeffs: list[float]) -> list[tuple[list[float], int]]:
-    """(factor, multiplicity) pairs whose product is the polynomial; every
-    factor has simple roots.  A square-free polynomial is its own factor,
-    with the caller's coefficients."""
-    if len(coeffs) < 3:
-        return [(coeffs, 1)]
-    factors = _yun(_scaled(coeffs))
-    if len(factors) == 1 and factors[0][1] == 1:
-        return [(coeffs, 1)]
-    # int / int is correctly rounded: each float is that of the monic factor.
-    return [([c / a[0] for c in a], i) for a, i in factors]
 
 
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------
@@ -279,18 +254,20 @@ def _start(coeffs: list[float]) -> list[complex]:
 
 
 def _aberth(coeffs: list[float]) -> list[complex]:
-    """The roots of a square-free polynomial with a nonzero constant term.
+    """The roots of a monic square-free polynomial with a nonzero constant
+    term; none for the polynomial 1.
 
     Roots are updated one at a time with the newest values of the others
     (Gauss-Seidel order).  A root stops moving once |p(z)| is down to
     eps * sum_i |a_i| |z|^(n-i), the rounding level of evaluating it, or
     its step is below eps |z|.  The roots are accepted when every |p(z)| is
-    within ``RESIDUAL_TOL`` of that sum, and the sum is finite.
+    within ``RESIDUAL_TOL`` of that sum; a root, |p(z)| or sum that is not
+    finite is reported as an overflow.
     """
     n = len(coeffs) - 1
     mags = [abs(c) for c in coeffs]
     # 0j - b keeps the zero imaginary part of a real root positive.
-    z = [(0j - coeffs[1]) / coeffs[0]] if n == 1 else _start(coeffs)
+    z = [0j - coeffs[1]] if n == 1 else _start(coeffs)
     live = list(range(n)) if n > 1 else []
     for _ in range(MAX_ITERATIONS):
         if not live:
@@ -325,12 +302,15 @@ def _aberth(coeffs: list[float]) -> list[complex]:
         for c, m in zip(coeffs, mags):
             p = p * zi + c
             scale = scale * r + m
-        if not (abs(p) <= RESIDUAL_TOL * scale and scale < math.inf):
-            raise RootFindingError(
-                f"root finding did not converge within {MAX_ITERATIONS} iterations "
-                f"(residual {abs(p):.3e} at |z| = {r:.3e})",
-                z,
-            )
+        if abs(p) <= RESIDUAL_TOL * scale and scale < math.inf:
+            continue
+        if math.isfinite(abs(p)) and scale < math.inf:
+            why = f" within {MAX_ITERATIONS} iterations"
+        else:
+            why = ": a value overflowed"
+        raise RootFindingError(
+            f"root finding did not converge{why} (residual {abs(p):.3e} at |z| = {r:.3e})", z
+        )
     return z
 
 
@@ -357,9 +337,9 @@ def find_roots(p: Polynomial) -> RootSet:
         zeros += 1
     roots = [(0j, zeros)] if zeros else []
     try:
-        for factor, mult in _squarefree_factors(coeffs):
-            if len(factor) > 1:
-                roots += [(z, mult) for z in _aberth(factor)]
+        for a, mult in _yun(_scaled(coeffs)):
+            # int / int is correctly rounded: each float is that of the monic factor.
+            roots += [(z, mult) for z in _aberth([c / a[0] for c in a])]
     except OverflowError as exc:
         raise RootFindingError(
             f"root finding did not converge: a value overflowed ({exc})", ()

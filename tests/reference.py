@@ -9,6 +9,8 @@ package itself does not need.
   one scheme and their per-depth sup-norm gaps, the oracle that the
   batched ``robustness_sweep`` is checked against.
 - ``lipschitz_estimate``: an empirical Lipschitz ratio of one block.
+- ``horner``/``monic``: a polynomial's value at a point and its monic
+  form, which only the tests and the companion oracle use.
 - ``companion_power_modulus``/``companion_spectral_radius``: the dominant
   characteristic root modulus by companion-matrix power iteration,
   independent of the Aberth root finder.
@@ -206,6 +208,19 @@ def lipschitz_estimate(
     return worst
 
 
+def horner(p: Polynomial, z: complex) -> complex:
+    """Horner evaluation of ``p`` at ``z``."""
+    acc = 0j
+    for c in p.coefficients:
+        acc = acc * z + c
+    return acc
+
+
+def monic(p: Polynomial) -> Polynomial:
+    lead = p.coefficients[0]
+    return Polynomial([c / lead for c in p.coefficients])
+
+
 class SpectralRadiusEstimate(NamedTuple):
     value: float
     converged: bool
@@ -223,7 +238,7 @@ def companion_power_modulus(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    mon = p.monic()
+    mon = monic(p)
     n = mon.degree
     if n == 0:
         raise ValueError("degree must be >= 1")

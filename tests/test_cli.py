@@ -137,7 +137,7 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("alphas", ["1e308,1e308"])
+    @pytest.mark.parametrize("alphas", ["1e308,1e308", "1e300,-1e300,1", "1e200,1e200,1e200"])
     def test_root_finding_failure_is_usage_error(self, capsys, alphas):
         code, out, err = run(capsys, "analyze", "--alphas", alphas)
         assert code == EXIT_USAGE
@@ -872,6 +872,32 @@ class TestDoubleDashValue:
         if sys.version_info < (3, 13):
             assert err == "usage error: argument --alphas: expected one argument\n"
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+class TestNegativeValue:
+    """argparse's negative-number pattern passes only "-1" and "-.5"; an
+    exponent, a comma list or "-inf" was taken for a flag, so "--flag value"
+    was refused where "--flag=value" ran."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alphas", "-0.5,0.2"),
+            ("analyze", "--lambda", "-1e-3"),
+            ("lambda-scan", "--min", "-1e1", "--max", "1", "--step", "1"),
+            ("analyze", "--alphas", "1", "--beta", "-1E2"),
+        ],
+    )
+    def test_is_a_value(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK and "usage error" not in err
+        joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        assert run(capsys, argv[0], *joined) == (code, out, err)
+
+    def test_minus_inf_reaches_the_library(self, capsys):
+        code, out, err = run(capsys, "analyze", "--alphas", "1", "--beta", "-inf")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: scheme coefficients must be finite\n"
 
 
 class TestArgumentCap:

@@ -283,3 +283,28 @@ def test_command_line(line):
         code, _ = _assert_contract(argv, codes)
     event(f"{command or '(none)'} exits {code}")
     assert code != cli.EXIT_VERIFY_FAIL or command == "table-verify", argv
+
+
+# Flags that take a number, each with the rest of a small command; --alphas
+# takes a comma list of them.
+_NUMERIC_FLAGS = [
+    (["analyze"], "--alphas"),
+    (["analyze", "--alphas=1"], "--beta"),
+    (["analyze"], "--lambda"),
+    (["integrate", "--alphas=1", "--steps=3"], "--h"),
+    (["integrate", "--alphas=1", "--h=0.1", "--steps=3", "--rhs=-y"], "--y0"),
+    (["integrate", "--alphas=1", "--h=0.1", "--steps=3"], "--probe"),
+    (["lambda-scan", "--max=1", "--step=0.5"], "--min"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_NUMERIC_FLAGS), st.lists(_numbers, min_size=1, max_size=3))
+def test_numeric_value_forms_agree(case, numbers):
+    # "--flag value" and "--flag=value" are one command, negative values
+    # included.
+    command, flag = case
+    value = ",".join(numbers) if flag == "--alphas" else numbers[0]
+    spaced = _run(command + [flag, value])
+    joined = _run(command + [f"{flag}={value}"])
+    assert spaced[:3] == joined[:3], (command, flag, value)

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from zstab.table8 import REFERENCE_ROWS, verify_reference_table
 from zstab.zerosnet import zerosnet_coeffs
 
 from conftest import match_roots
-from reference import companion_power_modulus, exact_roots
+from reference import companion_power_modulus, exact_roots, horner
 
 
 def conjugate_closed(values):
@@ -104,18 +105,18 @@ def multiset_alphas(draw):
 class TestPolynomial:
     def test_eval_cubic_root_of_unity(self):
         p = Polynomial([1, 0, 0, -1])  # rho^3 - 1
-        assert p.eval(1.0) == 0
+        assert horner(p, 1.0) == 0
 
     def test_eval_linear_root(self):
         p = Polynomial([1, -0.5])
-        assert p.eval(0.5) == 0
+        assert horner(p, 0.5) == 0
 
     def test_eval_factored_quadratic(self):
         # (rho - 1)(rho + k) with k = 0.5 expands to rho^2 + (k-1)rho - k
         k = 0.5
         p = Polynomial([1, k - 1, -k])
-        assert abs(p.eval(-0.5)) == 0
-        assert abs(p.eval(1.0)) == 0
+        assert abs(horner(p, -0.5)) == 0
+        assert abs(horner(p, 1.0)) == 0
 
     def test_leading_zeros_stripped(self):
         p = Polynomial([0, 0, 2, 4])
@@ -183,7 +184,7 @@ class TestFindRoots:
             p = poly_from_roots(conjugate_closed(values.tolist()))
             rs = find_roots(p)
             for z, _ in rs.roots:
-                r = abs(p.eval(z))
+                r = abs(horner(p, z))
                 scale = sum(abs(c) * abs(z) ** (p.degree - i) for i, c in enumerate(p.coefficients))
                 assert r <= 1e-10 * scale
 
@@ -192,7 +193,7 @@ class TestFindRoots:
         a = find_roots(p)
         b = find_roots(p)
         assert a.roots == b.roots
-        assert [abs(p.eval(z)) for z, _ in a.roots] == [abs(p.eval(z)) for z, _ in b.roots]
+        assert [abs(horner(p, z)) for z, _ in a.roots] == [abs(horner(p, z)) for z, _ in b.roots]
 
     def test_sorted_by_modulus_then_argument(self):
         rs = find_roots(Polynomial([1, 0, 0, 0, -16]))  # roots 2, -2, +/-2i
@@ -243,6 +244,15 @@ class TestFindRoots:
         # 2^-1074 (r - 2^1030)^2: the root exceeds the largest float.
         with pytest.raises(RootFindingError):
             find_roots(Polynomial([2.0 ** -1074, -(2.0 ** -43), 2.0 ** 986]))
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1.0, -1e300, 1e300, -1.0], [1.0, -1e200, -1e200, -1e200]]
+    )
+    def test_non_finite_iterates_are_an_overflow(self, coeffs):
+        # The iterates are NaN after one step and stop moving, so no
+        # iteration budget runs out.
+        with pytest.raises(RootFindingError, match="did not converge: a value overflowed"):
+            find_roots(Polynomial(coeffs))
 
     def test_unverifiable_roots_are_not_accepted(self):
         # r^3 - 1e308: the roots, of modulus 4.6e102, are floats, but the
@@ -363,12 +373,26 @@ class TestSquarefreeTest:
     @settings(max_examples=60, deadline=None)
     @given(multiset_alphas(), st.sampled_from([1.0, -1.0, 3.0, -5.0]), st.integers(-60, 40))
     def test_proves_only_square_free(self, alphas, lead, exponent):
-        # Yun's first gcd is the test: a polynomial is passed on whole, as
-        # its one simple factor, exactly when its roots are all simple.
+        # Yun's first gcd is the test: a polynomial is its own one factor,
+        # made primitive, of multiplicity 1, exactly when its roots are all
+        # simple.
         scale = lead * 2.0 ** exponent
         coeffs = [scale] + [-a * scale for a in alphas]
-        whole = polyroots._squarefree_factors(coeffs) == [(coeffs, 1)]
+        f = polyroots._scaled(coeffs)
+        whole = polyroots._yun(f) == [(polyroots._primitive(f), 1)]
         assert whole == all(m == 1 for _, m in exact_roots(coeffs))
+
+
+class TestScaleInvariance:
+    @settings(max_examples=80, deadline=None)
+    @given(multiset_alphas(), st.sampled_from([3.0, -6.0, 2.0 ** -60, 2.0 ** 40]))
+    def test_roots_ignore_the_leading_coefficient(self, alphas, k):
+        # Every factor reaches Aberth monic, so an exact multiple of p has
+        # p's roots, bit for bit: the same values, signed zeros and order.
+        coeffs = [1.0] + [-a for a in alphas]
+        scaled = [k * c for c in coeffs]
+        assume(all(Fraction(x) == k * Fraction(c) for x, c in zip(scaled, coeffs)))
+        assert repr(find_roots(Polynomial(scaled))) == repr(find_roots(Polynomial(coeffs)))
 
 
 def _times(a, b):
@@ -393,23 +417,46 @@ def squared_products(draw):
     return [float(x) for x in poly]
 
 
-def assert_yun_matches_sympy(coeffs):
-    """Yun's factors of the exact coefficients are sympy's monic square-free
-    factors, as exact rationals and as the floats the root finder is given:
-    a square-free input's own coefficients, else the monic factors'."""
+def sympy_factors(coeffs):
+    """sympy's monic square-free factors of the exact coefficients, as
+    exact rationals by multiplicity."""
     x = sympy.Symbol("x")
     exact = [sympy.Rational(*c.as_integer_ratio()) for c in coeffs]
     _, factors = sympy.sqf_list(sympy.Poly(exact, x))
-    want = {m: [Fraction(int(r.p), int(r.q)) for r in f.monic().all_coeffs()]
+    return {m: [Fraction(int(r.p), int(r.q)) for r in f.monic().all_coeffs()]
             for f, m in factors if f.degree() > 0}
+
+
+def aberth_inputs(coeffs):
+    """The coefficients each call of the root finder is given while
+    find_roots runs on ``coeffs``, in call order."""
+    seen = []
+    aberth = polyroots._aberth
+
+    def record(factor):
+        seen.append(factor)
+        return aberth(factor)
+
+    with mock.patch.object(polyroots, "_aberth", record):
+        find_roots(Polynomial(coeffs))
+    return seen
+
+
+def assert_yun_matches_sympy(coeffs):
+    """Yun's factors of the exact coefficients are sympy's monic square-free
+    factors, as exact rationals; and the floats the root finder is given,
+    square-free input or not, are those of sympy's monic factors of the
+    polynomial without its zero roots, by increasing multiplicity (the
+    polynomial 1 for a monomial, which has no other root)."""
+    want = sympy_factors(coeffs)
     got = polyroots._yun(polyroots._scaled(coeffs))
     assert len(got) == len(want)
     assert {m: [Fraction(c, a[0]) for c in a] for a, m in got} == want
-    if [m for _, m in got] == [1]:
-        assert polyroots._squarefree_factors(coeffs) == [(coeffs, 1)]
-    else:
-        floats = {m: list(map(repr, f)) for f, m in polyroots._squarefree_factors(coeffs)}
-        assert floats == {m: [repr(float(c)) for c in w] for m, w in want.items()}
+    nonzero = list(coeffs)
+    while not nonzero[-1]:
+        nonzero.pop()
+    floats = [[repr(float(c)) for c in f] for _, f in sorted(sympy_factors(nonzero).items())]
+    assert [list(map(repr, f)) for f in aberth_inputs(coeffs)] == (floats or [["1.0"]])
 
 
 class TestYunOverIntegers:
@@ -447,12 +494,14 @@ class TestYunOverIntegers:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_zero_coefficient_is_positive_zero(self, sign):
-        # +/-(r - 1)^2 (r^2 - 2): the simple factor's zero coefficient is
-        # +0.0, as the float of the monic rational factor is, whatever the
-        # sign of the integer gcd that the factor is divided out of.
+        # +/-(r - 1)^2 (r^2 - 2): the simple factor's zero coefficient
+        # reaches the root finder as +0.0, as the float of the monic rational
+        # factor is, whatever the sign of the integer gcd that the factor is
+        # divided out of.
         p = [sign * float(c) for c in _times(_times([1, -1], [1, -1]), [1, 0, -2])]
-        assert polyroots._squarefree_factors(p) == [([1.0, 0.0, -2.0], 1), ([1.0, -1.0], 2)]
-        assert repr(polyroots._squarefree_factors(p)[0][0][1]) == "0.0"
+        inputs = aberth_inputs(p)
+        assert inputs == [[1.0, 0.0, -2.0], [1.0, -1.0]]
+        assert repr(inputs[0][1]) == "0.0"
 
 
 # Each factor Aberth sees has simple roots, so a fifth of the iteration

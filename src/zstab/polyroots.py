@@ -7,16 +7,15 @@ scaled by one power of two the coefficients are integers, and Yun's
 square-free decomposition (Yun, SYMSAC 1976) splits the polynomial over Z
 into factors whose roots are simple; every root of the i-th factor has
 multiplicity i.  Its gcds are taken by primitive pseudo-remainders (Brown,
-JACM 1971) and its quotients by exact integer division, so no rational
-number is formed until each factor is made monic, one correctly rounded
-division per coefficient.  Every factor, square-free or not, reaches the
-root finder monic, so the roots do not depend on the leading coefficient:
-k p has the roots of p, bit for bit, wherever k p's coefficients are
-exact.  An Aberth-Ehrlich iteration in scalar complex arithmetic, started
-on the radii of the Newton polygon (Bini, Numer. Algorithms 1996), finds
-the simple roots of each factor; at the small degrees of multistep schemes
-a numpy call costs more than the arithmetic it does.  The tolerances are
-the module constants below, read at each call.
+JACM 1971) and its quotients by exact integer division, so no float is
+formed until each factor goes to the root finder, monic or scaled by a
+power of two: a function of the primitive factor, so k p has the roots of
+p, bit for bit, wherever k p's coefficients are exact.  An Aberth-Ehrlich
+iteration in scalar complex arithmetic, started on the radii of the Newton
+polygon (Bini, Numer. Algorithms 1996), finds the simple roots of each
+factor; at the small degrees of multistep schemes a numpy call costs more
+than the arithmetic it does.  The tolerances are the module constants
+below, read at each call.
 """
 
 from __future__ import annotations
@@ -109,18 +108,11 @@ class RootSet:
 
     def values(self) -> list[complex]:
         """Roots expanded with multiplicity."""
-        out: list[complex] = []
-        for value, mult in self.roots:
-            out.extend([value] * mult)
-        return out
+        return [value for value, mult in self.roots for _ in range(mult)]
 
     def moduli(self) -> list[float]:
         """Moduli expanded with multiplicity, descending."""
         return sorted((abs(v) for v in self.values()), reverse=True)
-
-
-def _root_sort_key(value: complex) -> tuple[float, float]:
-    return (-abs(value), cmath.phase(value))
 
 
 # -- Yun's square-free decomposition over the integers -----------------------
@@ -226,6 +218,25 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+def _factor_roots(a: list[int]) -> list[complex]:
+    """The roots of the primitive factor a by ``_aberth``, on a over lc(a),
+    monic as every characteristic polynomial is, or over the power of two
+    that centres the terms of p(z) at its extreme roots with normal
+    coefficients: monic first unless it is subnormal, the other on overflow."""
+    normal = a[0].bit_length() <= 1022 or min(map(abs, filter(None, a))) >= a[0] >> 1022
+    for d in (a[0], None) if normal else (None, a[0]):
+        if d is None:
+            bits = [abs(c).bit_length() for c in a]
+            lo, hi, n = min(filter(None, bits)), max(bits), len(a) - 1
+            grow = max((b - bits[0]) * n // i for i, b in enumerate(bits) if i and b)
+            d = 1 << max(min((bits[0] + grow + bits[-1]) // 2, lo + 1021), hi - 1024)
+        try:
+            return _aberth([c / d for c in a])
+        except OverflowError as exc:
+            error = exc
+    raise error
+
+
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------
 
 def _start(coeffs: list[float]) -> list[complex]:
@@ -254,20 +265,21 @@ def _start(coeffs: list[float]) -> list[complex]:
 
 
 def _aberth(coeffs: list[float]) -> list[complex]:
-    """The roots of a monic square-free polynomial with a nonzero constant
-    term; none for the polynomial 1.
+    """The roots of a square-free polynomial; none for a constant.
 
     Roots are updated one at a time with the newest values of the others
     (Gauss-Seidel order).  A root stops moving once |p(z)| is down to
     eps * sum_i |a_i| |z|^(n-i), the rounding level of evaluating it, or
     its step is below eps |z|.  The roots are accepted when every |p(z)| is
-    within ``RESIDUAL_TOL`` of that sum; a root, |p(z)| or sum that is not
-    finite is reported as an overflow.
+    within ``RESIDUAL_TOL`` of that sum; a |p(z)| or sum that is not finite
+    raises ``OverflowError``.
     """
     n = len(coeffs) - 1
+    if not (coeffs[0] and coeffs[-1]):
+        raise OverflowError("the leading or constant coefficient rounds to 0")
     mags = [abs(c) for c in coeffs]
     # 0j - b keeps the zero imaginary part of a real root positive.
-    z = [0j - coeffs[1]] if n == 1 else _start(coeffs)
+    z = [(0j - coeffs[1]) / coeffs[0]] if n == 1 else _start(coeffs)
     live = list(range(n)) if n > 1 else []
     for _ in range(MAX_ITERATIONS):
         if not live:
@@ -302,15 +314,13 @@ def _aberth(coeffs: list[float]) -> list[complex]:
         for c, m in zip(coeffs, mags):
             p = p * zi + c
             scale = scale * r + m
-        if abs(p) <= RESIDUAL_TOL * scale and scale < math.inf:
-            continue
-        if math.isfinite(abs(p)) and scale < math.inf:
-            why = f" within {MAX_ITERATIONS} iterations"
-        else:
-            why = ": a value overflowed"
-        raise RootFindingError(
-            f"root finding did not converge{why} (residual {abs(p):.3e} at |z| = {r:.3e})", z
-        )
+        if not math.isfinite(abs(p) + scale):
+            raise OverflowError(f"residual {abs(p):.3e} at |z| = {r:.3e}")
+        if abs(p) > RESIDUAL_TOL * scale:
+            raise RootFindingError(
+                f"root finding did not converge within {MAX_ITERATIONS} iterations "
+                f"(residual {abs(p):.3e} at |z| = {r:.3e})", z
+            )
     return z
 
 
@@ -331,18 +341,15 @@ def find_roots(p: Polynomial) -> RootSet:
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
     coeffs = list(p.coefficients)
-    zeros = 0
     while not coeffs[-1]:
         coeffs.pop()
-        zeros += 1
+    zeros = p.degree + 1 - len(coeffs)
     roots = [(0j, zeros)] if zeros else []
     try:
         for a, mult in _yun(_scaled(coeffs)):
-            # int / int is correctly rounded: each float is that of the monic factor.
-            roots += [(z, mult) for z in _aberth([c / a[0] for c in a])]
+            roots += [(z, mult) for z in _factor_roots(a)]
     except OverflowError as exc:
-        raise RootFindingError(
-            f"root finding did not converge: a value overflowed ({exc})", ()
-        ) from exc
-    roots.sort(key=lambda pair: _root_sort_key(pair[0]))
+        message = f"root finding did not converge: a value overflowed ({exc})"
+        raise RootFindingError(message, ()) from exc
+    roots.sort(key=lambda pair: (-abs(pair[0]), cmath.phase(pair[0])))
     return RootSet(roots=tuple(roots))

@@ -137,7 +137,14 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("alphas", ["1e308,1e308", "1e300,-1e300,1", "1e200,1e200,1e200"])
+    def test_roots_past_the_monic_range(self, capsys):
+        # In monic form |z|^3 overflows at the root 1e200; the factor scaled
+        # by a power of two has its roots found.
+        code, out, _ = run(capsys, "analyze", "--alphas", "1e200,1e200,1e200")
+        assert code == EXIT_OK
+        assert "moduli=1e+200;1;1\nzero_stable=false\n" in out
+
+    @pytest.mark.parametrize("alphas", ["1e308,1e308", "1e300,-1e300,1", "1e300,1e300,1e300"])
     def test_root_finding_failure_is_usage_error(self, capsys, alphas):
         code, out, err = run(capsys, "analyze", "--alphas", alphas)
         assert code == EXIT_USAGE

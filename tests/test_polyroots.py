@@ -44,6 +44,8 @@ def poly_from_roots(roots):
     return Polynomial(out.tolist())
 
 
+# The complex cube roots of unity, roots of z^2 + z + 1.
+_CUBE_ROOTS = [cmath.exp(s * 2j * math.pi / 3) for s in (1, -1)]
 _ROOT_VALUES = dict(min_magnitude=0.1, max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 
 
@@ -204,7 +206,7 @@ class TestFindRoots:
 
     def test_nonconvergence_carries_best_iterates(self, monkeypatch):
         monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 1)
-        with pytest.raises(RootFindingError) as err:
+        with pytest.raises(RootFindingError, match="did not converge within 1 iterations") as err:
             find_roots(Polynomial([1, 0.3, -0.7, 0.2]))
         assert len(err.value.best_iterates) == 3
 
@@ -246,18 +248,72 @@ class TestFindRoots:
             find_roots(Polynomial([2.0 ** -1074, -(2.0 ** -43), 2.0 ** 986]))
 
     @pytest.mark.parametrize(
-        "coeffs", [[1.0, -1e300, 1e300, -1.0], [1.0, -1e200, -1e200, -1e200]]
+        "coeffs", [[1.0, -1e300, 1e300, -1.0], [1.0, -1e300, -1e300, -1e300]]
     )
     def test_non_finite_iterates_are_an_overflow(self, coeffs):
-        # The iterates are NaN after one step and stop moving, so no
-        # iteration budget runs out.
+        # The monic iterates are NaN after one step and stop moving, so no
+        # iteration budget runs out; scaled by a power of two, |z|^3 at the
+        # root 1e300 still overflows.
         with pytest.raises(RootFindingError, match="did not converge: a value overflowed"):
             find_roots(Polynomial(coeffs))
 
+    @pytest.mark.parametrize(
+        "coeffs, roots, k",
+        [
+            # The monic constant term, 1e-600, is no float.
+            ([1e300, 1.0, 1e-300], [1e-300 * w for w in _CUBE_ROOTS], -(2.0**20)),
+            # The monic constant term, 2e400, overflows.
+            ([1e-300, -3e-100, 2e100], [1e200, 2e200], -(2.0**20)),
+            # The monic constant term, 1e-315, is subnormal: 28 bits.
+            ([1e10, 1.0, 1e-305], [-1e-10, -1e-305], -(2.0**20)),
+            # Monic, but |z|^3 overflows at the root 1e200.
+            ([1.0, -1e200, -1e200, -1e200], [1e200, *_CUBE_ROOTS], -(2.0**20)),
+            # 2^2097 apart, the widest span of two floats.
+            ([1e308, 1.0, 5e-324], [-1e-308, -5e-324], -1.0),
+            # A subnormal monic coefficient puts the scaled form first; its
+            # terms overflow at the roots, and the monic form finds them.
+            (
+                [1.0, 1.3954756326396711e-129, -2.35758858e-316, 5.1382876095416774e305],
+                [-(5.1382876095416774e305 ** (1 / 3)) * w for w in [1, *_CUBE_ROOTS]],
+                -1.0,
+            ),
+        ],
+        ids=[
+            "constant-underflows", "constant-overflows", "constant-subnormal", "cube-overflows",
+            "widest-span", "subnormal-then-monic",
+        ],
+    )
+    def test_roots_past_the_monic_range(self, coeffs, roots, k):
+        # Each needs the form scaled by a power of two, or, for the last, the
+        # monic form after it; the roots are full precision, and an exact
+        # multiple of p still has p's roots.
+        rs = find_roots(Polynomial(coeffs))
+        assert [m for _, m in rs.roots] == [1] * len(roots)
+        found = [z for z, _ in rs.roots]
+        for z in roots:
+            w = min(found, key=lambda w: abs(w - z))
+            assert abs(w - z) <= 1e-12 * abs(z), (w, z)
+            found.remove(w)
+        assert repr(find_roots(Polynomial([k * c for c in coeffs]))) == repr(rs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=7)
+        .filter(lambda c: c[0] != 0 and any(c[1:]))
+    )
+    def test_any_finite_coefficients_give_roots_or_a_root_finding_error(self, coeffs):
+        # Subnormal, huge and zero coefficients in any mix: no other exception.
+        try:
+            rs = find_roots(Polynomial(coeffs))
+        except RootFindingError:
+            return
+        assert sum(m for _, m in rs.roots) == len(coeffs) - 1
+
     def test_unverifiable_roots_are_not_accepted(self):
-        # r^3 - 1e308: the roots, of modulus 4.6e102, are floats, but the
-        # scale |z|^3 + 1e308 of the residual test overflows, so the test
-        # cannot tell them from the starting points.
+        # r^3 - 1e308: the roots, of modulus 4.6e102, are floats, but in
+        # monic form the scale |z|^3 + 1e308 of the residual test overflows,
+        # so the test cannot tell them from the starting points; whatever
+        # form finds them, no unverified root may be accepted.
         p = Polynomial([1, 0, 0, -1e308])
         try:
             rs = find_roots(p)
@@ -387,8 +443,9 @@ class TestScaleInvariance:
     @settings(max_examples=80, deadline=None)
     @given(multiset_alphas(), st.sampled_from([3.0, -6.0, 2.0 ** -60, 2.0 ** 40]))
     def test_roots_ignore_the_leading_coefficient(self, alphas, k):
-        # Every factor reaches Aberth monic, so an exact multiple of p has
-        # p's roots, bit for bit: the same values, signed zeros and order.
+        # Aberth's floats are a function of the primitive factor, so an exact
+        # multiple of p has p's roots, bit for bit: the same values, signed
+        # zeros and order.
         coeffs = [1.0] + [-a for a in alphas]
         scaled = [k * c for c in coeffs]
         assume(all(Fraction(x) == k * Fraction(c) for x, c in zip(scaled, coeffs)))

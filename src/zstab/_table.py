@@ -179,7 +179,6 @@ def record(keys: Sequence[str], values: Sequence, form: str) -> str:
     if form == "json":
         items = [f"{json.dumps(k)}: {_json_value(v, 1)}" for k, v in zip(keys, values)]
         return _layout(items, 1, "{}") + "\n"
-    texts = map(_text, values)
     if form == "csv":
-        return "key,value\n" + "".join(f"{k},{t}\n" for k, t in zip(keys, texts))
-    return "".join(f"{k}={t}\n" for k, t in zip(keys, texts))
+        return csv_table(("key", "value"), (keys, values))
+    return "".join(f"{k}={t}\n" for k, t in zip(keys, map(_text, values)))

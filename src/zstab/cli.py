@@ -10,6 +10,9 @@ in ``zstab._table``, so numbers carry 10 significant digits in CSV, JSON and
 text alike; table-verify prints its moduli with two decimals (``:.2f``) and
 its verdicts as Python's ``True``/``False``.
 
+A command writes only after it has finished: each ``cmd_*`` returns its
+stdout text, stderr lines and exit code, and ``main`` alone writes them.
+
 A flat key=value config file (--config) supplies defaults; flags override
 it.  Each line is parsed as its flag would be, and a required flag may be
 given in either.  The command line and the config's flag lines together
@@ -91,7 +94,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Raises UsageError (exit 64) instead of exiting 2, and indexes its
-    flags by long name and by dest for --config.
+    flags by long name for --config.
 
     argparse checks a required flag as it parses, before a --config file
     could supply it; here ``check_required`` checks it after the last parse,
@@ -107,8 +110,8 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         if required:
             self.required_flags.append(action)
-        if action.dest != argparse.SUPPRESS:  # not --help
-            for name in (*action.option_strings, action.dest):
+        if action.default != argparse.SUPPRESS:  # not --help
+            for name in action.option_strings:
                 self.flags[name.removeprefix("--")] = action
         return action
 
@@ -116,10 +119,10 @@ class _Parser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         # argparse before Python 3.13 drops the value of "--flag=--" and
         # stores an empty list, which no type or choice check sees.
-        for dest, value in vars(namespace).items():
-            if isinstance(value, list) and (not value or [] in value) and dest in self.flags:
-                flag = self.flags[dest].option_strings[0]
-                self.error(f"argument {flag}: expected one argument")
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if isinstance(value, list) and (not value or [] in value):
+                self.error(f"argument {action.option_strings[0]}: expected one argument")
         return namespace, extras
 
     def _parse_optional(self, arg_string):
@@ -145,20 +148,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_out(path: str) -> Path:
-    p = Path(path)
-    if not p.is_absolute():
-        base = os.environ.get("ZSTAB_OUT_DIR")
-        if base:
-            p = Path(base) / p
-    return p
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if not out:
         sys.stdout.write(text)
         return
-    path = _resolve_out(out)
+    # A relative path is resolved against ZSTAB_OUT_DIR; "/" keeps an absolute one.
+    path = Path(os.environ.get("ZSTAB_OUT_DIR", "")) / out
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
@@ -193,7 +188,7 @@ def _scheme_from_args(args) -> Scheme:
     return Scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[str, list[str], int]:
     scheme = _scheme_from_args(args)
     stability = root_condition(scheme)
     consistency = consistency_check(scheme)
@@ -202,27 +197,20 @@ def cmd_analyze(args) -> int:
         stability.violations, consistency.sum_alpha, consistency.moment,
         consistency.consistent,
     )
-    _emit(record(ANALYZE_KEYS, values, args.format), args.out)
-    if args.strict and not stability.zero_stable:
-        return EXIT_NOT_STABLE
-    return EXIT_OK
+    code = EXIT_NOT_STABLE if args.strict and not stability.zero_stable else EXIT_OK
+    return record(ANALYZE_KEYS, values, args.format), [], code
 
 
-def cmd_lambda_scan(args) -> int:
+def cmd_lambda_scan(args) -> tuple[str, list[str], int]:
     scan = scan_region(args.min, args.max, args.step)
-    _emit(_table_text(scan, args.format), args.out)
-    if scan.argmin_lambda is not None:
-        print(
-            f"argmin lambda={fmt(scan.argmin_lambda)} "
-            f"max_modulus={fmt(scan.argmin_modulus)}",
-            file=sys.stderr,
-        )
+    if scan.argmin_lambda is None:
+        note = "no zero-stable grid points"
     else:
-        print("no zero-stable grid points", file=sys.stderr)
-    return EXIT_OK
+        note = f"argmin lambda={fmt(scan.argmin_lambda)} max_modulus={fmt(scan.argmin_modulus)}"
+    return _table_text(scan, args.format), [note], EXIT_OK
 
 
-def cmd_table_verify(args) -> int:
+def cmd_table_verify(args) -> tuple[str, list[str], int]:
     results = verify_reference_table()
     lines = []
     for i, res in enumerate(results):
@@ -235,8 +223,7 @@ def cmd_table_verify(args) -> int:
         )
     failed = sum(not res.passed for res in results)
     lines.append(f"{len(results) - failed}/{len(results)} rows pass\n")
-    _emit("".join(lines), args.out)
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
+    return "".join(lines), [], EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
 
 
 def _compile_rhs(expr: str):
@@ -312,7 +299,7 @@ def _problem_from_args(args) -> ivp.IVPProblem:
     return ivp.PRESETS[args.preset or "decay"]()
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args) -> tuple[str, list[str], int]:
     if not 0.0 < args.h < math.inf:
         raise UsageError("--h must be positive and finite")
     # Checked here, before the order fit runs, and named as the flag.
@@ -355,19 +342,19 @@ def cmd_integrate(args) -> int:
             scheme, problem, args.probe, args.h, args.steps,
             seed=1 if args.seed is None else args.seed,
         )
-    _emit(_table_text(traj, args.format), args.out)
+    notes = []
     if traj.blew_up_at is not None:
-        print(f"blow-up at step {traj.blew_up_at}", file=sys.stderr)
+        notes.append(f"blow-up at step {traj.blew_up_at}")
     if series is not None:
         flagged = " (diverged)" if series.blew_up_at is not None or series.ratio > 1e3 else ""
-        print(f"probe amplification ratio={fmt(series.ratio)}{flagged}", file=sys.stderr)
+        notes.append(f"probe amplification ratio={fmt(series.ratio)}{flagged}")
     if est is not None:
-        note = " (rounding-limited)" if est.rounding_limited else ""
-        print(f"convergence order={fmt(est.order)}{note}", file=sys.stderr)
-    return EXIT_OK
+        limited = " (rounding-limited)" if est.rounding_limited else ""
+        notes.append(f"convergence order={fmt(est.order)}{limited}")
+    return _table_text(traj, args.format), notes, EXIT_OK
 
 
-def cmd_propagate(args) -> int:
+def cmd_propagate(args) -> tuple[str, list[str], int]:
     if args.table8:
         if (args.alphas, args.beta, args.lam) != (None, None, None):
             raise UsageError("--table8 takes no --alphas, --beta or --lambda")
@@ -381,13 +368,13 @@ def cmd_propagate(args) -> int:
         schemes, specs, depth=args.depth, width=args.width,
         trials=args.trials, seed=args.seed,
     )
-    _emit(_table_text(report, args.format), args.out)
     means = report.group_means()
+    notes = []
     if not math.isnan(means[True]):
-        print(f"zero-stable group mean gap={fmt(means[True])}", file=sys.stderr)
+        notes.append(f"zero-stable group mean gap={fmt(means[True])}")
     if not math.isnan(means[False]):
-        print(f"non-zero-stable group mean gap={fmt(means[False])}", file=sys.stderr)
-    return EXIT_OK
+        notes.append(f"non-zero-stable group mean gap={fmt(means[False])}")
+    return _table_text(report, args.format), notes, EXIT_OK
 
 
 def _add_scheme_flags(parser) -> None:
@@ -548,10 +535,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         parser.commands[args.command].check_required(args)
-        return args.func(args)
+        text, notes, code = args.func(args)
+        _emit(text, args.out)
     except (UsageError, ValueError, RootFindingError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        notes, code = [f"usage error: {exc}"], EXIT_USAGE
+    for note in notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -305,6 +305,8 @@ def zero_stability_probe(
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     d = s.order
     _check_steps(p, h, d, n_steps)
     seeds = startup_states(p, h, d)
@@ -312,26 +314,23 @@ def zero_stability_probe(
     shifted = [y + shift for y in seeds]
     if p.dimension == 1:
         clean = _trajectory(d, *_seeded_run(s, p, h, seeds, n_steps))
-        _, twin, twin_blew = _seeded_run(s, p, h, shifted, max(len(clean.states) - d, 1))
+        twin = _trajectory(d, *_seeded_run(s, p, h, shifted, max(len(clean.states) - d, 1)))
     else:
         rows = [np.stack(pair) for pair in zip(seeds, shifted)]
         times, stacked, (clean_blew, twin_blew) = _seeded_run(s, p, h, rows, n_steps)
         clean = _trajectory(d, times, stacked[:, 0], clean_blew)
-        twin = stacked[:, 1]
+        twin = _trajectory(d, times, stacked[:, 1], twin_blew)
 
-    # The gaps cover the steps both runs have before their blow-ups.
-    twin_blew_up_at = d - 1 + int(twin_blew) if twin_blew else None
-    m = min(len(clean.states), len(twin) if twin_blew_up_at is None else twin_blew_up_at)
-    gaps = tuple(np.max(np.abs(clean.states[:m] - twin[:m]), axis=1).tolist())
+    # The gaps cover the steps both runs have before their blow-ups.  Two
+    # finite states of opposite sign near the float max are a gap of inf.
+    m = min(len(clean.states), len(twin.states))
+    with np.errstate(over="ignore"):
+        gaps = tuple(np.max(np.abs(clean.states[:m] - twin.states[:m]), axis=1).tolist())
     initial_gap = max(gaps[:d])
-    blew_up_at = min(
-        (b for b in (clean.blew_up_at, twin_blew_up_at) if b is not None), default=None
-    )
-    ratio = max(gaps) / initial_gap if initial_gap > 0 else math.inf
-    if blew_up_at is not None:
-        ratio = math.inf
+    blew = [run.blew_up_at for run in (clean, twin) if run.blew_up_at is not None]
+    ratio = max(gaps) / initial_gap if initial_gap > 0 and not blew else math.inf
     return clean, DivergenceSeries(
-        per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=blew_up_at
+        per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=min(blew, default=None)
     )
 
 

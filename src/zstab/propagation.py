@@ -360,6 +360,8 @@ def robustness_sweep(
         raise ValueError("trials must be >= 1")
     if depth < 1 or width < 1:
         raise ValueError("depth and width must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if depth * trials * width * width > MAX_SWEEP_WEIGHTS:
         raise ValueError(
             f"sweep draws more than {MAX_SWEEP_WEIGHTS} block weights "

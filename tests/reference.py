@@ -337,18 +337,22 @@ def exact_roots(coefficients: Sequence[complex]) -> list[tuple[complex, int]]:
     exactly these floats, each with its multiplicity.
 
     ``sympy.sqf_list`` factors the dyadic rationals square-free over Q, or
-    Q(i) for non-real ones; ``mpmath.polyroots`` at 200 bits then finds the
-    simple roots of each factor, accurate far beyond double precision.
+    Q(i) for non-real ones; ``mpmath.polyroots`` then finds the simple roots
+    of each factor, accurate far beyond double precision.  It works at 200
+    bits plus twice the factor's binary exponent span, so that a root far
+    smaller than the rest does not round away.
     """
     x = sympy.Symbol("x")
     exact = [_rational(c.real) + sympy.I * _rational(c.imag) for c in map(complex, coefficients)]
     _, factors = sympy.sqf_list(sympy.Poly(exact, x))
     roots = []
-    with mpmath.workprec(200):
-        for factor, mult in factors:
+    for factor, mult in factors:
+        parts = [c.as_real_imag() for c in factor.all_coeffs()]
+        exponents = [abs(r.p).bit_length() - r.q.bit_length() for part in parts for r in part if r]
+        prec = 200 + 2 * (max(exponents) - min(exponents))
+        with mpmath.workprec(prec):
             coeffs = [
-                mpmath.mpc(mpmath.mpf(re.p) / re.q, mpmath.mpf(im.p) / im.q)
-                for re, im in (c.as_real_imag() for c in factor.all_coeffs())
+                mpmath.mpc(mpmath.mpf(re.p) / re.q, mpmath.mpf(im.p) / im.q) for re, im in parts
             ]
             if coeffs[-1] == 0:  # a square-free factor holds z at most once
                 roots.append((0j, mult))
@@ -363,6 +367,6 @@ def exact_roots(coefficients: Sequence[complex]) -> list[tuple[complex, int]]:
                 n = len(coeffs) - 1
                 s = abs(coeffs[-1] / coeffs[0]) ** (mpmath.mpf(1) / n)
                 scaled = [c / s**i for i, c in enumerate(coeffs)]
-                found = [s * w for w in mpmath.polyroots(scaled, maxsteps=200, extraprec=200)]
+                found = [s * w for w in mpmath.polyroots(scaled, maxsteps=200, extraprec=prec)]
             roots.extend((complex(z), mult) for z in found)
     return roots

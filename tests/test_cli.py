@@ -1122,6 +1122,20 @@ class TestOutputPlumbing:
         code, _, _ = run(capsys, "analyze", "--alphas", "1", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("key", ["lam", "help"])
+    def test_config_keys_are_long_flag_names(self, capsys, tmp_path, key):
+        # "lam" is the dest of --lambda and names no flag; "help" names one
+        # that a config may not give.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=-1.8\n")
+        code, out, err = run(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: config key '{key}' matches no flag\n"
+        cfg.write_text("lambda=-1.8\n")
+        assert run(capsys, "analyze", "--config", str(cfg)) == run(
+            capsys, "analyze", "--lambda", "-1.8"
+        )
+
     def test_missing_config(self, capsys):
         code, _, _ = run(capsys, "analyze", "--alphas", "1", "--config", "/nope.cfg")
         assert code == EXIT_USAGE
@@ -1169,6 +1183,23 @@ class TestOutputPlumbing:
         assert code == EXIT_OK
         assert (out, err) == run(capsys, *argv, "--seed", "7")[1:]
         assert (out, err) != run(capsys, *argv)[1:]  # the default seed is 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("propagate", "--alphas", "1", "--noise", "none", "--depth", "2",
+             "--width", "2", "--trials", "1", "--seed", "-1"),
+            ("integrate", "--alphas", "1", "--h", "0.1", "--steps", "3",
+             "--probe", "1", "--seed", "-5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_refused_before_anything_runs(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(propagation, "_draw_weights", None)  # nothing may be drawn
+        monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: seed must be non-negative, got {argv[-1]}\n"
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

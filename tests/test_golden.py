@@ -1,8 +1,10 @@
 """Byte-for-byte pins of the CLI's stdout and stderr, and of the demos.
 
 Each CLI case runs one command in-process and compares both streams and the
-exit code with the files under ``tests/golden``.  Each demo runs as its own
-Python process, and its stdout and exit code are compared the same way.
+exit code with the files under ``tests/golden``; its command function,
+called on its own, must return the same three and write nothing.  Each
+demo runs as its own Python process, and its stdout and exit code are
+compared the same way.
 The files are the reference output; a deliberate output change regenerates
 them with
 
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from zstab.cli import main
+from zstab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -113,6 +115,18 @@ def test_cli_bytes(name):
     actual = _run(CASES[name])
     expected = tuple(path.read_text() for path in _files(name))
     assert actual == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_command_returns_its_output_and_writes_nothing(name, capsys):
+    # main alone writes: a command hands back its stdout text, its stderr
+    # lines and its exit code.
+    args = build_parser().parse_args(CASES[name])
+    text, notes, code = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(text, str) and isinstance(notes, list) and isinstance(code, int)
+    actual = (text, "".join(f"{note}\n" for note in notes), f"{code}\n")
+    assert actual == tuple(path.read_text() for path in _files(name))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

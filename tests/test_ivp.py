@@ -334,6 +334,19 @@ class TestZeroStabilityProbe:
         with pytest.raises(ValueError):
             zero_stability_probe(s, p, 0.0, 0.1, 5)
 
+    def test_gap_past_the_float_max_is_inf(self):
+        # Both runs stay finite: the last states are 8.7e307 and -1.4e308,
+        # so the last gap is inf, and no overflow warning leaks out.
+        s = Scheme([1.0, 1e308, 0.0], -1.0)
+        _, series = zero_stability_probe(s, decay_problem(), 0.75, 1.0, 2, seed=15)
+        assert series.per_step[-1] == math.inf
+        assert (series.ratio, series.blew_up_at) == (math.inf, None)
+
+    def test_negative_seed_rejected_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):
+            zero_stability_probe(first_order(1), decay_problem(), 1.0, 0.1, 3, seed=-5)
+
     def test_rhs_that_mixes_rows_rejected_before_any_step(self, monkeypatch):
         # A @ y maps a (2,) state, but on the (2, 2) stack of a run and its
         # twin it mixes the rows.

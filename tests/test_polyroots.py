@@ -424,6 +424,23 @@ class TestExactOracle:
         assert named == on_multiple
         assert sum("has modulus" in v for v in rep.violations) == len(outside)
 
+    @pytest.mark.parametrize(
+        "coeffs, closed",
+        [
+            # 1e10 z^2 + z + 1e-305: -1e-10 and -1e-305, to ~1e-295 relative.
+            ([1e10, 1.0, 1e-305], [-1e-10, -1e-305]),
+            # z^3 - c (z^2 + z + 1), c = 1e200: c and the complex cube roots
+            # of unity, to ~1e-200 relative.
+            ([1.0, -1e200, -1e200, -1e200], [1e200, *_CUBE_ROOTS]),
+        ],
+        ids=["tiny-root", "cube-roots-under-1e200"],
+    )
+    def test_roots_far_smaller_than_the_rest(self, coeffs, closed):
+        found = exact_roots(coeffs)
+        assert [m for _, m in found] == [1] * len(closed)
+        for z in closed:
+            assert min(abs(w - z) for w, _ in found) <= 1e-15 * abs(z), (z, found)
+
 
 class TestSquarefreeTest:
     @settings(max_examples=60, deadline=None)

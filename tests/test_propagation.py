@@ -538,6 +538,14 @@ class TestRobustnessSweep:
                 trials=1,
             )
 
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(propagation, "_draw_weights", None)  # nothing may be drawn
+        monkeypatch.setattr(propagation, "inject_noise", None)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            robustness_sweep(
+                [first_order(1)], [NoiseSpec("none")], depth=2, width=2, trials=1, seed=-1,
+            )
+
     def test_work_budget_admits_table8_sweep_far_inside(self):
         # The Table 8 sweep of the benchmark: ten schemes, five specs.
         work = 56 * 5 * 10 * (1 + 5) * (64 * 64 + 2**10)

@@ -22,7 +22,11 @@ Numeric columns are numpy arrays, formatted a column at a time; any other
 sequence is formatted value by value.  The rows go through in runs of
 ``_CHUNK``, so a writer holds the cell strings of one run, not of the whole
 table.  JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list
-of objects, with the rows filled into one object template per table.
+of objects: each run of rows is one join of its cells with the fixed texts
+between them (a key, the comma before the next, the braces between rows).
+A float column's text is rewritten only in the cells whose values may need
+it: a value of size at least 1e-4 that lies more than 1e-9 of its size from
+every integer prints with a point and no exponent, already JSON.
 """
 
 from __future__ import annotations
@@ -133,7 +137,18 @@ def _json_column(values, level: int) -> list[str]:
     texts = _array_texts(values)
     if values.dtype.kind != "f":
         return texts
-    return [t if "." in t and "e" not in t else _number(t) for t in texts]
+    # A value with |v| >= 1e-4 that lies more than 1e-9 |v| from every
+    # integer has a .10g text with a point and no exponent, already JSON: it
+    # is below 5e8 in size, since no value is more than 0.5 from an integer,
+    # and the rounding to 10 digits moves it by at most 5e-10 |v|, so the
+    # rounded value lies in [1e-4, 5e8] and is no integer.
+    v = values.astype(np.float64, copy=False)
+    size = np.abs(v)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        kept = (size >= 1e-4) & (np.abs(v - np.rint(v)) > 1e-9 * size)
+    for i in np.flatnonzero(~kept).tolist():
+        texts[i] = _number(texts[i])
+    return texts
 
 
 def _chunks(columns: Sequence):
@@ -163,14 +178,20 @@ def csv_table(names: Sequence[str], columns: Sequence) -> str:
 
 def json_table(names: Sequence[str], columns: Sequence) -> str:
     """A JSON list with one object per row, keyed by column name."""
-    keys = [json.dumps(name).replace("%", "%%") + ": %s" for name in names]
-    row = _layout(keys, 2, "{}")
-    # Each run's objects are joined as _layout joins list items one deep.
-    chunks = [
-        ",\n  ".join(map(row.__mod__, zip(*(_json_column(v, 2) for v in chunk))))
-        for chunk in _chunks(columns)
-    ]
-    return _layout(chunks, 1) + "\n"
+    keys = [json.dumps(name) + ": " for name in names]
+    runs = []
+    for chunk in _chunks(columns):
+        # One join per run of rows: the cells between the texts that separate
+        # them, where each row after the first opens by closing the one before.
+        rows, width = len(chunk[0]), 2 * len(chunk)
+        between = ["\n  },\n  {\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
+        pieces = [None] * (rows * width + 1)
+        pieces[::2] = between * rows + ["\n  }"]
+        pieces[0] = ("," if runs else "[") + "\n  {\n    " + keys[0]
+        for j, values in enumerate(chunk):
+            pieces[1 + 2 * j :: width] = _json_column(values, 2)
+        runs.append("".join(pieces))
+    return "".join(runs + ["\n]\n"]) if runs else "[]\n"
 
 
 def record(keys: Sequence[str], values: Sequence, form: str) -> str:

@@ -231,10 +231,27 @@ def _factor_roots(a: list[int]) -> list[complex]:
             grow = max((b - bits[0]) * n // i for i, b in enumerate(bits) if i and b)
             d = 1 << max(min((bits[0] + grow + bits[-1]) // 2, lo + 1021), hi - 1024)
         try:
-            return _aberth([c / d for c in a])
+            return _real_where_alone(_aberth([c / d for c in a]))
         except OverflowError as exc:
             error = exc
     raise error
+
+
+def _real_where_alone(z: list[complex]) -> list[complex]:
+    """The roots z of a real factor, each made real (imaginary part +0.0)
+    where it lies nearer its own conjugate than any other root does: a
+    non-real root's conjugate is another root, and a real one's is itself.
+    Only roots within 1e-8 |z| of the real axis are examined."""
+    for i, zi in enumerate(z):
+        gap = 2.0 * abs(zi.imag)  # |zi - conj(zi)|, exactly
+        if gap <= 2e-8 * abs(zi):
+            mirror = zi.conjugate()
+            for zj in z:
+                if abs(zj - mirror) <= gap and zj is not zi:
+                    break
+            else:
+                z[i] = complex(zi.real, 0.0)
+    return z
 
 
 # -- Aberth-Ehrlich iteration on one square-free factor ----------------------
@@ -331,6 +348,8 @@ def find_roots(p: Polynomial) -> RootSet:
     coefficients, so roots that are distinct in those coefficients are
     reported apart however close they lie.  Each factor's roots are accepted
     when every residual is within ``RESIDUAL_TOL`` of sum_i |a_i| |z|^(n-i).
+    A root that lies nearer its own conjugate than any other root of its
+    factor does is real: its imaginary part is +0.0.
 
     Raises
     ------

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ._table import fmt
-from .polyroots import Polynomial, RootSet, find_roots
+from .polyroots import Polynomial, RootSet, _scaled, find_roots
 
 __all__ = [
     "Scheme",
@@ -123,16 +123,13 @@ def _recur(
     these products, so the rows that stay finite keep the one test per
     step.
     """
-    scalar = isinstance(history[-1], float)
+    if isinstance(history[-1], float):
+        with np.errstate(all="ignore"):
+            return _recur_floats(alphas, coef, history, depth, f)
     blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
-    if scalar:
-        alphas = [float(a) for a in alphas]
-        coef = float(coef)
-        zero = 0.0
-    else:
-        alphas = [np.asarray(a, dtype=float) for a in alphas]
-        coef = np.asarray(coef, dtype=float)
-        zero = np.zeros(())
+    alphas = [np.asarray(a, dtype=float) for a in alphas]
+    coef = np.asarray(coef, dtype=float)
+    zero = np.zeros(())
     live = None  # the elements of the live rows, once a row has blown up
     inf = math.inf
     with np.errstate(all="ignore"):
@@ -146,15 +143,11 @@ def _recur(
                 # states took 7282 minor page faults per sweep, against 5509.
                 del term
             nxt = nxt + coef * f(n, history[-1])
-            if scalar:
-                finite = nxt * 0.0 == 0.0
-            else:
-                flat = nxt.ravel() if live is None else nxt.take(live)
-                # Zeros only where the self-dot fails: a state-sized zero
-                # vector kept for every step added ~0.3 MiB to the peak RSS
-                # of the Table 8 sweep that perfbench runs.
-                finite = flat.dot(flat) < inf or flat.dot(np.zeros(flat.size)) == 0.0
-            if not finite:
+            flat = nxt.ravel() if live is None else nxt.take(live)
+            # Zeros only where the self-dot fails: a state-sized zero
+            # vector kept for every step added ~0.3 MiB to the peak RSS
+            # of the Table 8 sweep that perfbench runs.
+            if not (flat.dot(flat) < inf or flat.dot(np.zeros(flat.size)) == 0.0):
                 bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
                 blew = np.where(bad & (blew == 0), n + 1, blew)
                 if np.all(blew):
@@ -162,6 +155,23 @@ def _recur(
                 live = np.flatnonzero(np.broadcast_to((blew == 0)[..., None], nxt.shape))
             history.append(nxt)
     return blew
+
+
+def _recur_floats(alphas: Sequence, coef, history, depth: int, f) -> np.ndarray:
+    """``_recur`` on a run of Python floats, with the same sums in the same
+    order; the caller holds numpy's warnings off."""
+    terms = [(float(a), -1 - i) for i, a in enumerate(alphas)]
+    coef = float(coef)
+    append = history.append
+    for n in range(depth):
+        nxt = 0.0
+        for a, i in terms:
+            nxt = nxt + a * history[i]
+        nxt = nxt + coef * f(n, history[-1])
+        if nxt * 0.0 != 0.0:  # zero only if nxt is finite, however large
+            return np.array(n + 1)
+        append(nxt)
+    return np.array(0)
 
 
 def characteristic_polynomial(s: Scheme) -> Polynomial:
@@ -202,13 +212,13 @@ def root_condition(s: Scheme) -> StabilityReport:
     violations: list[str] = []
     for value, mult in roots.roots:
         modulus = abs(value)
-        text = f"{value.real:.12g}{value.imag:+.12g}j"
         if modulus > 1.0 + tol:
-            violations.append(f"root {text} has modulus {modulus:.12g} > 1")
+            problem = f"has modulus {modulus:.12g} > 1"
         elif modulus >= 1.0 - tol and mult > 1:
-            violations.append(
-                f"root {text} on the unit circle has multiplicity {mult}"
-            )
+            problem = f"on the unit circle has multiplicity {mult}"
+        else:
+            continue
+        violations.append(f"root {value.real:.12g}{value.imag:+.12g}j {problem}")
     moduli = tuple(roots.moduli())
     return StabilityReport(
         roots=roots,
@@ -218,11 +228,34 @@ def root_condition(s: Scheme) -> StabilityReport:
     )
 
 
+def _exact_sum(coeffs: Sequence[float], weights: Sequence[int]) -> float:
+    """sum_i weights[i] * coeffs[i] rounded once: summed exactly on the
+    integers that ``_scaled`` makes of the coefficients and divided by their
+    scale, the largest denominator; +-inf past the float range."""
+    scale = max(c.as_integer_ratio()[1] for c in coeffs)
+    total = sum(w * c for w, c in zip(weights, _scaled(coeffs)))
+    try:
+        return total / scale
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
 def consistency_check(s: Scheme) -> ConsistencyReport:
     """Check sum(alpha) = 1 and beta - sum(i*alpha_i) = 1 within
-    ``CONSISTENCY_TOL``."""
+    ``CONSISTENCY_TOL``.  Each sum is ``math.fsum``'s where that gives a
+    finite value; otherwise it is ``_exact_sum``'s, so a sum that passes the
+    float range only on the way is right and one that ends past it is +-inf."""
     tol = CONSISTENCY_TOL
-    sum_alpha = math.fsum(s.alphas)
-    moment = s.beta - math.fsum(i * a for i, a in enumerate(s.alphas))
+    d = len(s.alphas)
+    try:
+        sum_alpha = math.fsum(s.alphas)
+    except OverflowError:  # a partial sum past the float range
+        sum_alpha = _exact_sum(s.alphas, [1] * d)
+    try:
+        moment = s.beta - math.fsum(i * a for i, a in enumerate(s.alphas))
+    except (OverflowError, ValueError):  # ValueError: products past it both ways
+        moment = math.nan
+    if not math.isfinite(moment):  # a product or the sum past the float range
+        moment = _exact_sum((s.beta, *s.alphas), (1, *range(0, -d, -1)))
     consistent = abs(sum_alpha - 1.0) <= tol and abs(moment - 1.0) <= tol
     return ConsistencyReport(sum_alpha=sum_alpha, moment=moment, consistent=consistent)

@@ -91,6 +91,21 @@ class TestAnalyze:
         record = json.loads(out)
         assert len(record["moduli"]) == 161 and record["zero_stable"] is False
 
+    def test_sums_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "analyze", "--alphas", "0.0,1e+308,1e+308", "--strict")
+        assert (code, err) == (EXIT_NOT_STABLE, "")
+        assert kv(out)["sum_alpha"] == "inf"
+        code, out, err = run(capsys, "analyze", "--alphas=0,0,1e308,0,-1e308")
+        assert (code, err) == (EXIT_OK, "")
+        assert kv(out)["moment"] == "inf"
+
+    def test_real_roots_print_no_imaginary_part(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--alphas", "0,4,0")
+        assert code == EXIT_OK
+        assert kv(out)["violations"] == (
+            "root 2+0j has modulus 2 > 1;root -2+0j has modulus 2 > 1"
+        )
+
     def test_euler(self, capsys):
         code, out, _ = run(capsys, "analyze", "--alphas", "1", "--beta", "1")
         assert code == EXIT_OK

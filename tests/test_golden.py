@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -127,6 +128,12 @@ def test_command_returns_its_output_and_writes_nothing(name, capsys):
     assert isinstance(text, str) and isinstance(notes, list) and isinstance(code, int)
     actual = (text, "".join(f"{note}\n" for note in notes), f"{code}\n")
     assert actual == tuple(path.read_text() for path in _files(name))
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.endswith("_json")))
+def test_json_golden_is_laid_out_as_json_dumps(name):
+    text = GOLDEN.joinpath(f"{name}.out").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

@@ -190,6 +190,30 @@ class TestFindRoots:
                 scale = sum(abs(c) * abs(z) ** (p.degree - i) for i, c in enumerate(p.coefficients))
                 assert r <= 1e-10 * scale
 
+    @pytest.mark.parametrize("coeffs, real", [
+        ([1.0, 0.0, -1.0, 0.0], (1.0, -1.0, 0.0)),  # z^3 - z
+        ([1.0, 0.0, -1.0, -3.79e-54], (1.0, -1.0)),  # alphas (0, 1, 3.79e-54)
+        ([1.0, 0.0, -4.0, 0.0], (2.0, -2.0, 0.0)),  # alphas (0, 4, 0)
+    ])
+    def test_real_roots_have_no_imaginary_part(self, coeffs, real):
+        roots = [z for z, _ in find_roots(Polynomial(coeffs)).roots]
+        for x in real:
+            (z,) = [z for z in roots if abs(z - x) <= 1e-9 * max(1.0, abs(x))]
+            assert math.copysign(1.0, z.imag) == 1.0 and z.imag == 0.0, z
+
+    @given(st.lists(st.integers(-24, 24).filter(bool), min_size=1, max_size=7, unique=True),
+           st.lists(st.tuples(st.integers(-16, 16), st.integers(1, 16)), max_size=2, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_real_and_complex_roots_of_a_real_polynomial(self, ks, pairs):
+        # Real roots k/8 and pairs (a +- b i)/8, exact in binary: each real
+        # root comes out with imaginary part +0.0, and no pair member does.
+        values = [k / 8 + 0j for k in ks] + [complex(a, b) / 8 for a, b in pairs]
+        roots = [z for z, _ in find_roots(poly_from_roots(conjugate_closed(values))).roots]
+        for k in ks:
+            near = min(roots, key=lambda z: abs(z - k / 8))
+            assert near.imag == 0.0 and math.copysign(1.0, near.imag) == 1.0, (k, roots)
+        assert sum(z.imag != 0.0 for z in roots) == 2 * len(pairs)
+
     def test_deterministic(self):
         p = Polynomial([1, 0.3, -0.7, 0.2])
         a = find_roots(p)

@@ -185,6 +185,26 @@ class TestConsistency:
         assert abs(rep.moment - 1.0) <= 1e-12
         assert rep.consistent
 
+    def test_sum_past_the_float_range_mid_way(self):
+        # fsum overflows on the partial sum 2e308; the exact sum is 1e308.
+        rep = consistency_check(Scheme([1e308, 1e308, -1e308], 1.0))
+        assert rep.sum_alpha == 1e308
+        # 0 + 1e308 - 2 * 1e308: the product 2e308 overflows, fsum gives -inf.
+        assert rep.moment == 1.0 + 1e308
+
+    def test_sums_past_the_float_range_are_infinite(self):
+        assert consistency_check(Scheme([0.0, 1e308, 1e308], 1.0)).sum_alpha == math.inf
+        # The products 2e308 and -4e308 overflow both ways, and fsum meets inf - inf.
+        rep = consistency_check(Scheme([0.0, 0.0, 1e308, 0.0, -1e308], 1.0))
+        assert (rep.sum_alpha, rep.moment) == (0.0, math.inf)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6), st.floats(-10, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_fsum_bits_where_fsum_succeeds(self, alphas, beta):
+        rep = consistency_check(Scheme(alphas, beta))
+        assert rep.sum_alpha == math.fsum(alphas)
+        assert rep.moment == beta - math.fsum(i * a for i, a in enumerate(alphas))
+
 
 class TestCompanionSpectralRadius:
     def test_three_ones(self):

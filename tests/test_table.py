@@ -87,6 +87,10 @@ _EDGE_FLOATS = [
     1e-5, 0.5, 2.0, -3.0,
     999999999.9, 9999999999.0, 9999999999.5, 1e10, -1.5e10, 123456789012345.0,
     999999999999999.9, 9.9999999995e15, 1e16, 1.5e16, 1e100, 12345678901.0,
+    # Beside the cutoffs of the value rule in _json_column, 1e-9 |v| from an
+    # integer and 1e-4 in size, and below 1e9, where 10 digits keep one
+    # decimal.
+    2.00000000004, -7.99999999996, 999999999.95, 999999999.4, 0.00009999999999,
 ]
 
 _floats = st.one_of(
@@ -132,6 +136,9 @@ def _column(kind: str, n: int):
     """A strategy for one column of ``n`` values of one kind."""
     if kind == "float_array":
         return st.lists(_floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+    if kind == "float32_array":
+        return st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.float32))
     if kind == "float_list":
         return st.lists(_floats, min_size=n, max_size=n)
     if kind == "bool_array":
@@ -152,8 +159,8 @@ def _column(kind: str, n: int):
         lambda v: np.array(v, dtype=float).reshape(n, dim))
 
 
-_KINDS = ("float_array", "float_list", "bool_array", "bool_list", "int_array", "int_list",
-          "tuple_list", "str_list", "vector0", "vector1", "vector2", "vector3")
+_KINDS = ("float_array", "float32_array", "float_list", "bool_array", "bool_list", "int_array",
+          "int_list", "tuple_list", "str_list", "vector0", "vector1", "vector2", "vector3")
 
 
 @st.composite
@@ -184,3 +191,28 @@ def test_json_record_matches_json_dumps(items):
     keys = [k for k, _ in items]
     values = [v for _, v in items]
     assert record(keys, values, "json") == reference.json_record(keys, values)
+
+
+def _walk(center: float, dtype, steps: int = 300) -> np.ndarray:
+    """The ``steps`` floats of ``dtype`` on each side of ``center``, and it."""
+    up, down = [dtype(center)], [dtype(center)]
+    for _ in range(steps):
+        up.append(np.nextafter(up[-1], dtype(math.inf)))
+        down.append(np.nextafter(down[-1], dtype(-math.inf)))
+    return np.array(down[:0:-1] + up, dtype=dtype)
+
+
+def test_json_column_picks_the_cells_that_need_rewriting():
+    # Around the sizes 1e-4 and 1e9, around integers, around the points
+    # 1e-9 |n| from them (the value rule's cutoff) and around the points
+    # where .10g rounds to them, a column's JSON cells are those of the
+    # per-cell rule.
+    centers = [0.0, 1e-4, -1e-4, 1e9, -1e9, 999999999.5]
+    for n in (1.0, 2.0, -8.0, 12345.0, 999999999.0):
+        half = 0.5 * 10.0 ** (math.floor(math.log10(abs(n))) - 9)  # half a last digit
+        centers += [n + k * 1e-9 * abs(n) for k in (-2, -1, 0, 1, 2)]
+        centers += [n + k * half for k in (-3, -1, 1, 3)]
+    for dtype in (np.float64, np.float32):
+        values = np.concatenate([_walk(c, dtype) for c in centers])
+        want = [_number(fmt(v)) for v in values.tolist()]
+        assert _table._json_column(values, 2) == want, dtype

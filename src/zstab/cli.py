@@ -34,8 +34,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import ivp
 from ._table import fmt, json_table, record
 from .polyroots import RootFindingError
@@ -280,22 +278,17 @@ def _problem_from_args(args) -> ivp.IVPProblem:
         code = _compile_rhs(expr)
 
         def rhs(t, y):
-            # A float for a float, so that a run on Python floats stays on
-            # them; a 1-element array for an array.
-            scalar = isinstance(y, float)
-            names = {"t": t, "y": y if scalar else float(np.atleast_1d(y)[0])}
             try:
-                value = float(eval(code, _RHS_GLOBALS, names))
+                return float(eval(code, _RHS_GLOBALS, {"t": t, "y": y}))
             except OverflowError:
                 # Where float ** and math functions raise, numpy overflows:
                 # the run blows up at this step, as it does through y*y.
-                value = math.nan
+                return math.nan
             except (ArithmeticError, TypeError, ValueError) as exc:
                 raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
-            return value if scalar else np.array([value])
 
         y0 = 1.0 if args.y0 is None else args.y0
-        return ivp.IVPProblem(rhs, 0.0, (np.array([y0]),))
+        return ivp.IVPProblem(rhs, 0.0, (y0,))
     return ivp.PRESETS[args.preset or "decay"]()
 
 
@@ -490,7 +483,10 @@ def _config_tokens(args, flags: dict[str, argparse.Action], budget: int) -> list
         raise UsageError(
             f"config file {args.config!r} is longer than {MAX_CONFIG_BYTES} bytes"
         )
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {args.config!r} is not UTF-8 text") from None
     tokens = []
     flag_lines = 0
     for line_no, line in enumerate(text.splitlines(), 1):

@@ -32,12 +32,11 @@ __all__ = [
     "PRESETS",
 ]
 
-# dy/dt = rhs(t, y).  A one-feature rhs takes y as a Python float as well as
-# a 1-element array, and may return a float: integrate hands it the float at
-# step 0, and if it returns a float there the whole run is on floats.  An
-# array rhs maps each row of a (rows, dim) state as it maps a (dim,) state,
-# bit for bit: zero_stability_probe advances a run and its twin as the two
-# rows of one state, and rejects an rhs that mixes them.
+# dy/dt = rhs(t, y).  A one-feature rhs is called with y as a Python float
+# and returns a number.  An array rhs maps each row of a (rows, dim) state as
+# it maps a (dim,) state, bit for bit: zero_stability_probe advances a run
+# and its twin as the two rows of one state, and rejects an rhs that mixes
+# them.
 RHS = Callable[[float, Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 # The most steps one integration may run; a run asking for more is rejected
@@ -67,6 +66,8 @@ class IVPProblem:
         dim = states[0].shape
         if any(s.shape != dim for s in states):
             raise ValueError("initial states must share one dimension")
+        if states[0].ndim != 1 or not states[0].size:
+            raise ValueError("initial states must be vectors of at least one feature")
         object.__setattr__(self, "initial_states", states)
 
     @property
@@ -126,7 +127,7 @@ class OrderEstimate:
     rounding_limited: bool = False
 
 
-def _rk4_step(rhs: RHS, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs: RHS, t: float, y, h: float):
     k1 = rhs(t, y)
     k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
     k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
@@ -135,11 +136,12 @@ def _rk4_step(rhs: RHS, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
-    """Seed states y(t_start + q*h), q = 0..d-1.
+    """Seed states y(t_start + q*h), q = 0..d-1, as arrays of the state's shape.
 
     Sampled from the exact solution when available, otherwise bootstrapped
     with the classical fourth-order one-step method so startup error does
-    not dominate the multistep error.
+    not dominate the multistep error, on Python floats for one feature.  A
+    seed that overflows is data, as a state of the run is.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -152,9 +154,12 @@ def startup_states(p: IVPProblem, h: float, d: int) -> list[np.ndarray]:
         ]
     states = [np.array(s, dtype=float) for s in p.initial_states[:d]]
     t = p.t_start + (len(states) - 1) * h
-    while len(states) < d:
-        states.append(_rk4_step(p.rhs, t, states[-1], h))
-        t += h
+    y = states[-1].item() if p.dimension == 1 else states[-1]
+    with np.errstate(all="ignore"):
+        while len(states) < d:
+            y = _rk4_step(p.rhs, t, y, h)
+            states.append(np.array(y, dtype=float, ndmin=1))
+            t += h
     return states
 
 
@@ -172,56 +177,49 @@ def _check_steps(p: IVPProblem, h: float, d: int, n_steps: int) -> None:
         raise ValueError(f"the time of state {last} at h={h!r} is not finite")
 
 
-def _seeded_run(
+def _runs(
     s: Scheme, p: IVPProblem, h: float, seeds: list[np.ndarray], n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> list[Trajectory]:
     """Run the recurrence for n_steps from the d ``seeds``, each of shape
-    (dim,) for one run or (rows, dim) for that many runs advanced together.
-
-    Returns the time of each state the loop kept, those states as one array
-    of shape (states, *seed shape), and per row the first step at which it
-    turned non-finite (0 if it never did), as ``schemes._recur`` counts
-    them.  A row that blows up while another runs on keeps its non-finite
-    states in the array.
-
-    A one-element seed is handed to the rhs as a Python float at step 0.
-    If the rhs returns a float there, every state of the run is a Python
-    float; otherwise, and for a state of more elements, the states are
-    arrays.  Both give the same bits, and the rhs is called once per step
-    either way: step 0's value is computed before the loop and reused.
+    (dim,) for one run or (rows, dim) for that many runs advanced together,
+    and return one read-only Trajectory per run, cut before its first
+    non-finite state.  A one-feature run is on Python floats, with the bits
+    of a run on arrays.  The rhs is called once per step.
     """
-    d = s.order
+    d, dim = s.order, p.dimension
     rhs, t_start = p.rhs, p.t_start
-    shape = seeds[-1].shape
-    y = seeds[-1].item() if seeds[-1].size == 1 else seeds[-1]
-    with np.errstate(all="ignore"):  # as inside the loop
-        first = rhs(t_start + (d - 1) * h, y)
-        if len(shape) > 1:
-            _check_row_wise(rhs, t_start + (d - 1) * h, y, first)
-    scalar = isinstance(y, float) and isinstance(first, float)
-    history = [seed.item() for seed in seeds] if scalar else list(seeds)
-
-    def f(step: int, y):
-        if step:
-            return rhs(t_start + (d - 1 + step) * h, y)
-        return first
-
-    blew = _recur(s.alphas, h * s.beta, history, n_steps, f)
+    history = [seed.item() for seed in seeds] if dim == 1 else list(seeds)
+    blew = _recur(
+        s.alphas, h * s.beta, history, n_steps,
+        lambda step, y: rhs(t_start + (d - 1 + step) * h, y),
+    )
     # State q sits at t_start + q*h; after the seeds the time is the previous
     # step's time plus h, as the step itself computes it.
     q = np.arange(len(history), dtype=float)
     with np.errstate(over="ignore"):
         times = np.where(q < d, t_start + q * h, (t_start + (q - 1.0) * h) + h)
-    # One copy into a (states, *shape) array; np.stack would first make a
+    times.flags.writeable = False
+    # One copy into a (states, rows, dim) array; np.stack would first make a
     # view of every state.  The history is freed with this frame.
-    flat = np.array(history, dtype=float) if scalar else np.concatenate(history)
-    return times, flat.reshape(len(history), *shape), blew
+    flat = np.array(history, dtype=float) if dim == 1 else np.concatenate(history)
+    states = flat.reshape(len(history), -1, dim)
+    runs = []
+    for row, row_blew in enumerate(np.ravel(blew).tolist()):
+        stop = d - 1 + row_blew if row_blew else len(history)
+        # A row of stacked runs is a strided view; copied, it has the bytes
+        # of a run of its own.
+        run = np.ascontiguousarray(states[:stop, row])
+        run.flags.writeable = False
+        runs.append(Trajectory(times[:stop], run, stop if row_blew else None))
+    return runs
 
 
-def _check_row_wise(rhs: RHS, t: float, y: np.ndarray, value) -> None:
-    """Raise ValueError unless ``value``, the rhs at the stacked rows ``y``,
-    has the bits of the rhs at each row on its own."""
-    rows = [rhs(t, row) for row in y]
+def _check_row_wise(rhs: RHS, t: float, y: np.ndarray) -> None:
+    """Raise ValueError unless the rhs at the stacked rows ``y`` has the
+    bits of the rhs at each row on its own."""
+    with np.errstate(all="ignore"):  # as inside the loop
+        value = rhs(t, y)
+        rows = [rhs(t, row) for row in y]
     try:
         stacked = np.broadcast_to(np.asarray(value, dtype=float), y.shape)
         one_by_one = np.stack(
@@ -236,36 +234,18 @@ def _check_row_wise(rhs: RHS, t: float, y: np.ndarray, value) -> None:
         )
 
 
-def _trajectory(d: int, times: np.ndarray, states: np.ndarray, blew) -> Trajectory:
-    """One run of a d-step scheme as a Trajectory, from its times, states
-    and blow-up step as ``_seeded_run`` returned them: the run stops before
-    its first non-finite state."""
-    blew = int(blew)
-    if blew:
-        times, states = times[: d - 1 + blew], states[: d - 1 + blew]
-    # A row of stacked runs is a strided view; copied, it has the bytes of
-    # a run of its own.
-    states = np.ascontiguousarray(states)
-    for column in (times, states):
-        column.flags.writeable = False
-    return Trajectory(
-        times=times,
-        states=states,
-        blew_up_at=d - 1 + blew if blew else None,
-    )
-
-
 def integrate(s: Scheme, p: IVPProblem, h: float, n_steps: int) -> Trajectory:
     """Run the explicit recurrence for n_steps, yielding d + n_steps states.
 
     The d seed states come from startup_states and the steps from the
     shared loop ``schemes._recur``.  Non-finite states stop the run and set
-    ``blew_up_at`` on the result.  A one-feature run whose rhs maps a float
-    to a float is computed on Python floats (see ``_seeded_run``).
+    ``blew_up_at`` on the result.  A one-feature run is computed on Python
+    floats (see ``_runs``).
     """
     d = s.order
     _check_steps(p, h, d, n_steps)
-    return _trajectory(d, *_seeded_run(s, p, h, startup_states(p, h, d), n_steps))
+    [run] = _runs(s, p, h, startup_states(p, h, d), n_steps)
+    return run
 
 
 def _unit_direction(dim: int, seed: int) -> np.ndarray:
@@ -299,9 +279,8 @@ def zero_stability_probe(
     A run of more than one feature and its twin advance together, as the
     two rows of one (2, dim) state.  The rhs must therefore map each row of
     a (rows, dim) state as it maps a (dim,) state; one that does not is
-    rejected with ValueError before any step runs.  A one-feature run may
-    be on Python floats, which do not stack: it runs first, and then its
-    twin, no further than the clean run went.
+    rejected with ValueError before any step runs.  A one-feature run is on
+    Python floats, which do not stack: it runs first, and then its twin.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -310,21 +289,21 @@ def zero_stability_probe(
     d = s.order
     _check_steps(p, h, d, n_steps)
     seeds = startup_states(p, h, d)
-    shift = eps * _unit_direction(p.dimension, seed)
-    shifted = [y + shift for y in seeds]
+    with np.errstate(all="ignore"):  # a shifted seed that overflows is data
+        shift = eps * _unit_direction(p.dimension, seed)
+        shifted = [y + shift for y in seeds]
     if p.dimension == 1:
-        clean = _trajectory(d, *_seeded_run(s, p, h, seeds, n_steps))
-        twin = _trajectory(d, *_seeded_run(s, p, h, shifted, max(len(clean.states) - d, 1)))
+        [clean], [twin] = _runs(s, p, h, seeds, n_steps), _runs(s, p, h, shifted, n_steps)
     else:
         rows = [np.stack(pair) for pair in zip(seeds, shifted)]
-        times, stacked, (clean_blew, twin_blew) = _seeded_run(s, p, h, rows, n_steps)
-        clean = _trajectory(d, times, stacked[:, 0], clean_blew)
-        twin = _trajectory(d, times, stacked[:, 1], twin_blew)
+        _check_row_wise(p.rhs, p.t_start + (d - 1) * h, rows[-1])
+        clean, twin = _runs(s, p, h, rows, n_steps)
 
     # The gaps cover the steps both runs have before their blow-ups.  Two
-    # finite states of opposite sign near the float max are a gap of inf.
+    # finite states of opposite sign near the float max are a gap of inf,
+    # and two seeds that overflowed alike a gap of nan.
     m = min(len(clean.states), len(twin.states))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         gaps = tuple(np.max(np.abs(clean.states[:m] - twin.states[:m]), axis=1).tolist())
     initial_gap = max(gaps[:d])
     blew = [run.blew_up_at for run in (clean, twin) if run.blew_up_at is not None]
@@ -395,7 +374,7 @@ def decay_problem() -> IVPProblem:
 def constant_problem() -> IVPProblem:
     """dy/dt = 0, y(0) = 1; the solution is the constant 1."""
     return IVPProblem(
-        rhs=lambda t, y: 0.0 if isinstance(y, float) else np.zeros_like(y),
+        rhs=lambda t, y: 0.0,
         t_start=0.0,
         initial_states=(np.array([1.0]),),
         exact_solution=lambda t: np.array([1.0]),

@@ -313,6 +313,14 @@ class TestLambdaScan:
         )
         assert code == EXIT_USAGE
 
+    def test_grid_without_usable_lambdas(self, capsys):
+        # Every grid point lies within the 1e-9 exclusion radius of -1.
+        code, out, err = run(
+            capsys, "lambda-scan", "--min", "-1", "--max", "-0.9999999999", "--step", "1e-11"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: scan grid contains no usable lambda values\n"
+
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -431,6 +439,35 @@ class TestIntegrate:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "usage error: --rhs 'log(-y)' failed at t=0: math domain error\n"
 
+    def test_probe_shift_past_the_float_max_is_data(self, capsys):
+        # The twin's seed overflows as it is shifted; the suite turns a
+        # leaked overflow warning into an error.
+        code, _, err = run(
+            capsys, "integrate", "--alphas", "1", "--rhs", "y", "--y0", "1.7e308",
+            "--h", "1e-300", "--steps", "2", "--probe", "1.7e308", "--seed", "1",
+        )
+        assert (code, err) == (EXIT_OK, "probe amplification ratio=inf (diverged)\n")
+
+    @pytest.mark.parametrize("probe", [(), ("--probe", "1e6")], ids=["alone", "probe"])
+    def test_overflowing_rk4_seed_is_data(self, capsys, probe):
+        # The RK4 seed of a 2-step scheme overflows; with --probe the twin's
+        # does too, and the two give a gap of nan.
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1,0", "--rhs", "y", "--y0", "1.7e308",
+            "--h", "0.5", "--steps", "5", *probe,
+        )
+        assert (code, out) == (EXIT_OK, "n,t,y0\n0,0,1.7e+308\n1,0.5,inf\n")
+        ratio = ["probe amplification ratio=inf (diverged)"] if probe else []
+        assert err.splitlines() == ["blow-up at step 2", *ratio]
+
+    def test_orders_below_rounding(self, capsys):
+        # Every run's error is 0, so no error is left to fit a slope to.
+        code, _, err = run(
+            capsys, "integrate", "--alphas", "1", "--h", "1e-300", "--steps", "3",
+            "--orders", "1e-300,2e-300,3e-300",
+        )
+        assert (code, err) == (EXIT_OK, "convergence order=-inf (rounding-limited)\n")
+
     def test_orders(self, capsys):
         code, _, err = run(
             capsys,
@@ -544,7 +581,6 @@ class TestIntegrate:
             cli.build_parser().parse_args(["integrate", f"--rhs={expr}", "--h", "1", "--steps", "1"])
         ).rhs
         assert type(rhs(0.5, 2.0)) is float
-        assert rhs(0.5, np.array([2.0])).shape == (1,)
 
     def test_unknown_preset(self, capsys):
         code, _, _ = run(
@@ -1113,6 +1149,18 @@ class TestOutputPlumbing:
         code, out, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_OK
         assert out == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"h 0.1\n", "config line 1 is not key=value: 'h 0.1'"),
+        (b"h=0.1\xff\n", "config file {path!r} is not UTF-8 text"),
+    ], ids=["no-equals", "not-utf8"])
+    def test_config_file_refused(self, capsys, tmp_path, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "integrate", "--alphas", "1", "--steps", "2",
+                             "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: {message.format(path=str(cfg))}\n"
 
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -87,6 +87,12 @@ class TestIVPProblem:
                 lambda t, y: y, 0.0, (np.array([1.0]), np.array([1.0, 2.0]))
             )
 
+    @pytest.mark.parametrize("state", [np.array([]), np.ones((2, 2)), np.ones((1, 1))],
+                             ids=["no-feature", "matrix", "one-by-one"])
+    def test_state_that_is_no_vector_rejected(self, state):
+        with pytest.raises(ValueError, match="^initial states must be vectors of at least one feature$"):
+            IVPProblem(lambda t, y: y, 0.0, (state, state))
+
 
 class TestStartupStates:
     def test_exact_sampling(self):
@@ -106,6 +112,14 @@ class TestStartupStates:
     def test_bootstrap_accuracy(self):
         seeds = startup_states(plain_decay(), 0.1, 2)
         assert abs(seeds[1][0] - math.exp(-0.1)) < 1e-6
+
+    def test_overflowing_rk4_seed_is_data(self):
+        # y * y overflows in the first RK4 stage; the suite turns a leaked
+        # overflow warning into an error.
+        p = IVPProblem(lambda t, y: y * y, 0.0, (np.array([1e300, 1.0]),))
+        seeds = startup_states(p, 1e300, Scheme([1, 0], 1).order)
+        assert seeds[0].tolist() == [1e300, 1.0]
+        assert seeds[1].shape == (2,) and not np.isfinite(seeds[1]).any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -198,11 +212,12 @@ class TestIntegrate:
 
 
 class TestScalarRuns:
-    """A one-feature run whose rhs maps a float to a float is computed on
-    Python floats, everything else on arrays.  These tests pin that choice,
-    the rhs calls and the memory it saves, without timing anything; that the
-    two number types give the same bits is TestIntegrateMatchesReference's
-    and TestProbeMatchesReference's to show."""
+    """Every one-feature run is computed on Python floats, its RK4 seeds
+    included, and every run of more features on arrays.  These tests pin
+    that choice, the rhs calls and the memory it saves, without timing
+    anything; that the two number types give the same bits is
+    TestIntegrateMatchesReference's and TestProbeMatchesReference's to
+    show."""
 
     @staticmethod
     def _state_types(monkeypatch, run) -> list[tuple[set, tuple]]:
@@ -251,8 +266,22 @@ class TestScalarRuns:
         rhs = constant_problem().rhs
         assert type(rhs(0.0, -2.5)) is float
         assert math.copysign(1.0, rhs(0.0, -2.5)) == 1.0
-        zeros = rhs(0.0, np.array([-2.5]))
-        assert zeros.tobytes() == np.zeros(1).tobytes()
+
+    def test_rk4_seeded_rhs_sees_only_floats(self):
+        # No exact solution: two of the three seeds are RK4 steps, on floats.
+        forced = _forced_problem()
+        seen = []
+
+        def rhs(t, y):
+            seen.append(type(y))
+            return forced.rhs(t, y)
+
+        p = IVPProblem(rhs, forced.t_start, forced.initial_states)
+        traj = integrate(Scheme([0.5, 0.25, 0.25], 1.0), p, 0.1, 20)
+        # The forced rhs returns numpy float scalars, which are floats too.
+        assert len(seen) == 2 * 4 + 20
+        assert all(issubclass(kind, float) for kind in seen)
+        assert traj.states.shape == (23, 1)
 
     @pytest.mark.parametrize("scheme, exact, n_steps, calls", [
         (first_order(1), True, 100, 100),
@@ -352,6 +381,15 @@ class TestZeroStabilityProbe:
         # twin it mixes the rows.
         matrix = np.array([[0.0, 2.0], [-1.0, 0.5]])
         p = IVPProblem(lambda t, y: matrix @ y, 0.0, (np.array([1.0, 0.0]),))
+        integrate(first_order(1), p, 0.1, 5)
+        monkeypatch.setattr(ivp, "_recur", None)  # any step would fail
+        with pytest.raises(ValueError, match="each row"):
+            zero_stability_probe(first_order(1), p, 1e-3, 0.1, 5)
+
+    def test_rhs_value_that_does_not_broadcast_rejected(self, monkeypatch):
+        # y.ravel() maps a (2,) state to itself, but the (2, 2) stack to a
+        # (4,) value, which no row-by-row rhs could give.
+        p = IVPProblem(lambda t, y: -y.ravel(), 0.0, (np.array([1.0, 0.0]),))
         integrate(first_order(1), p, 0.1, 5)
         monkeypatch.setattr(ivp, "_recur", None)  # any step would fail
         with pytest.raises(ValueError, match="each row"):

@@ -129,6 +129,10 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial([0, 0])
 
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="^polynomial needs at least one coefficient$"):
+            Polynomial([])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Polynomial([1, float("nan")])

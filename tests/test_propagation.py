@@ -234,6 +234,12 @@ class TestGrowthRate:
         with pytest.raises(ValueError):
             growth_rate(first_order(1), depth=10)
 
+    def test_overflow_leaves_too_few_finite_gaps(self):
+        # The gap grows 1e200-fold per step: the run blows up at its second
+        # step, before the fit's window from depth 10 on begins.
+        with pytest.raises(RuntimeError, match="not enough finite gaps"):
+            growth_rate(Scheme([1e200], 1.0), depth=20)
+
 
 class TestInjectNoise:
     def test_constant_with_clip(self):
@@ -300,6 +306,8 @@ class TestInjectNoise:
             NoiseSpec("gaussian", (-1.0,))
         with pytest.raises(ValueError):
             NoiseSpec(kind="salt")
+        with pytest.raises(ValueError, match="^gaussian noise takes 1 parameters, got 2$"):
+            NoiseSpec("gaussian", (1.0, 2.0))
 
     @pytest.mark.parametrize(
         "make",

@@ -18,8 +18,9 @@ each column once, and CSV and JSON are built from the same cell strings:
   column per element, named after its column plus the index (``y0``,
   ``y1``, ...), and is a list per row in JSON.
 
-Numeric columns are numpy arrays, formatted a column at a time; any other
-sequence is formatted value by value.  The rows go through in runs of
+A list or tuple column is formatted value by value; any other column is a
+numpy array, formatted a column at a time.  The test is the column's type,
+so a table without arrays loads no numpy.  The rows go through in runs of
 ``_CHUNK``, so a writer holds the cell strings of one run, not of the whole
 table.  JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list
 of objects: each run of rows is one join of its cells with the fixed texts
@@ -39,7 +40,7 @@ import sys
 from itertools import repeat
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 _DIGITS = ".10g"  # the one number format: 10 significant digits
 _format = float.__format__
@@ -47,6 +48,7 @@ _BOOLS = ("false", "true")
 _WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _QUOTABLE = frozenset(',"\r\n')  # csv.writer quotes no field without one of these
 _CHUNK = 1 << 14  # rows formatted at a time
+_LISTS = (list, tuple)  # the column types formatted value by value
 
 
 def fmt(x: float) -> str:
@@ -117,16 +119,16 @@ def _array_texts(values: np.ndarray) -> list[str]:
 
 def _csv_column(values) -> list[list[str]]:
     """A column's CSV cells: one list per CSV column it fills."""
-    if isinstance(values, np.ndarray):
-        if values.ndim == 2:
-            return [_array_texts(part) for part in values.T]
-        return [_array_texts(values)]
-    return [[_csv_field(_text(v)) for v in values]]
+    if isinstance(values, _LISTS):
+        return [[_csv_field(_text(v)) for v in values]]
+    if values.ndim == 2:
+        return [_array_texts(part) for part in values.T]
+    return [_array_texts(values)]
 
 
 def _json_column(values, level: int) -> list[str]:
     """A column's JSON cells, each value sitting ``level`` deep."""
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, _LISTS):
         return [_json_value(v, level) for v in values]
     if values.ndim == 2:
         if values.shape[1] == 0:
@@ -162,7 +164,7 @@ def csv_table(names: Sequence[str], columns: Sequence) -> str:
     """A header line plus one CSV line per row."""
     header = []
     for name, values in zip(names, columns):
-        if isinstance(values, np.ndarray) and values.ndim == 2 and len(values):
+        if not isinstance(values, _LISTS) and values.ndim == 2 and len(values):
             header.extend(f"{name}{i}" for i in range(values.shape[1]))
         else:
             header.append(name)

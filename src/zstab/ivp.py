@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from ._table import csv_table
 from .schemes import Scheme, _recur
 
@@ -36,8 +35,8 @@ __all__ = [
 # and returns a number.  An array rhs maps each row of a (rows, dim) state as
 # it maps a (dim,) state, bit for bit: zero_stability_probe advances a run
 # and its twin as the two rows of one state, and rejects an rhs that mixes
-# them.
-RHS = Callable[[float, Union[float, np.ndarray]], Union[float, np.ndarray]]
+# them.  The array type is a string, so that this alias loads no numpy.
+RHS = Callable[[float, "float | np.ndarray"], "float | np.ndarray"]
 
 # The most steps one integration may run; a run asking for more is rejected
 # before anything is allocated.
@@ -274,7 +273,7 @@ def zero_stability_probe(
     reproducible.  Each run stops at its own blow-up: the gaps stop at the
     shorter run, and a blow-up of either makes the ratio inf.  Gaps are
     sup-norm per step; the initial gap is the largest gap over the d seed
-    states.
+    states, or nan where one of them is nan.
 
     A run of more than one feature and its twin advance together, as the
     two rows of one (2, dim) state.  The rhs must therefore map each row of
@@ -301,15 +300,17 @@ def zero_stability_probe(
 
     # The gaps cover the steps both runs have before their blow-ups.  Two
     # finite states of opposite sign near the float max are a gap of inf,
-    # and two seeds that overflowed alike a gap of nan.
+    # and two seeds that overflowed alike a gap of nan, which numpy's max
+    # keeps wherever it sits (Python's drops one that follows a number).
     m = min(len(clean.states), len(twin.states))
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = tuple(np.max(np.abs(clean.states[:m] - twin.states[:m]), axis=1).tolist())
-    initial_gap = max(gaps[:d])
+        gaps = np.max(np.abs(clean.states[:m] - twin.states[:m]), axis=1)
+    initial_gap = float(gaps[:d].max())
     blew = [run.blew_up_at for run in (clean, twin) if run.blew_up_at is not None]
-    ratio = max(gaps) / initial_gap if initial_gap > 0 and not blew else math.inf
+    ratio = float(gaps.max()) / initial_gap if initial_gap > 0 and not blew else math.inf
     return clean, DivergenceSeries(
-        per_step=gaps, initial_gap=initial_gap, ratio=ratio, blew_up_at=min(blew, default=None)
+        per_step=tuple(gaps.tolist()), initial_gap=initial_gap, ratio=ratio,
+        blew_up_at=min(blew, default=None),
     )
 
 

@@ -15,8 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from ._table import csv_table
 from .schemes import Scheme, _recur, root_condition
 

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from ._table import fmt
 from .polyroots import Polynomial, RootSet, _scaled, find_roots
 

@@ -29,8 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from ._table import csv_table
 from .schemes import Scheme
 

@@ -299,11 +299,11 @@ def zero_stability_probe(
     gaps = tuple(
         float(np.max(np.abs(a - b))) for a, b in zip(clean.states, noisy.states)
     )
-    initial_gap = max(gaps[:d])
+    initial_gap = float(np.max(gaps[:d]))  # a nan gap anywhere is the maximum
     blew_up_at = min(
         (t.blew_up_at for t in (clean, noisy) if t.blew_up_at is not None), default=None
     )
-    ratio = max(gaps) / initial_gap if initial_gap > 0 else math.inf
+    ratio = float(np.max(gaps)) / initial_gap if initial_gap > 0 else math.inf
     if blew_up_at is not None:
         ratio = math.inf
     return DivergenceSeries(

@@ -371,6 +371,22 @@ class TestZeroStabilityProbe:
         assert series.per_step[-1] == math.inf
         assert (series.ratio, series.blew_up_at) == (math.inf, None)
 
+    def test_seeds_that_overflowed_alike_give_a_nan_initial_gap(self, capsys):
+        # The seeds are 1.7e308 and its RK4 successor, inf, in both runs: the
+        # shift is lost at 1.7e308, and inf - inf is nan.  A max that drops
+        # the nan after the first gap, 0.0, would report an initial gap of 0.
+        s = Scheme([1, 0], 1.5)
+        p = IVPProblem(lambda t, y: y, 0.0, (np.array([1.7e308]),))
+        _, series = zero_stability_probe(s, p, 1e6, 0.5, 5)
+        assert series.per_step[0] == 0.0 and math.isnan(series.per_step[1])
+        assert math.isnan(series.initial_gap)
+        assert (series.ratio, series.blew_up_at) == (math.inf, 2)
+        code = main(["integrate", "--alphas", "1,0", "--beta", "1.5", "--rhs", "y",
+                     "--y0", "1.7e308", "--h", "0.5", "--steps", "5", "--probe", "1e6"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert err == "blow-up at step 2\nprobe amplification ratio=inf (diverged)\n"
+
     def test_negative_seed_rejected_before_any_step(self, monkeypatch):
         monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
         with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):

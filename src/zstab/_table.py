@@ -40,7 +40,7 @@ import sys
 from itertools import repeat
 from typing import Sequence
 
-from ._numpy import np
+from ._lazy import np
 
 _DIGITS = ".10g"  # the one number format: 10 significant digits
 _format = float.__format__

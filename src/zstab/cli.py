@@ -34,13 +34,17 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import ivp
-from ._table import fmt, json_table, record
-from .polyroots import RootFindingError
-from .propagation import NOISE_KINDS, NoiseSpec, robustness_sweep
-from .schemes import Scheme, consistency_check, root_condition
-from .table8 import REFERENCE_ROWS, verify_reference_table
-from .zerosnet import scan_region, zerosnet_coeffs
+from ._lazy import lazy
+
+# The modules that run the commands, loaded at a command's first read of
+# one of their names, so that building the parser runs none of them.
+_table = lazy(f"{__package__}._table")
+ivp = lazy(f"{__package__}.ivp")
+polyroots = lazy(f"{__package__}.polyroots")
+propagation = lazy(f"{__package__}.propagation")
+schemes = lazy(f"{__package__}.schemes")
+table8 = lazy(f"{__package__}.table8")
+zerosnet = lazy(f"{__package__}.zerosnet")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -162,7 +166,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _table_text(report, form: str) -> str:
     """A report as a JSON list for "json", otherwise as its CSV."""
     if form == "json":
-        return json_table(report.CSV_COLUMNS, report.columns())
+        return _table.json_table(report.CSV_COLUMNS, report.columns())
     return report.to_csv()
 
 
@@ -173,7 +177,7 @@ def _parse_floats(raw: str) -> list[float]:
         raise UsageError(f"malformed number list {raw!r}") from exc
 
 
-def _scheme_from_args(args) -> Scheme:
+def _scheme_from_args(args) -> schemes.Scheme:
     has_alphas = getattr(args, "alphas", None) is not None
     has_lambda = getattr(args, "lam", None) is not None
     if has_alphas == has_lambda:
@@ -182,34 +186,37 @@ def _scheme_from_args(args) -> Scheme:
         # The family fixes its own beta.
         if args.beta is not None:
             raise UsageError("--beta is read only with --alphas")
-        return zerosnet_coeffs(args.lam)
-    return Scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
+        return zerosnet.zerosnet_coeffs(args.lam)
+    return schemes.Scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
 
 
 def cmd_analyze(args) -> tuple[str, list[str], int]:
     scheme = _scheme_from_args(args)
-    stability = root_condition(scheme)
-    consistency = consistency_check(scheme)
+    stability = schemes.root_condition(scheme)
+    consistency = schemes.consistency_check(scheme)
     values = (
         scheme.alphas, scheme.beta, stability.moduli, stability.zero_stable,
         stability.violations, consistency.sum_alpha, consistency.moment,
         consistency.consistent,
     )
     code = EXIT_NOT_STABLE if args.strict and not stability.zero_stable else EXIT_OK
-    return record(ANALYZE_KEYS, values, args.format), [], code
+    return _table.record(ANALYZE_KEYS, values, args.format), [], code
 
 
 def cmd_lambda_scan(args) -> tuple[str, list[str], int]:
-    scan = scan_region(args.min, args.max, args.step)
+    scan = zerosnet.scan_region(args.min, args.max, args.step)
     if scan.argmin_lambda is None:
         note = "no zero-stable grid points"
     else:
-        note = f"argmin lambda={fmt(scan.argmin_lambda)} max_modulus={fmt(scan.argmin_modulus)}"
+        note = (
+            f"argmin lambda={_table.fmt(scan.argmin_lambda)} "
+            f"max_modulus={_table.fmt(scan.argmin_modulus)}"
+        )
     return _table_text(scan, args.format), [note], EXIT_OK
 
 
 def cmd_table_verify(args) -> tuple[str, list[str], int]:
-    results = verify_reference_table()
+    results = table8.verify_reference_table()
     lines = []
     for i, res in enumerate(results):
         status = "PASS" if res.passed else "FAIL"
@@ -285,7 +292,7 @@ def _problem_from_args(args) -> ivp.IVPProblem:
                 # the run blows up at this step, as it does through y*y.
                 return math.nan
             except (ArithmeticError, TypeError, ValueError) as exc:
-                raise UsageError(f"--rhs {expr!r} failed at t={fmt(t)}: {exc}") from exc
+                raise UsageError(f"--rhs {expr!r} failed at t={_table.fmt(t)}: {exc}") from exc
 
         y0 = 1.0 if args.y0 is None else args.y0
         return ivp.IVPProblem(rhs, 0.0, (y0,))
@@ -340,10 +347,10 @@ def cmd_integrate(args) -> tuple[str, list[str], int]:
         notes.append(f"blow-up at step {traj.blew_up_at}")
     if series is not None:
         flagged = " (diverged)" if series.blew_up_at is not None or series.ratio > 1e3 else ""
-        notes.append(f"probe amplification ratio={fmt(series.ratio)}{flagged}")
+        notes.append(f"probe amplification ratio={_table.fmt(series.ratio)}{flagged}")
     if est is not None:
         limited = " (rounding-limited)" if est.rounding_limited else ""
-        notes.append(f"convergence order={fmt(est.order)}{limited}")
+        notes.append(f"convergence order={_table.fmt(est.order)}{limited}")
     return _table_text(traj, args.format), notes, EXIT_OK
 
 
@@ -351,22 +358,22 @@ def cmd_propagate(args) -> tuple[str, list[str], int]:
     if args.table8:
         if (args.alphas, args.beta, args.lam) != (None, None, None):
             raise UsageError("--table8 takes no --alphas, --beta or --lambda")
-        schemes = [row.scheme for row in REFERENCE_ROWS]
+        swept = [row.scheme for row in table8.REFERENCE_ROWS]
     else:
-        schemes = [_scheme_from_args(args)]
+        swept = [_scheme_from_args(args)]
     if not args.noise:
         raise UsageError("provide at least one --noise spec")
-    specs = [NoiseSpec.parse(raw, args.clip) for raw in args.noise]
-    report = robustness_sweep(
-        schemes, specs, depth=args.depth, width=args.width,
+    specs = [propagation.NoiseSpec.parse(raw, args.clip) for raw in args.noise]
+    report = propagation.robustness_sweep(
+        swept, specs, depth=args.depth, width=args.width,
         trials=args.trials, seed=args.seed,
     )
     means = report.group_means()
     notes = []
     if not math.isnan(means[True]):
-        notes.append(f"zero-stable group mean gap={fmt(means[True])}")
+        notes.append(f"zero-stable group mean gap={_table.fmt(means[True])}")
     if not math.isnan(means[False]):
-        notes.append(f"non-zero-stable group mean gap={fmt(means[False])}")
+        notes.append(f"non-zero-stable group mean gap={_table.fmt(means[False])}")
     return _table_text(report, args.format), notes, EXIT_OK
 
 
@@ -388,6 +395,13 @@ def _add_common_flags(parser, formats: bool = True) -> None:
             "--format", choices=("text", "csv", "json"), help="output format",
         )
     parser.add_argument("--config", help="flat key=value config file; flags override")
+
+
+# The names of ivp.PRESETS, sorted, and each kind of propagation.NOISE_KINDS
+# with its parameters, written out so that building the parser loads
+# neither module; tests/test_cli.py holds them to those two.
+PRESET_NAMES = ("constant", "decay", "oscillator")
+NOISE_SPECS = "none | gaussian:SIGMA | constant:MU | uniform:LO:HI"
 
 
 def build_parser() -> _Parser:
@@ -425,7 +439,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("integrate", help="integrate an initial-value problem")
     _add_scheme_flags(p)
     p.add_argument(
-        "--preset", choices=sorted(ivp.PRESETS),
+        "--preset", choices=PRESET_NAMES,
         help="built-in problem (default decay; not with --rhs)",
     )
     p.add_argument("--rhs", help="scalar rhs expression in t and y, e.g. '-y'")
@@ -448,9 +462,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--noise", action="append", default=None,
-        help="noise spec: " + " | ".join(
-            ":".join([kind, *map(str.upper, names)]) for kind, names in NOISE_KINDS.items()
-        ) + " (repeatable)",
+        help=f"noise spec: {NOISE_SPECS} (repeatable)",
     )
     p.add_argument("--clip", action="store_true", help="clamp noisy inputs to [0,1]")
     p.add_argument("--depth", type=int, default=56)
@@ -533,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.commands[args.command].check_required(args)
         text, notes, code = args.func(args)
         _emit(text, args.out)
-    except (UsageError, ValueError, RootFindingError) as exc:
+    except (UsageError, ValueError, polyroots.RootFindingError) as exc:
         notes, code = [f"usage error: {exc}"], EXIT_USAGE
     for note in notes:
         print(note, file=sys.stderr)

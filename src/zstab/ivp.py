@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ._numpy import np
+from ._lazy import np
 from ._table import csv_table
 from .schemes import Scheme, _recur
 

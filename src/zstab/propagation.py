@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._numpy import np
+from ._lazy import np
 from ._table import csv_table
 from .schemes import Scheme, _recur, root_condition
 

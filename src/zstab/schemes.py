@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ._numpy import np
+from ._lazy import np
 from ._table import fmt
 from .polyroots import Polynomial, RootSet, _scaled, find_roots
 

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from ._numpy import np
+from ._lazy import np
 from ._table import csv_table
 from .schemes import Scheme
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 import zstab
 import zstab.cli as cli
 from zstab import ivp, propagation, table8
+from zstab._table import fmt
 from zstab.cli import EXIT_NOT_STABLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from zstab.propagation import MAX_SWEEP_WEIGHTS, MAX_SWEEP_WORK
 from zstab.schemes import Scheme
@@ -302,7 +304,7 @@ class TestLambdaScan:
             capsys, "lambda-scan", f"--min={lam_min!r}", f"--max={lam_max!r}",
             f"--step={step!r}", "--format=json",
         )
-        assert (code, err) == (EXIT_OK, f"argmin lambda={cli.fmt(lam_min)} max_modulus=0.5\n")
+        assert (code, err) == (EXIT_OK, f"argmin lambda={fmt(lam_min)} max_modulus=0.5\n")
         lambdas = [row["lambda"] for row in json.loads(out)]
         assert len(lambdas) == rows
         assert all(lam_min <= lam <= lam_max for lam in lambdas)
@@ -583,12 +585,25 @@ class TestIntegrate:
         assert type(rhs(0.5, 2.0)) is float
 
     def test_unknown_preset(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "integrate", "--alphas", "1", "--preset", "nope", "--h", "0.1",
             "--steps", "5",
         )
-        assert code == EXIT_USAGE
+        # argparse's own message for the sorted preset names.
+        probe = argparse.ArgumentParser(exit_on_error=False)
+        probe.add_argument("--preset", choices=sorted(ivp.PRESETS))
+        with pytest.raises(argparse.ArgumentError) as caught:
+            probe.parse_args(["--preset", "nope"])
+        assert (code, err) == (EXIT_USAGE, f"usage error: {caught.value}\n")
+
+    def test_preset_choices_are_the_presets(self, capsys):
+        # cli writes the names out, so that building its parser loads no ivp.
+        preset = cli.build_parser().commands["integrate"].flags["preset"]
+        assert list(preset.choices) == sorted(ivp.PRESETS)
+        with pytest.raises(SystemExit):
+            main(["integrate", "--help"])
+        assert "--preset {" + ",".join(sorted(ivp.PRESETS)) + "}" in capsys.readouterr().out
 
 
     @pytest.mark.parametrize(
@@ -708,6 +723,19 @@ class TestIntegrate:
 
 
 class TestPropagate:
+    def test_noise_help_names_every_kind(self, capsys):
+        # cli writes the kinds out, so that building its parser loads no
+        # propagation.
+        specs = " | ".join(
+            ":".join([kind, *map(str.upper, names)])
+            for kind, names in propagation.NOISE_KINDS.items()
+        )
+        noise = cli.build_parser().commands["propagate"].flags["noise"]
+        assert noise.help == f"noise spec: {specs} (repeatable)"
+        with pytest.raises(SystemExit):
+            main(["propagate", "--help"])
+        assert f"noise spec: {specs} (repeatable)" in " ".join(capsys.readouterr().out.split())
+
     def test_noise_free_zero_gap(self, capsys):
         code, out, _ = run(
             capsys,

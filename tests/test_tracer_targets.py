@@ -4,9 +4,12 @@ name it lists must still exist, or `perfbench/run.py --trace 1` and
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from test_lazy_numpy import _python
 
 _TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +43,43 @@ def test_function_target_resolves(module, attr):
 def test_method_target_resolves(module, cls, method):
     # Tracer.install reads the method from the class's own __dict__.
     assert callable(vars(getattr(importlib.import_module(module), cls))[method])
+
+
+# As perfbench/run.py does: numpy and the tracer first, then zstab.cli alone,
+# whose command modules are lazy; install must find and load every target.
+# A traced command must reach the spans, and uninstall must put back the
+# very functions that install wrapped.
+SCRIPT = """
+import contextlib, importlib.util, io, json, sys
+import numpy
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import zstab.cli
+tracer = tracing.Tracer()
+tracer.install()
+def owners():
+    for mod, attr, *_ in tracing.TRACED + tracing.COUNTED:
+        yield sys.modules[mod], attr
+    for mod, cls, method, *_ in tracing.TRACED_METHODS:
+        yield getattr(sys.modules[mod], cls), method
+wrapped = [vars(owner)[attr].__wrapped__ for owner, attr in owners()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = zstab.cli.main(["table-verify"])
+tracer.uninstall()
+print(json.dumps({
+    "code": code,
+    "spans": sorted({span[2] for span in tracer.spans}),
+    "restored": all(vars(owner)[attr] is fn for (owner, attr), fn in zip(owners(), wrapped)),
+}))
+"""
+
+
+def test_install_in_a_fresh_interpreter_after_zstab_cli():
+    done = _python("-c", SCRIPT, str(_TRACING))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "code": 0,
+        "spans": ["polyroots.find_roots", "schemes.root_condition", "table8.verify_reference_table"],
+        "restored": True,
+    }

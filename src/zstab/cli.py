@@ -2,13 +2,13 @@
 
 Subcommands: analyze, lambda-scan, table-verify, integrate, propagate.
 Exit codes: 0 success, 1 verification failure, 2 not zero-stable under
---strict, 64 usage error.  Input that the CLI or the library rejects (the
-library raises ValueError) and an --out path that cannot be written are
-usage errors, and so is a scheme whose roots the solver cannot find
-(RootFindingError).  Every report but table-verify's goes through the writers
-in ``zstab._table``, so numbers carry 10 significant digits in CSV, JSON and
-text alike; table-verify prints its moduli with two decimals (``:.2f``) and
-its verdicts as Python's ``True``/``False``.
+--strict, 64 usage error.  Every rejection is a ValueError, raised by the
+CLI or the library for input it refuses, an --out path it cannot write or a
+scheme whose roots it cannot find, and ``main`` reports each as one
+``usage error:`` line and exit 64.  Every report but table-verify's goes
+through the writers in ``zstab._table``, so numbers carry 10 significant
+digits in CSV, JSON and text alike; table-verify prints its moduli with two
+decimals (``:.2f``) and its verdicts as Python's ``True``/``False``.
 
 A command writes only after it has finished: each ``cmd_*`` returns its
 stdout text, stderr lines and exit code, and ``main`` alone writes them.
@@ -38,6 +38,8 @@ from ._lazy import lazy
 
 # The modules that run the commands, loaded at a command's first read of
 # one of their names, so that building the parser runs none of them.
+# No command here reads ``polyroots``; it is lazy too so that it is in
+# ``sys.modules`` from ``import zstab.cli`` on, for perfbench's tracer.
 _table = lazy(f"{__package__}._table")
 ivp = lazy(f"{__package__}.ivp")
 polyroots = lazy(f"{__package__}.polyroots")
@@ -90,12 +92,8 @@ ANALYZE_KEYS = (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError (exit 64) instead of exiting 2, and indexes its
+    """Raises ValueError (exit 64) instead of exiting 2, and indexes its
     flags by long name for --config.
 
     argparse checks a required flag as it parses, before a --config file
@@ -147,7 +145,7 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"the following arguments are required: {', '.join(missing)}")
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -160,7 +158,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {out!r}: {exc}") from exc
+        raise ValueError(f"cannot write --out {out!r}: {exc}") from exc
 
 
 def _table_text(report, form: str) -> str:
@@ -174,18 +172,18 @@ def _parse_floats(raw: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise UsageError(f"malformed number list {raw!r}") from exc
+        raise ValueError(f"malformed number list {raw!r}") from exc
 
 
 def _scheme_from_args(args) -> schemes.Scheme:
     has_alphas = getattr(args, "alphas", None) is not None
     has_lambda = getattr(args, "lam", None) is not None
     if has_alphas == has_lambda:
-        raise UsageError("provide exactly one of --alphas or --lambda")
+        raise ValueError("provide exactly one of --alphas or --lambda")
     if has_lambda:
         # The family fixes its own beta.
         if args.beta is not None:
-            raise UsageError("--beta is read only with --alphas")
+            raise ValueError("--beta is read only with --alphas")
         return zerosnet.zerosnet_coeffs(args.lam)
     return schemes.Scheme(_parse_floats(args.alphas), 1.0 if args.beta is None else args.beta)
 
@@ -235,13 +233,13 @@ def _compile_rhs(expr: str):
     """The code of an --rhs expression, its numbers made floats; a usage
     error unless every part of it is in the grammar above."""
     if len(expr) > MAX_RHS_CHARS:
-        raise UsageError(f"--rhs is longer than {MAX_RHS_CHARS} characters")
+        raise ValueError(f"--rhs is longer than {MAX_RHS_CHARS} characters")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise UsageError(f"malformed --rhs expression {expr!r}") from exc
+        raise ValueError(f"malformed --rhs expression {expr!r}") from exc
     except RecursionError as exc:
-        raise UsageError(_too_deep(expr)) from exc
+        raise ValueError(_too_deep(expr)) from exc
     callees = set()
     # Level by level, in the order of ast.walk: a call before the name it calls.
     level = [tree]
@@ -250,7 +248,7 @@ def _compile_rhs(expr: str):
         for node in level:
             if isinstance(node, ast.Call):
                 if getattr(node.func, "id", None) not in _RHS_FUNCTIONS:
-                    raise UsageError(f"--rhs {expr!r} may not call {_rhs_label(node.func)}")
+                    raise ValueError(f"--rhs {expr!r} may not call {_rhs_label(node.func)}")
                 callees.add(node.func)
             elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
                 try:
@@ -259,11 +257,11 @@ def _compile_rhs(expr: str):
                     node.value = math.inf
             elif not (isinstance(node, _RHS_NODES) or node in callees
                       or isinstance(node, ast.Name) and node.id in _RHS_VALUES):
-                raise UsageError(f"--rhs {expr!r} may not use {_rhs_label(node)}")
+                raise ValueError(f"--rhs {expr!r} may not use {_rhs_label(node)}")
             below.extend(ast.iter_child_nodes(node))
         level = below
     if level:
-        raise UsageError(_too_deep(expr))
+        raise ValueError(_too_deep(expr))
     return compile(tree, "--rhs", "eval")
 
 
@@ -292,7 +290,7 @@ def _problem_from_args(args) -> ivp.IVPProblem:
                 # the run blows up at this step, as it does through y*y.
                 return math.nan
             except (ArithmeticError, TypeError, ValueError) as exc:
-                raise UsageError(f"--rhs {expr!r} failed at t={_table.fmt(t)}: {exc}") from exc
+                raise ValueError(f"--rhs {expr!r} failed at t={_table.fmt(t)}: {exc}") from exc
 
         y0 = 1.0 if args.y0 is None else args.y0
         return ivp.IVPProblem(rhs, 0.0, (y0,))
@@ -301,24 +299,24 @@ def _problem_from_args(args) -> ivp.IVPProblem:
 
 def cmd_integrate(args) -> tuple[str, list[str], int]:
     if not 0.0 < args.h < math.inf:
-        raise UsageError("--h must be positive and finite")
+        raise ValueError("--h must be positive and finite")
     # Checked here, before the order fit runs, and named as the flag.
     if args.probe is not None and not 0.0 < args.probe < math.inf:
-        raise UsageError("--probe must be positive and finite")
+        raise ValueError("--probe must be positive and finite")
     if args.y0 is not None:
         # Only the --rhs problem reads it; the presets fix their own.
         if args.rhs is None:
-            raise UsageError("--y0 is read only with --rhs")
+            raise ValueError("--y0 is read only with --rhs")
         if not math.isfinite(args.y0):
-            raise UsageError("--y0 must be finite")
+            raise ValueError("--y0 must be finite")
     if args.preset is not None and args.rhs is not None:
-        raise UsageError("--preset and --rhs each name the problem; give one")
+        raise ValueError("--preset and --rhs each name the problem; give one")
     if args.seed is not None and args.probe is None:
-        raise UsageError("--seed is read only with --probe")
+        raise ValueError("--seed is read only with --probe")
     if args.steps < 1:
-        raise UsageError("--steps must be positive")
+        raise ValueError("--steps must be positive")
     if args.steps > ivp.MAX_STEPS:
-        raise UsageError(f"--steps must be at most {ivp.MAX_STEPS}")
+        raise ValueError(f"--steps must be at most {ivp.MAX_STEPS}")
     scheme = _scheme_from_args(args)
     problem = _problem_from_args(args)
     # The order fit runs first, so that its step sizes, and the step budget
@@ -357,12 +355,12 @@ def cmd_integrate(args) -> tuple[str, list[str], int]:
 def cmd_propagate(args) -> tuple[str, list[str], int]:
     if args.table8:
         if (args.alphas, args.beta, args.lam) != (None, None, None):
-            raise UsageError("--table8 takes no --alphas, --beta or --lambda")
+            raise ValueError("--table8 takes no --alphas, --beta or --lambda")
         swept = [row.scheme for row in table8.REFERENCE_ROWS]
     else:
         swept = [_scheme_from_args(args)]
     if not args.noise:
-        raise UsageError("provide at least one --noise spec")
+        raise ValueError("provide at least one --noise spec")
     specs = [propagation.NoiseSpec.parse(raw, args.clip) for raw in args.noise]
     report = propagation.robustness_sweep(
         swept, specs, depth=args.depth, width=args.width,
@@ -490,15 +488,15 @@ def _config_tokens(args, flags: dict[str, argparse.Action], budget: int) -> list
             while chunk := file.read(min(2**16, MAX_CONFIG_BYTES + 1 - len(data))):
                 data += chunk
     except OSError as exc:
-        raise UsageError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
+        raise ValueError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
     if len(data) > MAX_CONFIG_BYTES:
-        raise UsageError(
+        raise ValueError(
             f"config file {args.config!r} is longer than {MAX_CONFIG_BYTES} bytes"
         )
     try:
         text = data.decode()
     except UnicodeDecodeError:
-        raise UsageError(f"config file {args.config!r} is not UTF-8 text") from None
+        raise ValueError(f"config file {args.config!r} is not UTF-8 text") from None
     tokens = []
     flag_lines = 0
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -507,16 +505,16 @@ def _config_tokens(args, flags: dict[str, argparse.Action], budget: int) -> list
             continue
         flag_lines += 1
         if flag_lines > budget:
-            raise UsageError(
+            raise ValueError(
                 f"config has more than {budget} flag lines; with the command "
                 f"line's tokens they may number at most {MAX_ARGS}"
             )
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise UsageError(f"config line {line_no} is not key=value: {line!r}")
+            raise ValueError(f"config line {line_no} is not key=value: {line!r}")
         action = flags.get(key)
         if action is None:
-            raise UsageError(f"config key {key!r} matches no flag")
+            raise ValueError(f"config key {key!r} matches no flag")
         if getattr(args, action.dest) != action.default:
             continue
         option = action.option_strings[0]
@@ -532,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _shared_parser()
     try:
         if len(argv) > MAX_ARGS:
-            raise UsageError(f"at most {MAX_ARGS} arguments are accepted, got {len(argv)}")
+            raise ValueError(f"at most {MAX_ARGS} arguments are accepted, got {len(argv)}")
         args = parser.parse_args(argv)
         if args.config:
             # Parse again with the config's flags ahead of the command
@@ -545,7 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.commands[args.command].check_required(args)
         text, notes, code = args.func(args)
         _emit(text, args.out)
-    except (UsageError, ValueError, polyroots.RootFindingError) as exc:
+    except ValueError as exc:
         notes, code = [f"usage error: {exc}"], EXIT_USAGE
     for note in notes:
         print(note, file=sys.stderr)

@@ -273,7 +273,8 @@ def zero_stability_probe(
     reproducible.  Each run stops at its own blow-up: the gaps stop at the
     shorter run, and a blow-up of either makes the ratio inf.  Gaps are
     sup-norm per step; the initial gap is the largest gap over the d seed
-    states, or nan where one of them is nan.
+    states, or nan where one of them is nan.  An eps that changes no seed
+    state (an initial gap of 0) raises ValueError before any step runs.
 
     A run of more than one feature and its twin advance together, as the
     two rows of one (2, dim) state.  The rhs must therefore map each row of
@@ -291,6 +292,9 @@ def zero_stability_probe(
     with np.errstate(all="ignore"):  # a shifted seed that overflows is data
         shift = eps * _unit_direction(p.dimension, seed)
         shifted = [y + shift for y in seeds]
+        # nan, from seeds that overflowed alike, is not 0 and runs on.
+        if np.max(np.abs(np.subtract(shifted, seeds))) == 0.0:
+            raise ValueError(f"eps={eps!r} shifts no seed state: the twin would be the clean run")
     if p.dimension == 1:
         [clean], [twin] = _runs(s, p, h, seeds, n_steps), _runs(s, p, h, shifted, n_steps)
     else:

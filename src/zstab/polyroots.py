@@ -47,16 +47,11 @@ _EPS = sys.float_info.epsilon
 _START_ANGLE = 0.7
 
 
-class RootFindingError(RuntimeError):
-    """Raised when the iteration budget is exhausted or a value overflows.
-
-    Carries the iterates of the factor that failed, so callers can inspect
-    how close the solver got.
-    """
-
-    def __init__(self, message: str, best_iterates: Sequence[complex]):
-        super().__init__(message)
-        self.best_iterates = tuple(best_iterates)
+class RootFindingError(ValueError):
+    """Raised when the iteration budget is exhausted or a value overflows:
+    the polynomial is one whose roots this solver cannot give.  The message
+    names the residual and |z| of the first root that failed, or the value
+    that overflowed."""
 
 
 @dataclass(frozen=True)
@@ -336,7 +331,7 @@ def _aberth(coeffs: list[float]) -> list[complex]:
         if abs(p) > RESIDUAL_TOL * scale:
             raise RootFindingError(
                 f"root finding did not converge within {MAX_ITERATIONS} iterations "
-                f"(residual {abs(p):.3e} at |z| = {r:.3e})", z
+                f"(residual {abs(p):.3e} at |z| = {r:.3e})"
             )
     return z
 
@@ -354,8 +349,7 @@ def find_roots(p: Polynomial) -> RootSet:
     Raises
     ------
     RootFindingError
-        If ``MAX_ITERATIONS`` runs out on a factor, carrying its iterates,
-        or if a value overflows.
+        If ``MAX_ITERATIONS`` runs out on a factor or a value overflows.
     """
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
@@ -369,6 +363,6 @@ def find_roots(p: Polynomial) -> RootSet:
             roots += [(z, mult) for z in _factor_roots(a)]
     except OverflowError as exc:
         message = f"root finding did not converge: a value overflowed ({exc})"
-        raise RootFindingError(message, ()) from exc
+        raise RootFindingError(message) from exc
     roots.sort(key=lambda pair: (-abs(pair[0]), cmath.phase(pair[0])))
     return RootSet(roots=tuple(roots))

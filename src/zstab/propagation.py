@@ -239,7 +239,8 @@ def growth_rate(s: Scheme, depth: int) -> float:
 
     With the blocks outputting zero the gap follows the pure linear
     recurrence, so the slope estimates log(dominant root modulus); checked
-    in tests against the companion-matrix oracle.
+    in tests against the companion-matrix oracle.  Where the gaps overflow
+    before enough of them are finite to fit the slope, ValueError.
     """
     if depth < 20:
         raise ValueError("depth must be >= 20")
@@ -256,7 +257,7 @@ def growth_rate(s: Scheme, depth: int) -> float:
     _recur(s.alphas, s.beta, noisy, depth, lambda n, y: 0.0)
     slope = _log_slope([float(np.max(np.abs(y))) for y in noisy], depth // 2)
     if slope is None:
-        raise RuntimeError("not enough finite gaps to fit a growth slope")
+        raise ValueError("not enough finite gaps to fit a growth slope")
     return slope
 
 
@@ -320,11 +321,12 @@ class SweepReport:
         return csv_table(self.CSV_COLUMNS, self.columns())
 
     def group_means(self) -> dict[bool, float]:
-        """Mean of cell means per zero-stability group (inf-aware)."""
+        """Mean of cell means per zero-stability group; a sum past the float max is inf."""
         means = {}
         for flag in (True, False):
             gaps = self.mean_gap[self.zero_stable == flag].ravel()
-            means[flag] = float(np.mean(gaps)) if gaps.size else math.nan
+            with np.errstate(over="ignore"):
+                means[flag] = float(np.mean(gaps)) if gaps.size else math.nan
         return means
 
 

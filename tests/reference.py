@@ -288,7 +288,8 @@ def zero_stability_probe(
     s: Scheme, p: IVPProblem, eps: float, h: float, n_steps: int, seed: int = 1
 ) -> DivergenceSeries:
     """``zstab.ivp.zero_stability_probe`` with its gaps taken one state pair
-    at a time, up to the shorter run (as ``zip`` stops)."""
+    at a time, up to the shorter run (as ``zip`` stops), and an eps that
+    shifts no seed state refused after both runs, not before."""
     d = s.order
     seed_states = startup_states(p, h, d)
     direction = _unit_direction(p.dimension, seed)
@@ -300,6 +301,8 @@ def zero_stability_probe(
         float(np.max(np.abs(a - b))) for a, b in zip(clean.states, noisy.states)
     )
     initial_gap = float(np.max(gaps[:d]))  # a nan gap anywhere is the maximum
+    if initial_gap == 0.0:
+        raise ValueError(f"eps={eps!r} shifts no seed state")
     blew_up_at = min(
         (t.blew_up_at for t in (clean, noisy) if t.blew_up_at is not None), default=None
     )

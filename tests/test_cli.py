@@ -450,6 +450,19 @@ class TestIntegrate:
         )
         assert (code, err) == (EXIT_OK, "probe amplification ratio=inf (diverged)\n")
 
+    def test_probe_that_shifts_no_seed_is_refused(self, capsys):
+        # 1e-17 is below half an ulp of every decay seed: the twin would be
+        # the clean run, and its ratio 0/0.  The oscillator's first seed,
+        # (1, 0), keeps the shift in its 0.
+        argv = ("integrate", "--lambda=-1.8", "--h", "0.01", "--steps", "100", "--probe", "1e-17")
+        code, out, err = run(capsys, *argv, "--preset", "decay")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "usage error: eps=1e-17 shifts no seed state: the twin would be the clean run\n"
+        )
+        code, _, err = run(capsys, *argv, "--preset", "oscillator")
+        assert (code, err) == (EXIT_OK, "probe amplification ratio=1.333333333\n")
+
     @pytest.mark.parametrize("probe", [(), ("--probe", "1e6")], ids=["alone", "probe"])
     def test_overflowing_rk4_seed_is_data(self, capsys, probe):
         # The RK4 seed of a 2-step scheme overflows; with --probe the twin's
@@ -756,6 +769,17 @@ class TestPropagate:
         stable = float(err.split("zero-stable group mean gap=")[1].splitlines()[0])
         unstable = float(err.split("non-zero-stable group mean gap=")[1].splitlines()[0])
         assert stable < unstable or math.isinf(unstable)
+
+    def test_group_mean_past_the_float_max_is_inf(self, capsys):
+        # Two cells of 1.78e308 each: their sum overflows, as a cell's mean
+        # may, and the group mean reads inf with no overflow warning.
+        code, _, err = run(
+            capsys,
+            "propagate", "--alphas", "0,1e308,1e308", "--beta", "0", "--clip",
+            "--noise", "gaussian:1", "--noise", "gaussian:1",
+            "--depth", "1", "--width", "1", "--trials", "2", "--seed", "0",
+        )
+        assert (code, err) == (EXIT_OK, "non-zero-stable group mean gap=inf\n")
 
     def test_deterministic_constant_noise(self, capsys):
         args = (

@@ -387,6 +387,17 @@ class TestZeroStabilityProbe:
         assert code == 0
         assert err == "blow-up at step 2\nprobe amplification ratio=inf (diverged)\n"
 
+    def test_eps_that_shifts_no_seed_rejected_before_any_step(self, monkeypatch):
+        # 1e-17 is below half an ulp of every decay seed, so the twin would be
+        # the clean run, its initial gap 0 and its ratio 0/0.
+        s, p = zerosnet_coeffs(-9 / 5), decay_problem()
+        message = "^eps=1e-17 shifts no seed state"
+        with pytest.raises(ValueError, match=message):
+            reference.zero_stability_probe(s, p, 1e-17, 0.01, 100)
+        monkeypatch.setattr(ivp, "_runs", None)  # any run would fail
+        with pytest.raises(ValueError, match=message):
+            zero_stability_probe(s, p, 1e-17, 0.01, 100)
+
     def test_negative_seed_rejected_before_any_step(self, monkeypatch):
         monkeypatch.setattr(ivp, "startup_states", None)  # nothing may be seeded
         with pytest.raises(ValueError, match="^seed must be non-negative, got -5$"):

@@ -1,8 +1,9 @@
 """numpy, and the modules that run the commands, load on first use.  Each
 check runs in a fresh interpreter that imports zstab before anything else,
-since the test process has them loaded already: building the parser must
-run none of them, ``analyze`` and ``table-verify`` must leave numpy
-unloaded, and every command must print the bytes of its golden."""
+since the test process has them loaded already: building the parser and
+reporting a usage error must run none of them, ``analyze`` and
+``table-verify`` must leave numpy unloaded, and every command must print
+the bytes of its golden."""
 
 from __future__ import annotations
 
@@ -26,21 +27,25 @@ COMMAND_MODULES = [
     for name in ("_table", "ivp", "polyroots", "propagation", "schemes", "table8", "zerosnet")
 ]
 
-# zstab first, and the parser; then the commands that need no numpy,
-# in-process; then one that does, after which every module's np is numpy
-# itself.  A lazy module that has run its body is a plain module.
+# zstab first, and the parser; then a usage error; then the commands that
+# need no numpy, in-process; then one that does, after which every module's
+# np is numpy itself.  A lazy module that has run its body is a plain module.
 SCRIPT = """
 import sys, zstab.cli
+def ran():
+    return sorted(
+        name for name in ("dataclasses", *sys.argv[1:-2]) if type(sys.modules.get(name)) is type(sys)
+    )
 zstab.cli.build_parser()
-startup = sorted(
-    name for name in ("dataclasses", *sys.argv[1:-2]) if type(sys.modules.get(name)) is type(sys)
-)
+startup = ran()
 import contextlib, io, json
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = zstab.cli.main(argv)
     return [out.getvalue(), err.getvalue(), f"{code}\\n"]
+usage_error = run(["analyze", "--alphas=--"])
+after_usage_error = ran()
 outputs = [run(argv) for argv in json.loads(sys.argv[-2])]
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
 outputs.append(run(json.loads(sys.argv[-1])))
@@ -48,6 +53,8 @@ numpy = sys.modules["numpy"]
 modules = (zstab._table, zstab.ivp, zstab.propagation, zstab.schemes, zstab.zerosnet)
 print(json.dumps({
     "startup": startup,
+    "usage_error": usage_error,
+    "after_usage_error": after_usage_error,
     "outputs": outputs,
     "loaded": loaded,
     "ivp_np_is_numpy": zstab.ivp.np is numpy,
@@ -76,8 +83,11 @@ def test_analyze_and_table_verify_load_no_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        # Building the parser loaded no dataclasses and ran no command module.
+        # Building the parser loaded no dataclasses and ran no command
+        # module, and neither did reporting a usage error.
         "startup": [],
+        "usage_error": ["", "usage error: argument --alphas: expected one argument\n", "64\n"],
+        "after_usage_error": [],
         "outputs": [[path.read_text() for path in _files(name)] for name in cases],
         "loaded": [],
         "ivp_np_is_numpy": True,

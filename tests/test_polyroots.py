@@ -232,11 +232,19 @@ class TestFindRoots:
         args = [cmath.phase(v) for v, _ in rs.roots]
         assert args == sorted(args)
 
-    def test_nonconvergence_carries_best_iterates(self, monkeypatch):
+    def test_nonconvergence_is_a_value_error_naming_its_residual(self, monkeypatch):
+        # A polynomial the solver cannot finish is rejected input, as a
+        # malformed one is; the message says how close the failed root got.
+        assert issubclass(RootFindingError, ValueError)
         monkeypatch.setattr(polyroots, "MAX_ITERATIONS", 1)
-        with pytest.raises(RootFindingError, match="did not converge within 1 iterations") as err:
+        number = r"\d\.\d{3}e[+-]\d\d"
+        message = (
+            "^root finding did not converge within 1 iterations "
+            rf"\(residual {number} at \|z\| = {number}\)$"
+        )
+        with pytest.raises(RootFindingError, match=message) as err:
             find_roots(Polynomial([1, 0.3, -0.7, 0.2]))
-        assert len(err.value.best_iterates) == 3
+        assert type(err.value) is RootFindingError
 
     def test_residual_tolerance_read_at_call_time(self, monkeypatch):
         p = Polynomial([1, 0.3, -0.7, 0.2])

@@ -237,7 +237,7 @@ class TestGrowthRate:
     def test_overflow_leaves_too_few_finite_gaps(self):
         # The gap grows 1e200-fold per step: the run blows up at its second
         # step, before the fit's window from depth 10 on begins.
-        with pytest.raises(RuntimeError, match="not enough finite gaps"):
+        with pytest.raises(ValueError, match="not enough finite gaps"):
             growth_rate(Scheme([1e200], 1.0), depth=20)
 
 

@@ -311,6 +311,8 @@ def cmd_integrate(args) -> tuple[str, list[str], int]:
             raise ValueError("--y0 must be finite")
     if args.preset is not None and args.rhs is not None:
         raise ValueError("--preset and --rhs each name the problem; give one")
+    if args.orders is not None and args.rhs is not None:
+        raise ValueError("--orders needs an exact solution, and an --rhs problem has none")
     if args.seed is not None and args.probe is None:
         raise ValueError("--seed is read only with --probe")
     if args.steps < 1:

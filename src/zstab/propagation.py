@@ -269,10 +269,10 @@ class SweepReport:
     ``schemes`` and ``specs`` keep the caller's order.  ``zero_stable`` holds
     each scheme's root-condition verdict, shape (schemes,), so grouping in
     summaries is mechanical.  ``mean_gap`` and ``std_gap`` hold the mean and
-    standard deviation of a cell's finite trial gaps (inf when none is
-    finite) and ``blew_up_fraction`` the share of its trials that blew up,
-    each of shape (schemes, specs).  A table row is one cell, schemes
-    outermost.
+    standard deviation of a cell's finite trial gaps, finite themselves (inf
+    when no gap is finite), and ``blew_up_fraction`` the share of its trials
+    that blew up, each of shape (schemes, specs).  A table row is one cell,
+    schemes outermost.
     """
 
     schemes: tuple[Scheme, ...]
@@ -321,13 +321,31 @@ class SweepReport:
         return csv_table(self.CSV_COLUMNS, self.columns())
 
     def group_means(self) -> dict[bool, float]:
-        """Mean of cell means per zero-stability group; a sum past the float max is inf."""
+        """Mean of cell means per zero-stability group (``_stat``'s, so
+        finite where every cell mean is); nan for an empty group."""
         means = {}
         for flag in (True, False):
             gaps = self.mean_gap[self.zero_stable == flag].ravel()
-            with np.errstate(over="ignore"):
-                means[flag] = float(np.mean(gaps)) if gaps.size else math.nan
+            means[flag] = _stat(np.mean, gaps) if gaps.size else math.nan
         return means
+
+
+def _stat(reduce, values: np.ndarray) -> float:
+    """``reduce(values)`` (``np.mean`` or ``np.std``) of a non-empty array.
+
+    Where that is not finite though every value is, a sum or a square
+    overflowed on the way: it is taken again on the values divided by the
+    power of two nearest above their largest magnitude, and scaled back.
+    The division is exact but for values below 2^-1022 of the largest,
+    which lie below the result's last bit, so the result is the one an
+    unbounded exponent would give; every other result keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        result = reduce(values)
+        if not math.isfinite(result) and np.all(np.isfinite(values)):
+            exp = math.frexp(np.max(np.abs(values)))[1]
+            result = math.ldexp(reduce(np.ldexp(values, -exp)), exp)
+    return float(result)
 
 
 def robustness_sweep(
@@ -440,8 +458,8 @@ def robustness_sweep(
         for cell in np.ndindex(mean_gap.shape):
             finite = gaps[cell][np.isfinite(gaps[cell])]
             if finite.size:
-                mean_gap[cell] = np.mean(finite)
-                std_gap[cell] = np.std(finite)
+                mean_gap[cell] = _stat(np.mean, finite)
+                std_gap[cell] = _stat(np.std, finite)
     blew_up_fraction = np.count_nonzero(blown, axis=0) / trials
     for column in (zero_stable, mean_gap, std_gap, blew_up_fraction):
         column.flags.writeable = False

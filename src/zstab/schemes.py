@@ -227,34 +227,24 @@ def root_condition(s: Scheme) -> StabilityReport:
     )
 
 
-def _exact_sum(coeffs: Sequence[float], weights: Sequence[int]) -> float:
-    """sum_i weights[i] * coeffs[i] rounded once: summed exactly on the
-    integers that ``_scaled`` makes of the coefficients and divided by their
-    scale, the largest denominator; +-inf past the float range."""
-    scale = max(c.as_integer_ratio()[1] for c in coeffs)
-    total = sum(w * c for w, c in zip(weights, _scaled(coeffs)))
+def _ratio(num: int, den: int) -> float:
+    """num / den rounded once; +-inf past the float range."""
     try:
-        return total / scale
+        return num / den
     except OverflowError:
-        return math.inf if total > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def consistency_check(s: Scheme) -> ConsistencyReport:
     """Check sum(alpha) = 1 and beta - sum(i*alpha_i) = 1 within
-    ``CONSISTENCY_TOL``.  Each sum is ``math.fsum``'s where that gives a
-    finite value; otherwise it is ``_exact_sum``'s, so a sum that passes the
-    float range only on the way is right and one that ends past it is +-inf."""
+    ``CONSISTENCY_TOL``.  Each sum is exact on the integers that ``_scaled``
+    makes of the coefficients, then divided by their scale (the largest
+    denominator) and so rounded once: +-inf past the float range."""
     tol = CONSISTENCY_TOL
-    d = len(s.alphas)
-    try:
-        sum_alpha = math.fsum(s.alphas)
-    except OverflowError:  # a partial sum past the float range
-        sum_alpha = _exact_sum(s.alphas, [1] * d)
-    try:
-        moment = s.beta - math.fsum(i * a for i, a in enumerate(s.alphas))
-    except (OverflowError, ValueError):  # ValueError: products past it both ways
-        moment = math.nan
-    if not math.isfinite(moment):  # a product or the sum past the float range
-        moment = _exact_sum((s.beta, *s.alphas), (1, *range(0, -d, -1)))
+    coeffs = (s.beta, *s.alphas)
+    scale = max(c.as_integer_ratio()[1] for c in coeffs)
+    beta, *alphas = _scaled(coeffs)
+    sum_alpha = _ratio(sum(alphas), scale)
+    moment = _ratio(beta - sum(i * a for i, a in enumerate(alphas)), scale)
     consistent = abs(sum_alpha - 1.0) <= tol and abs(moment - 1.0) <= tol
     return ConsistencyReport(sum_alpha=sum_alpha, moment=moment, consistent=consistent)

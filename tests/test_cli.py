@@ -715,6 +715,17 @@ class TestIntegrate:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "usage error: --preset and --rhs each name the problem; give one\n"
 
+    @pytest.mark.parametrize("rhs", ["-y", "y +"], ids=["valid", "malformed"])
+    def test_orders_with_rhs_is_refused_by_the_flags(self, capsys, rhs):
+        # The order fit needs an exact solution; the refusal named
+        # convergence_order, and comes before the --rhs text is compiled.
+        code, out, err = run(
+            capsys, "integrate", "--alphas", "1", f"--rhs={rhs}", "--h", "0.1", "--steps", "3",
+            "--orders", "0.1,0.05,0.025",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "usage error: --orders needs an exact solution, and an --rhs problem has none\n"
+
     @pytest.mark.parametrize("given", [("--seed", "5"), ("--config", "seed=5")])
     def test_seed_without_probe_is_refused(self, capsys, tmp_path, given):
         # Only the probe reads the seed; the run without one ignored it.
@@ -770,16 +781,27 @@ class TestPropagate:
         unstable = float(err.split("non-zero-stable group mean gap=")[1].splitlines()[0])
         assert stable < unstable or math.isinf(unstable)
 
-    def test_group_mean_past_the_float_max_is_inf(self, capsys):
+    def test_group_mean_past_the_float_max_is_finite(self, capsys):
         # Two cells of 1.78e308 each: their sum overflows, as a cell's mean
-        # may, and the group mean reads inf with no overflow warning.
+        # may, yet the mean of finite values is finite, with no warning.
         code, _, err = run(
             capsys,
             "propagate", "--alphas", "0,1e308,1e308", "--beta", "0", "--clip",
             "--noise", "gaussian:1", "--noise", "gaussian:1",
             "--depth", "1", "--width", "1", "--trials", "2", "--seed", "0",
         )
-        assert (code, err) == (EXIT_OK, "non-zero-stable group mean gap=inf\n")
+        assert (code, err) == (EXIT_OK, "non-zero-stable group mean gap=1.779477583e+308\n")
+
+    def test_std_of_gaps_past_1e154_is_finite(self, capsys):
+        # The squared deviations of these finite gaps pass the float max,
+        # where np.std alone reads inf.
+        code, out, _ = run(
+            capsys, "propagate", "--alphas", "10", "--noise", "gaussian:0.1",
+            "--depth", "200", "--width", "4", "--trials", "3",
+        )
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert code == EXIT_OK
+        assert (row["mean_gap"], row["std_gap"]) == ("9.555030689e+198", "4.923590346e+198")
 
     def test_deterministic_constant_noise(self, capsys):
         args = (

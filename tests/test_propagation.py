@@ -68,11 +68,23 @@ def _reference_sweep(schemes, specs, depth, width, trials, seed=1):
                     blew += 1
                 gaps.append(report.final_gap)
             finite = [g for g in gaps if math.isfinite(g)]
-            mean_gap[i, k] = float(np.mean(finite)) if finite else math.inf
-            std_gap[i, k] = float(np.std(finite)) if finite else math.inf
+            mean_gap[i, k] = _stat(np.mean, finite) if finite else math.inf
+            std_gap[i, k] = _stat(np.std, finite) if finite else math.inf
             blew_up_fraction[i, k] = blew / trials
     zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
     return zero_stable, mean_gap, std_gap, blew_up_fraction
+
+
+def _stat(reduce, values):
+    """``reduce`` of a non-empty list of gaps; where it overflows though no
+    gap is infinite, taken on the gaps times 2^-e, 2^e just above the
+    largest, and scaled back."""
+    with np.errstate(over="ignore"):
+        result = float(reduce(values))
+    if math.isinf(result) and math.inf not in values:
+        e = math.frexp(max(values))[1]
+        result = math.ldexp(float(reduce([math.ldexp(v, -e) for v in values])), e)
+    return result
 
 
 def _arrays(report):
@@ -656,6 +668,25 @@ class TestSweepMatchesReference:
         trials=24,
         seed=1,
     )
+    # Finite gaps whose statistics overflow on the way: the squares of the
+    # first cell's deviations pass the float max, and the second's two
+    # finite gaps, then its two cell means, sum past it.
+    @example(
+        schemes=[first_order(10)],
+        specs=[NoiseSpec("gaussian", (0.1,))],
+        depth=200,
+        width=4,
+        trials=3,
+        seed=1,
+    )
+    @example(
+        schemes=[Scheme([0, 1e308, 1e308], 0)],
+        specs=[NoiseSpec("gaussian", (1.0,), clip=True)] * 2,
+        depth=1,
+        width=1,
+        trials=3,
+        seed=0,
+    )
     def test_cells_equal_reference(self, schemes, specs, depth, width, trials, seed):
         report = robustness_sweep(schemes, specs, depth, width, trials, seed)
         with np.errstate(all="ignore"):
@@ -665,5 +696,5 @@ class TestSweepMatchesReference:
         zero_stable, mean_gap = reference[:2]
         for flag in (True, False):
             means = [g for stable, row in zip(zero_stable, mean_gap) if stable == flag for g in row]
-            want = float(np.mean(means)) if means else math.nan
+            want = _stat(np.mean, means) if means else math.nan
             np.testing.assert_equal(report.group_means()[flag], want)

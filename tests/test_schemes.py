@@ -1,6 +1,7 @@
 import copy
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,12 +199,37 @@ class TestConsistency:
         rep = consistency_check(Scheme([0.0, 0.0, 1e308, 0.0, -1e308], 1.0))
         assert (rep.sum_alpha, rep.moment) == (0.0, math.inf)
 
-    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6), st.floats(-10, 10))
-    @settings(max_examples=200, deadline=None)
-    def test_fsum_bits_where_fsum_succeeds(self, alphas, beta):
+    def test_signed_zero_sums_to_plus_zero(self):
+        # An exact sum of zeros is +0, whatever the signs of its terms.
+        rep = consistency_check(Scheme([-0.0], -0.0))
+        assert math.copysign(1.0, rep.sum_alpha) == math.copysign(1.0, rep.moment) == 1.0
+
+    @given(
+        st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=6),
+        st.one_of(st.floats(-10, 10), st.floats(-1e308, 1e308)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sums_are_exact_rounded_once(self, alphas, beta):
         rep = consistency_check(Scheme(alphas, beta))
-        assert rep.sum_alpha == math.fsum(alphas)
-        assert rep.moment == beta - math.fsum(i * a for i, a in enumerate(alphas))
+        exact_sum = sum(map(Fraction, alphas))
+        exact_moment = Fraction(beta) - sum(i * Fraction(a) for i, a in enumerate(alphas))
+        assert rep.sum_alpha == _rounded(exact_sum)
+        assert rep.moment == _rounded(exact_moment)
+        # fsum rounds once too, so where it reaches a finite sum it has these bits.
+        try:
+            fsum = math.fsum(alphas)
+        except OverflowError:
+            return
+        if math.isfinite(fsum):
+            assert rep.sum_alpha == fsum
+
+
+def _rounded(q: Fraction) -> float:
+    """q as the nearest float; +-inf past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 class TestCompanionSpectralRadius:

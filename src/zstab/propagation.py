@@ -44,7 +44,9 @@ MAX_SWEEP_WEIGHTS = 2**25
 # The most blocks it may draw, depth x trials, each one generator set up.
 MAX_SWEEP_BLOCKS = 2**13
 # The most features in its state, trials x schemes x (1 + specs) x width;
-# the recurrence holds a few such states at once.
+# the recurrence holds a few such states at once.  This and the work budget
+# count the runs a sweep asks for: runs whose inputs are equal are advanced
+# once, so the state holds at most that many.
 MAX_SWEEP_STATE = 2**25
 # The most work in its recurrence, depth x trials x schemes x (1 + specs) x
 # (width^2 + 2^10): a run's step is a width x width product plus a fixed cost
@@ -364,10 +366,16 @@ def robustness_sweep(
     to evaluation order.  The block at depth n of trial t holds the weights
     of ``make_block(block_seed_t + n, width)``.
 
-    All runs advance together through one recurrence whose state has shape
-    (trials, schemes, 1 + specs, width): index 0 on the third axis is the
-    clean run, computed once per (trial, scheme).  Schemes of lower order
-    are zero-padded to the largest order, which leaves their arithmetic
+    Each distinct input is advanced once: the clean input and the noisy
+    ones are grouped by their bytes across all trials, and a spec whose
+    inputs equal an earlier column's in every trial (``none``,
+    ``constant:0``, ``gaussian:0``, a repeated spec) takes that run's final
+    state and blow-up steps.  Each run has its own product and its own
+    row-wise recurrence, so sharing one changes no bit.  All runs advance
+    together through one recurrence whose state has shape (trials, schemes,
+    distinct inputs, width), at most (trials, schemes, 1 + specs, width):
+    index 0 on the third axis is the clean run.  Schemes of lower order are
+    zero-padded to the largest order, which leaves their arithmetic
     unchanged.  Each depth draws that depth's block for every trial with
     ``_draw_weights`` just before applying them as one batched matmul, so it
     is called trials x depth times (fewer only if every run blows up before
@@ -411,16 +419,24 @@ def robustness_sweep(
         noise_seed = int(base.integers(0, 2**31))
         inputs.append([clean] + [inject_noise(clean, spec, noise_seed) for spec in specs])
 
+    # One run per distinct input column, its bytes across all trials the key:
+    # index[j] is the run that column j (0 the clean input) takes its result
+    # from.  Equal bytes make equal runs, bit for bit.
+    columns = np.array(inputs).swapaxes(0, 1)
+    slot: dict[bytes, int] = {}
+    index = np.array([slot.setdefault(c.tobytes(), len(slot)) for c in columns])
+    distinct = columns[np.unique(index, return_index=True)[1]]
+
     order = max((s.order for s in schemes), default=1)
     alphas = np.zeros((len(schemes), order))
     for i, s in enumerate(schemes):
         alphas[i, : s.order] = s.alphas
     betas = np.array([s.beta for s in schemes])
-    state = np.repeat(np.array(inputs)[:, None], len(schemes), axis=1)
+    state = np.repeat(distinct.swapaxes(0, 1)[:, None], len(schemes), axis=1)
     history = deque([state] * order, maxlen=order)
 
     weights = np.empty((trials, width, width))
-    product = np.empty((trials, runs, width, 1))
+    product = np.empty((trials, len(schemes) * len(distinct), width, 1))
     v = product[..., 0]
 
     def blocks(n: int, y: np.ndarray) -> np.ndarray:
@@ -447,8 +463,8 @@ def robustness_sweep(
     zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
     with np.errstate(all="ignore"):
         final = history[-1]
-        gaps = np.max(np.abs(final[:, :, 1:] - final[:, :, :1]), axis=-1)
-        blown = blew[:, :, 1:] | blew[:, :, :1]
+        gaps = np.max(np.abs(final - final[:, :, :1]), axis=-1)[:, :, index[1:]]
+        blown = blew[:, :, index[1:]] | blew[:, :, :1]
         # (schemes, specs, trials): each cell's trials in one contiguous row.
         gaps = np.ascontiguousarray(np.moveaxis(np.where(blown, math.inf, gaps), 0, -1))
         mean_gap = np.full(gaps.shape[:2], math.inf)

@@ -493,6 +493,59 @@ class TestRobustnessSweep:
         assert math.isinf(report.mean_gap[0, 1])
         assert report.mean_gap[1, 1] == report.std_gap[1, 1] == 0.0
 
+    @staticmethod
+    def _recorded_states(monkeypatch):
+        """The shape of the newest state of every ``_recur`` call the sweep
+        makes, appended to the list returned as the calls happen."""
+        shapes = []
+        recur = propagation._recur
+
+        def recording(alphas, coef, history, depth, f):
+            shapes.append(np.shape(history[-1]))
+            return recur(alphas, coef, history, depth, f)
+
+        monkeypatch.setattr(propagation, "_recur", recording)
+        return shapes
+
+    def test_one_run_per_distinct_input(self, monkeypatch):
+        # The clean input and one gaussian:0.02 input: none, constant:0 and
+        # gaussian:0 leave the clean input's bytes, and the repeated spec
+        # draws its twin's.
+        shapes = self._recorded_states(monkeypatch)
+        schemes = [first_order(1), zerosnet_coeffs(-9 / 5)]
+        specs = [
+            NoiseSpec("none"),
+            NoiseSpec("gaussian", (0.02,)),
+            NoiseSpec("constant", (0.0,)),
+            NoiseSpec("gaussian", (0.02,)),
+            NoiseSpec("gaussian", (0.0,)),
+        ]
+        report = robustness_sweep(schemes, specs, depth=30, width=8, trials=2)
+        assert shapes == [(2, 2, 2, 8)]
+        with np.errstate(all="ignore"):
+            reference = _reference_sweep(schemes, specs, 30, 8, 2)
+        _assert_arrays_equal(_arrays(report), reference)
+
+    def test_grouping_linear_in_specs(self, monkeypatch):
+        # 2^14 specs of one feature each, within every budget: grouping by
+        # each column's bytes takes one pass over them, where comparing
+        # column pairs would make ~2^27 comparisons.
+        shapes = self._recorded_states(monkeypatch)
+        n = 2**14
+        silent = robustness_sweep(
+            [first_order(1)], [NoiseSpec("none")] * n, depth=1, width=1, trials=1
+        )
+        distinct = robustness_sweep(
+            [first_order(1)],
+            [NoiseSpec("gaussian", ((k + 1) / n,)) for k in range(n)],
+            depth=1,
+            width=1,
+            trials=1,
+        )
+        assert shapes == [(1, 1, 1, 1), (1, 1, n + 1, 1)]
+        assert np.all(silent.mean_gap == 0.0)
+        assert np.all(distinct.mean_gap > 0.0)
+
     def test_blow_up_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -645,6 +698,35 @@ class TestSweepMatchesReference:
         specs=[NoiseSpec("gaussian", (0.02,)), NoiseSpec("none")],
         depth=320,
         width=16,
+        trials=2,
+        seed=1,
+    )
+    # Repeated specs and blow-ups: the second gaussian:0.1 and none share
+    # runs and blow-up steps, and without first_order(1) every row blows up,
+    # so the recurrence stops early.
+    @example(
+        schemes=[Scheme([10, 10, 10], 1), first_order(1)],
+        specs=[
+            NoiseSpec("gaussian", (0.1,)),
+            NoiseSpec("none"),
+            NoiseSpec("gaussian", (0.1,)),
+            NoiseSpec("constant", (0.0,)),
+        ],
+        depth=320,
+        width=8,
+        trials=2,
+        seed=1,
+    )
+    @example(
+        schemes=[Scheme([10, 10, 10], 1)],
+        specs=[
+            NoiseSpec("gaussian", (0.1,)),
+            NoiseSpec("none"),
+            NoiseSpec("gaussian", (0.1,)),
+            NoiseSpec("constant", (0.0,)),
+        ],
+        depth=320,
+        width=8,
         trials=2,
         seed=1,
     )

@@ -43,6 +43,9 @@ RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 200
 
 _EPS = sys.float_info.epsilon
+# Below the smallest normal float, 2^-1022, floats are spaced 2^-1074 apart.
+_MIN_NORMAL = sys.float_info.min
+_SUBNORMAL_SPACING = math.ulp(0.0)
 # Offset of the starting angles from the real axis (Bini's sigma).
 _START_ANGLE = 0.7
 
@@ -283,8 +286,9 @@ def _aberth(coeffs: list[float]) -> list[complex]:
     (Gauss-Seidel order).  A root stops moving once |p(z)| is down to
     eps * sum_i |a_i| |z|^(n-i), the rounding level of evaluating it, or
     its step is below eps |z|.  The roots are accepted when every |p(z)| is
-    within ``RESIDUAL_TOL`` of that sum; a |p(z)| or sum that is not finite
-    raises ``OverflowError``.
+    within ``RESIDUAL_TOL`` of that sum, or, for a root of modulus below
+    2^-1022, within |p'(z)| 2^-1074, what rounding it to the subnormal grid
+    allows; a |p(z)| or sum that is not finite raises ``OverflowError``.
     """
     n = len(coeffs) - 1
     if not (coeffs[0] and coeffs[-1]):
@@ -328,12 +332,26 @@ def _aberth(coeffs: list[float]) -> list[complex]:
             scale = scale * r + m
         if not math.isfinite(abs(p) + scale):
             raise OverflowError(f"residual {abs(p):.3e} at |z| = {r:.3e}")
-        if abs(p) > RESIDUAL_TOL * scale:
+        if abs(p) > RESIDUAL_TOL * scale and not (
+            r < _MIN_NORMAL and _on_subnormal_grid(coeffs, zi, abs(p))
+        ):
             raise RootFindingError(
                 f"root finding did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {abs(p):.3e} at |z| = {r:.3e})"
             )
     return z
+
+
+def _on_subnormal_grid(coeffs: list[float], z: complex, residual: float) -> bool:
+    """Whether ``residual`` = |p(z)| is within what rounding a root to the
+    subnormal grid allows: |p'(z)| times its spacing, 2^-1074.  Below
+    2^-1022 a root is rarely a float, and the float nearest it may leave a
+    residual far above ``RESIDUAL_TOL`` of the terms that p(z) sums."""
+    p, dp = coeffs[0], 0j
+    for c in coeffs[1:]:
+        dp = dp * z + p
+        p = p * z + c
+    return residual <= abs(dp) * _SUBNORMAL_SPACING
 
 
 def find_roots(p: Polynomial) -> RootSet:

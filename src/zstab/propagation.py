@@ -11,6 +11,8 @@ condition predicts.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -38,8 +40,10 @@ __all__ = [
 _STD_FLOOR = 1e-12
 
 # A sweep asking for more than any of these is rejected before anything is
-# drawn.  The most block weights it may draw, depth x trials x width^2; one
-# depth's blocks, trials x width^2 weights, are held at once.
+# drawn.  The most block weights it may draw, depth x trials x width^2; two
+# depths' blocks, 2 x trials x width^2 weights, are held at once (one for a
+# depth-1 sweep), which this caps too: 2 x trials x width^2 is at most
+# depth x trials x width^2 whenever depth >= 2.
 MAX_SWEEP_WEIGHTS = 2**25
 # The most blocks it may draw, depth x trials, each one generator set up.
 MAX_SWEEP_BLOCKS = 2**13
@@ -376,12 +380,19 @@ def robustness_sweep(
     distinct inputs, width), at most (trials, schemes, 1 + specs, width):
     index 0 on the third axis is the clean run.  Schemes of lower order are
     zero-padded to the largest order, which leaves their arithmetic
-    unchanged.  Each depth draws that depth's block for every trial with
-    ``_draw_weights`` just before applying them as one batched matmul, so it
-    is called trials x depth times (fewer only if every run blows up before
-    the last depth).  The draws and the products go into two buffers made
-    once per sweep, one depth's weights (trials x width^2) and one
-    product per run, which every depth reuses.
+    unchanged.  A helper thread draws each depth's block for every trial
+    with ``_draw_weights`` while the recurrence runs the depth before, and
+    each depth applies its blocks as one batched matmul once their draw is
+    done.  ``_draw_weights`` is called trials x depth times; if every run
+    blows up before the last depth, it is called fewer times, though the
+    helper may have drawn one depth past the last one used.  Every block
+    keeps its own generator and seed, so the thread changes no bit.  The
+    draws go into two weights buffers (trials x width^2 each; one for a
+    depth-1 sweep), which alternate from depth to depth, and the products
+    into one buffer, one product per run; all are made once per sweep.  The
+    thread lives as long as the call: it ends before the sweep returns,
+    stops early or raises, and an error in a draw reaches the caller as it
+    was raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -435,32 +446,61 @@ def robustness_sweep(
     state = np.repeat(distinct.swapaxes(0, 1)[:, None], len(schemes), axis=1)
     history = deque([state] * order, maxlen=order)
 
-    weights = np.empty((trials, width, width))
+    # A helper thread draws depth n + 1's blocks into one buffer while the
+    # recurrence runs depth n on the other: ``todo`` carries the depths to
+    # draw, then None, and ``done`` each filled buffer or the draw's error.
+    weights = [np.empty((trials, width, width)) for _ in range(min(depth, 2))]
     product = np.empty((trials, len(schemes) * len(distinct), width, 1))
     v = product[..., 0]
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw() -> None:
+        while (n := todo.get()) is not None:
+            try:
+                out = weights[n % len(weights)]
+                for t, b in enumerate(block_seeds):
+                    _draw_weights(b + n, out[t])
+                done.put(out)
+            # Any error, so that the main thread, waiting on ``done``, raises
+            # it instead of waiting forever.
+            except BaseException as exc:
+                done.put(exc)
 
     def blocks(n: int, y: np.ndarray) -> np.ndarray:
-        for t, b in enumerate(block_seeds):
-            _draw_weights(b + n, weights[t])
+        w = done.get()
+        if isinstance(w, BaseException):
+            raise w
+        if n + 1 < depth:
+            todo.put(n + 1)  # into the buffer that depth n - 1's product read
         # One call that makes a matrix-vector product per run: numpy runs
         # each on the BLAS gemv kernel that BlockMap uses, so every run equals
         # its 1-D propagation bit for bit.  A matrix-matrix product sums in
         # another order, and the blocks amplify that rounding with depth.
-        np.matmul(weights[:, None], y.reshape(product.shape), out=product)
+        np.matmul(w[:, None], y.reshape(product.shape), out=product)
         np.maximum(v, 0.0, out=v)
         _standardize(v)
         # _recur reads the result into a new state before the next call.
         return v.reshape(y.shape)
 
-    blew = _recur(
-        [a[:, None, None] for a in alphas.T],
-        betas[:, None, None],
-        history,
-        depth,
-        blocks,
-    ) > 0
+    helper = threading.Thread(target=draw)
+    helper.start()
+    # The thread ends with the sweep, which returns, stops early or raises
+    # only once the draw in flight is done.
+    try:
+        todo.put(0)
+        # The verdicts, while the helper draws depth 0.
+        zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
+        blew = _recur(
+            [a[:, None, None] for a in alphas.T],
+            betas[:, None, None],
+            history,
+            depth,
+            blocks,
+        ) > 0
+    finally:
+        todo.put(None)
+        helper.join()
 
-    zero_stable = np.array([root_condition(s).zero_stable for s in schemes], dtype=bool)
     with np.errstate(all="ignore"):
         final = history[-1]
         gaps = np.max(np.abs(final - final[:, :, :1]), axis=-1)[:, :, index[1:]]

@@ -38,6 +38,12 @@ __all__ = [
 ROOT_CONDITION_TOL = 1e-8
 # Largest accepted deviation of each consistency condition from 1.
 CONSISTENCY_TOL = 1e-9
+# The most elements whose finiteness ``_recur`` tests with one dot product.
+# OpenBLAS runs a longer dot on all its threads, and their spinning then
+# competes with the sweep's draw thread: with default threading on a 2-vCPU
+# host, the Table 8 sweep (16,000-element states) took 45 ms at best of 60
+# with one dot per state, 31 ms with slices of this size.
+_DOT_SLICE = 2**13
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,12 @@ def _recur(
     itself, which is finite only if every element is.  That dot product
     also overflows beyond ~1e154, so a step that fails it is tested again
     by a dot product with zeros, and only a non-finite step has its rows
-    examined one by one.  Once a row has blown up, only the live rows enter
-    these products, so the rows that stay finite keep the one test per
-    step.
+    examined one by one.  A state of more than ``_DOT_SLICE`` = 2^13
+    elements is tested the same way slice by slice, each slice at most
+    2^13 elements long, so that no dot product wakes a second BLAS thread;
+    a smaller state keeps the one test.  Once a row has blown up, only the
+    live rows enter these products, so the rows that stay finite keep the
+    one test per step.
     """
     if isinstance(history[-1], float):
         with np.errstate(all="ignore"):
@@ -130,7 +139,6 @@ def _recur(
     coef = np.asarray(coef, dtype=float)
     zero = np.zeros(())
     live = None  # the elements of the live rows, once a row has blown up
-    inf = math.inf
     with np.errstate(all="ignore"):
         for n in range(depth):
             nxt = zero
@@ -143,10 +151,7 @@ def _recur(
                 del term
             nxt = nxt + coef * f(n, history[-1])
             flat = nxt.ravel() if live is None else nxt.take(live)
-            # Zeros only where the self-dot fails: a state-sized zero
-            # vector kept for every step added ~0.3 MiB to the peak RSS
-            # of the Table 8 sweep that perfbench runs.
-            if not (flat.dot(flat) < inf or flat.dot(np.zeros(flat.size)) == 0.0):
+            if not _finite(flat):
                 bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
                 blew = np.where(bad & (blew == 0), n + 1, blew)
                 if np.all(blew):
@@ -154,6 +159,20 @@ def _recur(
                 live = np.flatnonzero(np.broadcast_to((blew == 0)[..., None], nxt.shape))
             history.append(nxt)
     return blew
+
+
+def _finite(flat: np.ndarray) -> bool:
+    """Whether every element of the 1-D float array ``flat`` is finite: its
+    dot product with itself is finite only if every element is, and where
+    that overflowed, its dot product with zeros is zero only if every
+    element is finite.  An array of more than ``_DOT_SLICE`` elements is
+    tested so slice by slice."""
+    if flat.size > _DOT_SLICE:
+        return all(_finite(flat[i : i + _DOT_SLICE]) for i in range(0, flat.size, _DOT_SLICE))
+    # Zeros only where the self-dot fails: a state-sized zero vector kept
+    # for every step added ~0.3 MiB to the peak RSS of the Table 8 sweep
+    # that perfbench runs.
+    return flat.dot(flat) < math.inf or flat.dot(np.zeros(flat.size)) == 0.0
 
 
 def _recur_floats(alphas: Sequence, coef, history, depth: int, f) -> np.ndarray:

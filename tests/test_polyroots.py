@@ -345,6 +345,18 @@ class TestFindRoots:
             return
         assert sum(m for _, m in rs.roots) == len(coeffs) - 1
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
+    def test_root_among_the_subnormals(self, tiny):
+        # r^2 - 0.375 r - tiny: the small root, -tiny / 0.375 to far below
+        # the subnormal spacing, is no float, and the float nearest it leaves
+        # a residual far above RESIDUAL_TOL of the terms that p(z) sums; it
+        # is accepted, as within |p'(z)| 2^-1074.
+        (big, m), (small, n) = find_roots(Polynomial([1.0, -0.375, -tiny])).roots
+        assert m == n == 1
+        assert abs(big - 0.375) <= 1e-15
+        assert small == complex(float(-Fraction(tiny) / Fraction(0.375)), 0.0)
+        assert abs(small) < 2.0**-1022
+
     def test_unverifiable_roots_are_not_accepted(self):
         # r^3 - 1e308: the roots, of modulus 4.6e102, are floats, but in
         # monic form the scale |z|^3 + 1e308 of the residual test overflows,

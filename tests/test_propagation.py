@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -453,10 +454,69 @@ class TestRobustnessSweep:
             bases.append(int(base.integers(0, 2**31)))
         assert {s for s, _ in draws} == {b + n for b in bases for n in range(7)}
 
-    def test_sweep_reuses_one_weights_buffer(self, monkeypatch):
+    def test_sweep_reuses_two_weights_buffers(self, monkeypatch):
+        # Depth n + 1 is drawn into one buffer while depth n's product reads
+        # the other; no depth makes a buffer of its own.
         draws = self._recorded_draws(monkeypatch, depth=9, trials=4)
         assert len(draws) == 4 * 9
-        assert len({address for _, address in draws}) <= 4
+        assert len({address for _, address in draws}) <= 2 * 4
+        # A trial's block at depth n + 1 never goes where its depth n block is.
+        assert all(draws[k][1] != draws[k + 4][1] for k in range(len(draws) - 4))
+
+    def test_draws_run_on_one_helper_thread(self, monkeypatch):
+        threads = []
+        draw = propagation._draw_weights
+
+        def recording(block_seed, out):
+            threads.append(threading.get_ident())
+            draw(block_seed, out)
+
+        monkeypatch.setattr(propagation, "_draw_weights", recording)
+        robustness_sweep([first_order(1)], [NoiseSpec("none")], depth=5, width=4, trials=2)
+        assert len(threads) == 2 * 5
+        assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
+
+    @pytest.mark.parametrize(
+        "schemes, depth",
+        [
+            ([first_order(1), Scheme([0.5, 0.5], 1)], 9),
+            ([first_order(1)], 1),  # one weights buffer
+            ([Scheme([10, 10, 10], 1)], 320),  # every row blows up: an early stop
+        ],
+        ids=["full-depth", "depth-1", "early-stop"],
+    )
+    def test_helper_thread_ends_with_the_sweep(self, schemes, depth):
+        before = threading.active_count()
+        report = robustness_sweep(
+            schemes, [NoiseSpec("gaussian", (0.1,))], depth=depth, width=8, trials=2
+        )
+        assert threading.active_count() == before
+        assert np.all(report.blew_up_fraction == (1.0 if depth == 320 else 0.0))
+
+    @pytest.mark.parametrize(
+        "name, failing_call",
+        [
+            ("_draw_weights", 3 * 2 + 1),  # depth 3's first draw, on the helper thread
+            ("_standardize", 3),  # depth 2, while the helper may draw depth 3
+        ],
+    )
+    def test_error_reaches_the_caller(self, monkeypatch, name, failing_call):
+        error = RuntimeError(f"{name} failed")
+        calls = []
+        original = getattr(propagation, name)
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise error
+            original(*args)
+
+        monkeypatch.setattr(propagation, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            robustness_sweep([first_order(1)], [NoiseSpec("none")], depth=9, width=4, trials=2)
+        assert raised.value is error
+        assert threading.active_count() == before
 
     def test_identical_noisy_input_gives_exact_zero_gap(self):
         # The non-zero-stable rows reach gaps of ~1e33 at this size, so a
@@ -767,6 +827,15 @@ class TestSweepMatchesReference:
         depth=1,
         width=1,
         trials=3,
+        seed=0,
+    )
+    # A root among the subnormals, -5e-324 / 0.375, which is no float.
+    @example(
+        schemes=[Scheme([0.375, 5e-324], 0.0)],
+        specs=[NoiseSpec("none")],
+        depth=1,
+        width=4,
+        trials=1,
         seed=0,
     )
     def test_cells_equal_reference(self, schemes, specs, depth, width, trials, seed):

@@ -444,3 +444,53 @@ class TestRecurMatchesReference:
         history = [np.array([1.0])]
         assert _recur([0.5], 1.0, history, 4, f).tolist() == 3
         assert [y.shape for y in history] == [(1,), (1,), (2,)]
+
+
+class _Dots(np.ndarray):
+    """An array that records the size of every ``dot`` made on it; the
+    states that _recur computes from it are of its type."""
+
+    sizes: list = []
+
+    def dot(self, other, *args):
+        _Dots.sizes.append(self.size)
+        return np.ndarray.dot(self, other, *args)
+
+
+class TestSlicedFiniteness:
+    """States of more than 2^13 elements are tested for finiteness slice by
+    slice, so that no dot product runs on a second BLAS thread."""
+
+    @pytest.mark.parametrize("position", [0, 8191, 8192, 19_999])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("base", [1.0, 1e200])
+    def test_one_bad_element_anywhere(self, position, bad, base):
+        # 4 rows of 5000 elements.  The element at ``position`` turns bad at
+        # step 3, and one in the next row at step 6, when only the live rows
+        # enter the test.  At 1e200 every slice's self-dot overflows, and
+        # its dot product with zeros decides.
+        later = (position + 5000) % 20_000
+
+        def f(n, y):
+            out = np.zeros(20_000)
+            out[position] = bad if n == 2 else 0.0
+            out[later] = bad if n == 5 else 0.0
+            return out.reshape(4, 5000)
+
+        history = [np.full((4, 5000), base)]
+        _assert_same_as_reference([1.0], 1.0, history, 9, f)
+        blew = _recur([1.0], 1.0, history, 9, f)
+        want = [0] * 4
+        want[position // 5000], want[later // 5000] = 3, 6
+        assert blew.tolist() == want
+
+    @pytest.mark.parametrize(
+        "size, dots",
+        [(4, [4]), (2**13, [2**13]), (2**13 + 1, [2**13, 1]), (20_000, [2**13, 2**13, 3616])],
+    )
+    def test_slices_of_at_most_2_13(self, monkeypatch, size, dots):
+        # Up to 2^13 elements, one self-dot per step, as before slicing.
+        monkeypatch.setattr(_Dots, "sizes", [])
+        history = [np.ones(size).view(_Dots)]
+        assert _recur([0.5], 1.0, history, 3, lambda n, y: 0.0).tolist() == 0
+        assert _Dots.sizes == dots * 3

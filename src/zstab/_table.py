@@ -1,8 +1,8 @@
 """The one cell rule, and the writers that every report goes through.
 
 A report is a tuple of column names plus ``columns()``: one sequence of
-values per name, all of one length, the number of rows.  The writers format
-each column once, and CSV and JSON are built from the same cell strings:
+values per name, all of one length, the number of rows.  CSV and JSON
+follow one cell rule:
 
 - a float prints with 10 significant digits, ``float.__format__(v, ".10g")``;
   JSON writes the float that this text denotes, as ``json.dumps`` would:
@@ -21,10 +21,20 @@ each column once, and CSV and JSON are built from the same cell strings:
 A list or tuple column is formatted value by value; any other column is a
 numpy array, formatted a column at a time.  The test is the column's type,
 so a table without arrays loads no numpy.  The rows go through in runs of
-``_CHUNK``, so a writer holds the cell strings of one run, not of the whole
-table.  JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list
-of objects: each run of rows is one join of its cells with the fixed texts
-between them (a key, the comma before the next, the braces between rows).
+``_CHUNK``, so a writer holds the cells of one run, not of the whole table.
+
+CSV formats each run of rows with one ``%``: a row template holds one
+conversion per CSV column, ``%.10g`` for a float array (which is
+``format(v, ".10g")``, bit pattern for bit pattern), ``%d`` for an int
+array (which is ``str``), and ``%s`` for the bool words and for the cells
+of a list or tuple column, formatted and quoted beforehand, so that text
+holding ``%`` passes through literally.  The run's values are interleaved
+row by row into the one tuple that the repeated template takes.
+
+JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list of
+objects, from the cell strings of ``_array_texts`` and ``_json_value``:
+each run of rows is one join of its cells with the fixed texts between
+them (a key, the comma before the next, the braces between rows).
 A float column's text is rewritten only in the cells whose values may need
 it: a value of size at least 1e-4 that lies more than 1e-9 of its size from
 every integer prints with a point and no exponent, already JSON.
@@ -49,6 +59,9 @@ _WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _QUOTABLE = frozenset(',"\r\n')  # csv.writer quotes no field without one of these
 _CHUNK = 1 << 14  # rows formatted at a time
 _LISTS = (list, tuple)  # the column types formatted value by value
+# The CSV conversion of a numpy column, by dtype kind: ``"%.10g" % v`` is
+# ``format(v, ".10g")``, and ``"%d" % n`` is ``str(n)``.
+_CONVERSIONS = {"f": "%" + _DIGITS, "i": "%d", "u": "%d", "b": "%s"}
 
 
 def fmt(x: float) -> str:
@@ -117,13 +130,18 @@ def _array_texts(values: np.ndarray) -> list[str]:
     raise TypeError(f"no cell rule for a numpy {values.dtype} column")
 
 
-def _csv_column(values) -> list[list[str]]:
-    """A column's CSV cells: one list per CSV column it fills."""
+def _csv_cells(values) -> tuple[list[str], list[list]]:
+    """A column's CSV conversions and values: one ``%`` conversion and one
+    list of values per CSV column it fills."""
     if isinstance(values, _LISTS):
-        return [[_csv_field(_text(v)) for v in values]]
-    if values.ndim == 2:
-        return [_array_texts(part) for part in values.T]
-    return [_array_texts(values)]
+        return ["%s"], [[_csv_field(_text(v)) for v in values]]
+    kind = values.dtype.kind
+    if kind not in _CONVERSIONS:
+        raise TypeError(f"no cell rule for a numpy {values.dtype} column")
+    parts = [part.tolist() for part in (values.T if values.ndim == 2 else [values])]
+    if kind == "b":
+        parts = [list(map(_BOOLS.__getitem__, part)) for part in parts]
+    return [_CONVERSIONS[kind]] * len(parts), parts
 
 
 def _json_column(values, level: int) -> list[str]:
@@ -169,13 +187,23 @@ def csv_table(names: Sequence[str], columns: Sequence) -> str:
         else:
             header.append(name)
     # csv.writer quotes a row whose one field is empty, so that it is no blank line.
-    lines = [",".join(map(_csv_field, header)) or ('""' if header else "")]
+    lines = [(",".join(map(_csv_field, header)) or ('""' if header else "")) + "\n"]
     for chunk in _chunks(columns):
-        cells = [part for values in chunk for part in _csv_column(values)]
-        rows = map(",".join, zip(*cells)) if cells else repeat("", len(chunk[0]))
-        lines.append("\n".join(rows if len(cells) != 1 else (r or '""' for r in rows)))
-    lines.append("")
-    return "\n".join(lines)
+        conversions, cells = [], []
+        for values in chunk:
+            column_conversions, column_cells = _csv_cells(values)
+            conversions += column_conversions
+            cells += column_cells
+        if conversions == ["%s"]:  # a lone empty field, quoted as in the header
+            cells[0] = [text or '""' for text in cells[0]]
+        # One row template, repeated for the chunk's rows, and the chunk's
+        # values interleaved row by row into the one tuple it takes.
+        rows, width = len(chunk[0]), len(cells)
+        flat = [None] * (rows * width)
+        for j, part in enumerate(cells):
+            flat[j::width] = part
+        lines.append(((",".join(conversions) + "\n") * rows) % tuple(flat))
+    return "".join(lines)
 
 
 def json_table(names: Sequence[str], columns: Sequence) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from ._lazy import np
@@ -41,6 +42,8 @@ RHS = Callable[[float, "float | np.ndarray"], "float | np.ndarray"]
 # The most steps one integration may run; a run asking for more is rejected
 # before anything is allocated.
 MAX_STEPS = 10**6
+# The step times that ``_runs`` computes at a time.
+_TIME_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -183,15 +186,22 @@ def _runs(
     (dim,) for one run or (rows, dim) for that many runs advanced together,
     and return one read-only Trajectory per run, cut before its first
     non-finite state.  A one-feature run is on Python floats, with the bits
-    of a run on arrays.  The rhs is called once per step.
+    of a run on arrays.  The rhs itself is the recurrence's f, called once
+    per step: step k (from 0) calls it at the Python float t_start +
+    (d - 1 + k) * h, the product and sum that Python would make, which
+    numpy makes ``_TIME_CHUNK`` steps at a time.
     """
     d, dim = s.order, p.dimension
-    rhs, t_start = p.rhs, p.t_start
+    t_start = p.t_start
     history = [seed.item() for seed in seeds] if dim == 1 else list(seeds)
-    blew = _recur(
-        s.alphas, h * s.beta, history, n_steps,
-        lambda step, y: rhs(t_start + (d - 1 + step) * h, y),
+    # Chunks, not one list: every step's time in one list would hold 1e5
+    # floats, ~3 MiB, through a 1e5-step run.
+    stop = d - 1 + n_steps
+    step_times = chain.from_iterable(
+        (t_start + np.arange(q, min(q + _TIME_CHUNK, stop), dtype=float) * h).tolist()
+        for q in range(d - 1, stop, _TIME_CHUNK)
     )
+    blew = _recur(s.alphas, h * s.beta, history, step_times, p.rhs)
     # State q sits at t_start + q*h; after the seeds the time is the previous
     # step's time plus h, as the step itself computes it.
     q = np.arange(len(history), dtype=float)

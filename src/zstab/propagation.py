@@ -224,7 +224,7 @@ def propagate(
         raise ValueError("need at least one block")
 
     blew = _recur(
-        s.alphas, s.beta, states, depth, lambda n, y: blocks[n % len(blocks)](y)
+        s.alphas, s.beta, states, range(depth), lambda n, y: blocks[n % len(blocks)](y)
     )
     return states[-1], states, int(blew) or None
 
@@ -260,7 +260,7 @@ def growth_rate(s: Scheme, depth: int) -> float:
         noisy.append(v / np.max(np.abs(v)))
     # A clean run started at zero stays exactly zero under zero blocks, so
     # the clean-vs-noisy gap is the noisy state's sup norm.
-    _recur(s.alphas, s.beta, noisy, depth, lambda n, y: 0.0)
+    _recur(s.alphas, s.beta, noisy, range(depth), lambda n, y: 0.0)
     slope = _log_slope([float(np.max(np.abs(y))) for y in noisy], depth // 2)
     if slope is None:
         raise ValueError("not enough finite gaps to fit a growth slope")
@@ -330,9 +330,10 @@ class SweepReport:
         """Mean of cell means per zero-stability group (``_stat``'s, so
         finite where every cell mean is); nan for an empty group."""
         means = {}
-        for flag in (True, False):
-            gaps = self.mean_gap[self.zero_stable == flag].ravel()
-            means[flag] = _stat(np.mean, gaps) if gaps.size else math.nan
+        with np.errstate(over="ignore"):
+            for flag in (True, False):
+                gaps = self.mean_gap[self.zero_stable == flag].ravel()
+                means[flag] = _stat(np.mean, gaps) if gaps.size else math.nan
         return means
 
 
@@ -344,13 +345,13 @@ def _stat(reduce, values: np.ndarray) -> float:
     power of two nearest above their largest magnitude, and scaled back.
     The division is exact but for values below 2^-1022 of the largest,
     which lie below the result's last bit, so the result is the one an
-    unbounded exponent would give; every other result keeps its bits.
+    unbounded exponent would give; every other result keeps its bits.  The
+    caller holds numpy's overflow warnings off.
     """
-    with np.errstate(over="ignore"):
-        result = reduce(values)
-        if not math.isfinite(result) and np.all(np.isfinite(values)):
-            exp = math.frexp(np.max(np.abs(values)))[1]
-            result = math.ldexp(reduce(np.ldexp(values, -exp)), exp)
+    result = reduce(values)
+    if not math.isfinite(result) and np.all(np.isfinite(values)):
+        exp = math.frexp(np.max(np.abs(values)))[1]
+        result = math.ldexp(reduce(np.ldexp(values, -exp)), exp)
     return float(result)
 
 
@@ -494,29 +495,33 @@ def robustness_sweep(
             [a[:, None, None] for a in alphas.T],
             betas[:, None, None],
             history,
-            depth,
+            range(depth),
             blocks,
         ) > 0
     finally:
         todo.put(None)
         helper.join()
 
+    # The statistics are taken once per scheme and run that a spec reads:
+    # ``used`` holds those runs, and spec k reads ``used[cell_of[k]]``.
+    used, cell_of = np.unique(index[1:], return_inverse=True)
     with np.errstate(all="ignore"):
         final = history[-1]
-        gaps = np.max(np.abs(final - final[:, :, :1]), axis=-1)[:, :, index[1:]]
-        blown = blew[:, :, index[1:]] | blew[:, :, :1]
-        # (schemes, specs, trials): each cell's trials in one contiguous row.
+        gaps = np.max(np.abs(final - final[:, :, :1]), axis=-1)[:, :, used]
+        blown = blew[:, :, used] | blew[:, :, :1]
+        # (schemes, runs, trials): each run's trials in one contiguous row.
         gaps = np.ascontiguousarray(np.moveaxis(np.where(blown, math.inf, gaps), 0, -1))
         mean_gap = np.full(gaps.shape[:2], math.inf)
         std_gap = np.full(gaps.shape[:2], math.inf)
-        # Cell by cell, over its finite trials alone: where some trials blew
+        # Run by run, over its finite trials alone: where some trials blew
         # up, a reduction along the trials axis would sum in another order.
         for cell in np.ndindex(mean_gap.shape):
             finite = gaps[cell][np.isfinite(gaps[cell])]
             if finite.size:
                 mean_gap[cell] = _stat(np.mean, finite)
                 std_gap[cell] = _stat(np.std, finite)
-    blew_up_fraction = np.count_nonzero(blown, axis=0) / trials
+    mean_gap, std_gap = mean_gap[:, cell_of], std_gap[:, cell_of]
+    blew_up_fraction = np.count_nonzero(blown, axis=0)[:, cell_of] / trials
     for column in (zero_stable, mean_gap, std_gap, blew_up_fraction):
         column.flags.writeable = False
     return SweepReport(

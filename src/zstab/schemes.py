@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ._lazy import np
 from ._table import fmt
@@ -91,18 +91,22 @@ def _recur(
     alphas: Sequence,
     coef,
     history,
-    depth: int,
-    f: Callable[[int, Any], Any],
+    args: Iterable,
+    f: Callable[[Any, Any], Any],
 ) -> np.ndarray:
-    """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * f(n, y_n).
+    """Advance y_{n+1} = sum_i alphas[i] * y_{n-i} + coef * f(x_n, y_n).
 
     The one multistep loop of the package: ``integrate``, ``propagate``,
     ``growth_rate`` and ``robustness_sweep`` all run on it.  ``history``
     holds at least ``len(alphas)`` states, oldest first, and every new state
-    is appended to it (a bounded deque keeps only the last few); ``n``
-    counts steps from 0.  Returns, per row, the first step n + 1 at which
-    the row turned non-finite (0 if it never did).  Once every row has
-    blown up the loop stops without appending the non-finite state.
+    is appended to it (a bounded deque keeps only the last few).  ``args``
+    holds f's first argument for each step, x_0, x_1, ..., and its length is
+    the number of steps: ``propagate``, ``growth_rate`` and the sweep pass
+    ``range(depth)``, the step index, and ``integrate`` passes the step
+    times, so that the rhs itself is f.  ``n`` counts steps from 0.
+    Returns, per row, the first step n + 1 at which the row turned
+    non-finite (0 if it never did).  Once every row has blown up the loop
+    stops without appending the non-finite state.
     Overflow inside a run is reported only through that return value, never
     as a warning.
 
@@ -125,22 +129,22 @@ def _recur(
     also overflows beyond ~1e154, so a step that fails it is tested again
     by a dot product with zeros, and only a non-finite step has its rows
     examined one by one.  A state of more than ``_DOT_SLICE`` = 2^13
-    elements is tested the same way slice by slice, each slice at most
-    2^13 elements long, so that no dot product wakes a second BLAS thread;
-    a smaller state keeps the one test.  Once a row has blown up, only the
-    live rows enter these products, so the rows that stay finite keep the
-    one test per step.
+    elements is tested the same way slice by slice by ``_finite``, each
+    slice at most 2^13 elements long, so that no dot product wakes a second
+    BLAS thread; a smaller state keeps the one test, made inline.  Once a
+    row has blown up, only the live rows enter these products, so the rows
+    that stay finite keep the one test per step.
     """
     if isinstance(history[-1], float):
         with np.errstate(all="ignore"):
-            return _recur_floats(alphas, coef, history, depth, f)
+            return _recur_floats(alphas, coef, history, args, f)
     blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
     alphas = [np.asarray(a, dtype=float) for a in alphas]
     coef = np.asarray(coef, dtype=float)
     zero = np.zeros(())
     live = None  # the elements of the live rows, once a row has blown up
     with np.errstate(all="ignore"):
-        for n in range(depth):
+        for n, x in enumerate(args):
             nxt = zero
             for i, a in enumerate(alphas):
                 term = a * history[-1 - i]
@@ -149,9 +153,15 @@ def _recur(
                 # them: with the term freed first, a Table 8 sweep's ~150 KB
                 # states took 7282 minor page faults per sweep, against 5509.
                 del term
-            nxt = nxt + coef * f(n, history[-1])
+            nxt = nxt + coef * f(x, history[-1])
             flat = nxt.ravel() if live is None else nxt.take(live)
-            if not _finite(flat):
+            # _finite's test, made inline up to _DOT_SLICE elements: on the
+            # probe's 4-element states a call per step is a measurable cost.
+            if flat.size <= _DOT_SLICE:
+                finite = flat.dot(flat) < math.inf or flat.dot(np.zeros(flat.size)) == 0.0
+            else:
+                finite = _finite(flat)
+            if not finite:
                 bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
                 blew = np.where(bad & (blew == 0), n + 1, blew)
                 if np.all(blew):
@@ -175,17 +185,17 @@ def _finite(flat: np.ndarray) -> bool:
     return flat.dot(flat) < math.inf or flat.dot(np.zeros(flat.size)) == 0.0
 
 
-def _recur_floats(alphas: Sequence, coef, history, depth: int, f) -> np.ndarray:
+def _recur_floats(alphas: Sequence, coef, history, args: Iterable, f) -> np.ndarray:
     """``_recur`` on a run of Python floats, with the same sums in the same
     order; the caller holds numpy's warnings off."""
     terms = [(float(a), -1 - i) for i, a in enumerate(alphas)]
     coef = float(coef)
     append = history.append
-    for n in range(depth):
+    for n, x in enumerate(args):
         nxt = 0.0
         for a, i in terms:
             nxt = nxt + a * history[i]
-        nxt = nxt + coef * f(n, history[-1])
+        nxt = nxt + coef * f(x, history[-1])
         if nxt * 0.0 != 0.0:  # zero only if nxt is finite, however large
             return np.array(n + 1)
         append(nxt)

@@ -392,13 +392,16 @@ class TestIntegrate:
     @staticmethod
     def _recur_calls(monkeypatch) -> list:
         """Record, per _recur call, the type and shape of its newest seed
-        state and its step count."""
+        state and the number of times it called f, one per step."""
         calls = []
         recur = ivp._recur
 
-        def recording(alphas, coef, history, depth, f):
-            calls.append((type(history[-1]), np.shape(history[-1]), depth))
-            return recur(alphas, coef, history, depth, f)
+        def recording(alphas, coef, history, args, f):
+            seed = (type(history[-1]), np.shape(history[-1]))
+            steps = []
+            blew = recur(alphas, coef, history, args, lambda t, y: steps.append(t) or f(t, y))
+            calls.append(seed + (len(steps),))
+            return blew
 
         monkeypatch.setattr(ivp, "_recur", recording)
         monkeypatch.setattr(ivp, "integrate", None)  # the probe integrates itself

@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,8 +226,8 @@ class TestScalarRuns:
         and the shape of its newest state."""
         seen = []
 
-        def recording(alphas, coef, history, depth, f):
-            blew = schemes._recur(alphas, coef, history, depth, f)
+        def recording(alphas, coef, history, args, f):
+            blew = schemes._recur(alphas, coef, history, args, f)
             seen.append(({type(y) for y in history}, np.shape(history[-1])))
             return blew
 
@@ -637,3 +638,64 @@ class TestProbeMatchesReference:
         clean = self._blow_ups(self.ROW_BLOWS_UP_FIRST)
         assert clean.states.shape[1] == 2
         assert np.isfinite(clean.states).all()
+
+
+class TestStepTimes:
+    """The rhs is the recurrence's f: step ``step`` calls it at
+    t_start + (d - 1 + step) * h, computed by numpy a chunk of steps at a
+    time, and that time must be the one Python computes, bit for bit and as
+    a Python float, on both sides of every chunk boundary."""
+
+    @staticmethod
+    def _recorded(run, dim: int, t_start: float, d: int):
+        """The times at which ``run(scheme, problem)`` called the rhs.  The
+        seeds come from the exact solution, so every call is a step's."""
+        seen = []
+
+        def rhs(t, y):
+            seen.append(t)
+            return -y
+
+        p = IVPProblem(
+            rhs=rhs, t_start=t_start, initial_states=(np.ones(dim),),
+            exact_solution=lambda t: np.ones(dim),
+        )
+        run(Scheme([1.0 / d] * d, 1.0), p)
+        return seen
+
+    @staticmethod
+    def _want(t_start: float, h: float, d: int, n_steps: int) -> list[str]:
+        return [(t_start + (d - 1 + step) * h).hex() for step in range(n_steps)]
+
+    _CASES = dict(
+        t_start=st.floats(-1e6, -1e-6),
+        # Steps of many significant bits, whose multiples round.
+        h=st.floats(1e-6, 0.1).filter(lambda h: h.as_integer_ratio()[0].bit_length() > 40),
+        d=st.integers(1, 4),
+        k=st.integers(1, 2),
+        offset=st.sampled_from([-1, 0, 1]),
+        dim=st.sampled_from([1, 2]),
+    )
+
+    @settings(max_examples=24, deadline=None)
+    @given(**_CASES)
+    def test_integrate(self, t_start, h, d, k, offset, dim):
+        n_steps = k * ivp._TIME_CHUNK + offset
+        seen = self._recorded(lambda s, p: integrate(s, p, h, n_steps), dim, t_start, d)
+        assert all(type(t) is float for t in seen)
+        assert [t.hex() for t in seen] == self._want(t_start, h, d, n_steps)
+
+    @settings(max_examples=24, deadline=None)
+    @given(**_CASES)
+    def test_probe(self, t_start, h, d, k, offset, dim):
+        # The row-wise check calls the rhs before the run; with it off, every
+        # call is a step's.  A one-feature run and its twin run one after the
+        # other, and the twin steps through the same times.
+        n_steps = k * ivp._TIME_CHUNK + offset
+        with mock.patch.object(ivp, "_check_row_wise", lambda rhs, t, y: None):
+            seen = self._recorded(
+                lambda s, p: zero_stability_probe(s, p, 1e-3, h, n_steps), dim, t_start, d
+            )
+        assert all(type(t) is float for t in seen)
+        runs = 2 if dim == 1 else 1
+        assert [t.hex() for t in seen] == self._want(t_start, h, d, n_steps) * runs

@@ -560,9 +560,9 @@ class TestRobustnessSweep:
         shapes = []
         recur = propagation._recur
 
-        def recording(alphas, coef, history, depth, f):
+        def recording(alphas, coef, history, args, f):
             shapes.append(np.shape(history[-1]))
-            return recur(alphas, coef, history, depth, f)
+            return recur(alphas, coef, history, args, f)
 
         monkeypatch.setattr(propagation, "_recur", recording)
         return shapes

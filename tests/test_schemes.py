@@ -266,9 +266,10 @@ class TestSerialization:
 
 
 def _assert_same_as_reference(alphas, coef, history, depth, f):
-    """_recur and reference.recur, each on its own copy of ``history``, must
-    append the same states, byte for byte and shape for shape, return the
-    same blow-up steps and call ``f`` with the same steps.  A history of
+    """_recur over ``range(depth)`` and reference.recur for ``depth`` steps,
+    each on its own copy of ``history``, must append the same states, byte
+    for byte and shape for shape, return the same blow-up steps and call
+    ``f`` with the same steps.  A history of
     Python floats is handed to the reference as 1-element arrays, and _recur
     must keep it a history of Python floats."""
     scalar = isinstance(history[-1], float)
@@ -284,7 +285,7 @@ def _assert_same_as_reference(alphas, coef, history, depth, f):
         if scalar and loop is reference.recur:
             for i, y in enumerate(states):
                 states[i] = np.array([y])
-        blew = loop(alphas, coef, states, depth, counted)
+        blew = loop(alphas, coef, states, range(depth) if loop is _recur else depth, counted)
         runs.append((list(states), blew, calls))
     (got, got_blew, got_calls), (want, want_blew, want_calls) = runs
     if scalar:
@@ -380,13 +381,13 @@ class TestRecurMatchesReference:
         # 0 + (-0.0) is +0.0: the leading 0 of the sum decides the sign.
         history = [np.array([-0.0])]
         _assert_same_as_reference([1.0], 1.0, history, 2, lambda n, y: np.array([-0.0]))
-        _recur([1.0], 1.0, history, 2, lambda n, y: np.array([-0.0]))
+        _recur([1.0], 1.0, history, range(2), lambda n, y: np.array([-0.0]))
         assert [np.signbit(y).tolist() for y in history] == [[True], [False], [False]]
 
     def test_negative_zero_floats_sum_to_positive_zero(self):
         history = [-0.0]
         _assert_same_as_reference([1.0], 1.0, history, 2, lambda n, y: -0.0)
-        _recur([1.0], 1.0, history, 2, lambda n, y: -0.0)
+        _recur([1.0], 1.0, history, range(2), lambda n, y: -0.0)
         assert [math.copysign(1.0, y) for y in history] == [-1.0, 1.0, 1.0]
 
     def test_zero_times_infinity_blows_up(self):
@@ -394,20 +395,20 @@ class TestRecurMatchesReference:
         # NaN, so the first step blows up.
         history = [np.array([1.0]), np.array([np.inf])]
         _assert_same_as_reference((0.0, 1.0), 1.0, history, 3, lambda n, y: -y)
-        assert _recur((0.0, 1.0), 1.0, history, 3, lambda n, y: -y).tolist() == 1
+        assert _recur((0.0, 1.0), 1.0, history, range(3), lambda n, y: -y).tolist() == 1
         assert len(history) == 2
 
     def test_zero_times_infinity_blows_up_on_floats(self):
         history = [1.0, math.inf]
         _assert_same_as_reference((0.0, 1.0), 1.0, history, 3, lambda n, y: -y)
-        assert _recur((0.0, 1.0), 1.0, history, 3, lambda n, y: -y).tolist() == 1
+        assert _recur((0.0, 1.0), 1.0, history, range(3), lambda n, y: -y).tolist() == 1
         assert history == [1.0, math.inf]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_float_overflow_blows_up(self, sign):
         history = [sign * 1e308]
         _assert_same_as_reference([10.0], 1.0, history, 3, lambda n, y: y)
-        assert _recur([10.0], 1.0, history, 3, lambda n, y: y).tolist() == 1
+        assert _recur([10.0], 1.0, history, range(3), lambda n, y: y).tolist() == 1
         assert history == [sign * 1e308]
 
     def test_float_beyond_self_product_range_is_finite(self):
@@ -415,7 +416,7 @@ class TestRecurMatchesReference:
         # finite test passes and the run goes on.
         history = [1e200]
         _assert_same_as_reference([1.0], 0.5, history, 3, lambda n, y: 0.0)
-        assert _recur([1.0], 0.5, history, 3, lambda n, y: 0.0).tolist() == 0
+        assert _recur([1.0], 0.5, history, range(3), lambda n, y: 0.0).tolist() == 0
         assert history == [1e200] * 4
 
     def test_rows_are_examined_only_where_one_blows_up(self, monkeypatch):
@@ -431,7 +432,7 @@ class TestRecurMatchesReference:
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda x: examined.append(x) or isfinite(x))
         states = history()
-        assert _recur([2.0], 1.0, states, 200, lambda n, y: 0.0).tolist() == [0, 28]
+        assert _recur([2.0], 1.0, states, range(200), lambda n, y: 0.0).tolist() == [0, 28]
         assert len(examined) == 1 and examined[0] is states[28]
         assert len(states) == 201 and np.isfinite(states[-1][0]).all()
 
@@ -442,7 +443,7 @@ class TestRecurMatchesReference:
 
         _assert_same_as_reference([0.5], 1.0, [np.array([1.0])], 4, f)
         history = [np.array([1.0])]
-        assert _recur([0.5], 1.0, history, 4, f).tolist() == 3
+        assert _recur([0.5], 1.0, history, range(4), f).tolist() == 3
         assert [y.shape for y in history] == [(1,), (1,), (2,)]
 
 
@@ -479,7 +480,7 @@ class TestSlicedFiniteness:
 
         history = [np.full((4, 5000), base)]
         _assert_same_as_reference([1.0], 1.0, history, 9, f)
-        blew = _recur([1.0], 1.0, history, 9, f)
+        blew = _recur([1.0], 1.0, history, range(9), f)
         want = [0] * 4
         want[position // 5000], want[later // 5000] = 3, 6
         assert blew.tolist() == want
@@ -492,5 +493,5 @@ class TestSlicedFiniteness:
         # Up to 2^13 elements, one self-dot per step, as before slicing.
         monkeypatch.setattr(_Dots, "sizes", [])
         history = [np.ones(size).view(_Dots)]
-        assert _recur([0.5], 1.0, history, 3, lambda n, y: 0.0).tolist() == 0
+        assert _recur([0.5], 1.0, history, range(3), lambda n, y: 0.0).tolist() == 0
         assert _Dots.sizes == dots * 3

@@ -174,6 +174,13 @@ def tables(draw):
 @given(tables(), st.integers(1, 4))
 @example((["x"], [[(), (1.0,)]]), 1)
 @example((["s", "y"], [["a,b", ""], np.array([[1e10], [-0.0]])]), 4)
+# CSV rows come from one %-template per chunk: text holding % or %s, in a
+# cell or in a name, passes through literally.
+@example((["a%s", "%d%", "n"], [["%s", "50%"], [("%", "%%s"), ()], np.array([1, 2])]), 1)
+@example((["-nan", "-0"], [np.array([-math.nan, -0.0, 5e-324, 1.797693135e308]),
+                           [-math.nan, -0.0, 5e-324, 1.797693135e308]]), 3)
+# One column of empty strings, each row written "", across chunk boundaries.
+@example((["e"], [["", "", "", "", ""]]), 2)
 @settings(max_examples=600, deadline=None)
 def test_columnar_writers_match_row_writers(table, chunk):
     names, columns = table

@@ -23,21 +23,26 @@ numpy array, formatted a column at a time.  The test is the column's type,
 so a table without arrays loads no numpy.  The rows go through in runs of
 ``_CHUNK``, so a writer holds the cells of one run, not of the whole table.
 
-CSV formats each run of rows with one ``%``: a row template holds one
-conversion per CSV column, ``%.10g`` for a float array (which is
+Both writers format each run of rows with one ``%``, on a template that
+repeats a row unit, from the conversions and values that ``_cells`` gives
+for each column: ``%.10g`` for a float array (which is
 ``format(v, ".10g")``, bit pattern for bit pattern), ``%d`` for an int
 array (which is ``str``), and ``%s`` for the bool words and for the cells
-of a list or tuple column, formatted and quoted beforehand, so that text
+of a list or tuple column, made beforehand by the writer, so that text
 holding ``%`` passes through literally.  The run's values are interleaved
-row by row into the one tuple that the repeated template takes.
+row by row into the one tuple that the template takes.
 
-JSON is laid out as ``json.dumps(..., indent=2)`` lays out a list of
-objects, from the cell strings of ``_array_texts`` and ``_json_value``:
-each run of rows is one join of its cells with the fixed texts between
-them (a key, the comma before the next, the braces between rows).
-A float column's text is rewritten only in the cells whose values may need
-it: a value of size at least 1e-4 that lies more than 1e-9 of its size from
-every integer prints with a point and no exponent, already JSON.
+A CSV row unit is the conversions joined by commas.  A JSON row unit is
+the object that ``json.dumps(..., indent=2)`` lays out, its keys (each
+``%`` doubled) and layout literal text around one conversion per cell, a
+vector column's being a nested list.  A float cell whose ``.10g`` text is
+not already JSON takes ``%s`` and ``_number``'s text instead, made once
+per distinct value: a value of size at least 1e-4 that lies more than
+1e-9 of its size from every integer prints with a point and no exponent,
+already JSON, and every other float cell is rewritten.  Each row's
+rewritten cells make a bitmask, and each distinct mask one variant unit,
+so the rows with none rewritten share one unit, as do the rows of a
+column whose every cell is.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ import io
 import json
 import math
 import sys
-from itertools import repeat
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 from ._lazy import np
 
@@ -59,7 +64,7 @@ _WORDS = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _QUOTABLE = frozenset(',"\r\n')  # csv.writer quotes no field without one of these
 _CHUNK = 1 << 14  # rows formatted at a time
 _LISTS = (list, tuple)  # the column types formatted value by value
-# The CSV conversion of a numpy column, by dtype kind: ``"%.10g" % v`` is
+# The ``%`` conversion of a numpy column, by dtype kind: ``"%.10g" % v`` is
 # ``format(v, ".10g")``, and ``"%d" % n`` is ``str(n)``.
 _CONVERSIONS = {"f": "%" + _DIGITS, "i": "%d", "u": "%d", "b": "%s"}
 
@@ -118,23 +123,13 @@ def _json_value(v, level: int) -> str:
     return _text(v)
 
 
-def _array_texts(values: np.ndarray) -> list[str]:
-    """The texts of a 1-D numeric array, formatted as one column."""
-    kind = values.dtype.kind
-    if kind == "f":
-        return list(map(_format, values.tolist(), repeat(_DIGITS)))
-    if kind == "b":
-        return list(map(_BOOLS.__getitem__, values.tolist()))
-    if kind in "iu":
-        return list(map(str, values.tolist()))
-    raise TypeError(f"no cell rule for a numpy {values.dtype} column")
-
-
-def _csv_cells(values) -> tuple[list[str], list[list]]:
-    """A column's CSV conversions and values: one ``%`` conversion and one
-    list of values per CSV column it fills."""
+def _cells(values, cell: Callable) -> tuple[list[str], list[list]]:
+    """A column's ``%`` conversions and values, for either writer: one
+    conversion and one list of values per element of its rows, so one of
+    each for a 1-D column and one per vector element for a 2-D array.
+    ``cell`` makes the text of one value of a list or tuple column."""
     if isinstance(values, _LISTS):
-        return ["%s"], [[_csv_field(_text(v)) for v in values]]
+        return ["%s"], [list(map(cell, values))]
     kind = values.dtype.kind
     if kind not in _CONVERSIONS:
         raise TypeError(f"no cell rule for a numpy {values.dtype} column")
@@ -144,31 +139,38 @@ def _csv_cells(values) -> tuple[list[str], list[list]]:
     return [_CONVERSIONS[kind]] * len(parts), parts
 
 
-def _json_column(values, level: int) -> list[str]:
-    """A column's JSON cells, each value sitting ``level`` deep."""
-    if isinstance(values, _LISTS):
-        return [_json_value(v, level) for v in values]
-    if values.ndim == 2:
-        if values.shape[1] == 0:
-            return ["[]"] * len(values)
-        vector = _layout(["%s"] * values.shape[1], level + 1)
-        parts = (_json_column(part, level + 1) for part in values.T)
-        return list(map(vector.__mod__, zip(*parts)))
-    texts = _array_texts(values)
-    if values.dtype.kind != "f":
-        return texts
+def _rewritten(v: np.ndarray) -> np.ndarray:
+    """Which cells of a float64 array may need ``_number`` to be JSON."""
     # A value with |v| >= 1e-4 that lies more than 1e-9 |v| from every
     # integer has a .10g text with a point and no exponent, already JSON: it
     # is below 5e8 in size, since no value is more than 0.5 from an integer,
     # and the rounding to 10 digits moves it by at most 5e-10 |v|, so the
     # rounded value lies in [1e-4, 5e8] and is no integer.
-    v = values.astype(np.float64, copy=False)
     size = np.abs(v)
     with np.errstate(invalid="ignore"):  # inf - inf
         kept = (size >= 1e-4) & (np.abs(v - np.rint(v)) > 1e-9 * size)
-    for i in np.flatnonzero(~kept).tolist():
-        texts[i] = _number(texts[i])
-    return texts
+    return np.logical_not(kept, out=kept)
+
+
+def _rows(template: str, cells: list[list], rows: int) -> str:
+    """``template``, one unit per row, filled with the cells interleaved
+    row by row into the one tuple that it takes."""
+    width = len(cells)
+    flat = [None] * (rows * width)
+    for j, part in enumerate(cells):
+        flat[j::width] = part
+    return template % tuple(flat)
+
+
+def _unit(keys: Sequence[str], widths: Sequence, conversions: list[str], mask: int) -> str:
+    """One row's JSON object as a ``%`` template: a key and a conversion per
+    column, a list of them for a vector column (``widths`` holds its
+    length, None for any other), and ``%s`` for each conversion ``j`` that
+    has bit ``j`` of ``mask`` set."""
+    texts = iter(["%s" if mask >> j & 1 else c for j, c in enumerate(conversions)])
+    items = [key + (next(texts) if width is None else _layout(list(islice(texts, width)), 3))
+             for key, width in zip(keys, widths)]
+    return "\n  " + _layout(items, 2, "{}")
 
 
 def _chunks(columns: Sequence):
@@ -191,36 +193,51 @@ def csv_table(names: Sequence[str], columns: Sequence) -> str:
     for chunk in _chunks(columns):
         conversions, cells = [], []
         for values in chunk:
-            column_conversions, column_cells = _csv_cells(values)
+            column_conversions, column_cells = _cells(values, lambda v: _csv_field(_text(v)))
             conversions += column_conversions
             cells += column_cells
         if conversions == ["%s"]:  # a lone empty field, quoted as in the header
             cells[0] = [text or '""' for text in cells[0]]
-        # One row template, repeated for the chunk's rows, and the chunk's
-        # values interleaved row by row into the one tuple it takes.
-        rows, width = len(chunk[0]), len(cells)
-        flat = [None] * (rows * width)
-        for j, part in enumerate(cells):
-            flat[j::width] = part
-        lines.append(((",".join(conversions) + "\n") * rows) % tuple(flat))
+        rows = len(chunk[0])
+        lines.append(_rows((",".join(conversions) + "\n") * rows, cells, rows))
     return "".join(lines)
 
 
 def json_table(names: Sequence[str], columns: Sequence) -> str:
     """A JSON list with one object per row, keyed by column name."""
-    keys = [json.dumps(name) + ": " for name in names]
+    keys = [json.dumps(name).replace("%", "%%") + ": " for name in names]
     runs = []
     for chunk in _chunks(columns):
-        # One join per run of rows: the cells between the texts that separate
-        # them, where each row after the first opens by closing the one before.
-        rows, width = len(chunk[0]), 2 * len(chunk)
-        between = ["\n  },\n  {\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
-        pieces = [None] * (rows * width + 1)
-        pieces[::2] = between * rows + ["\n  }"]
-        pieces[0] = ("," if runs else "[") + "\n  {\n    " + keys[0]
-        for j, values in enumerate(chunk):
-            pieces[1 + 2 * j :: width] = _json_column(values, 2)
-        runs.append("".join(pieces))
+        conversions, cells, widths, floats = [], [], [], []
+        for values in chunk:
+            column_conversions, column_cells = _cells(values, lambda v: _json_value(v, 2))
+            array = not isinstance(values, _LISTS)
+            vector = array and values.ndim == 2
+            widths.append(len(column_cells) if vector else None)
+            if array and values.dtype.kind == "f":
+                v = (values.T if vector else values[None]).astype(np.float64, copy=False)
+                floats += zip(range(len(cells), len(cells) + len(v)), v, _rewritten(v))
+            conversions += column_conversions
+            cells += column_cells
+        # Each row's bitmask of the conversions whose cells take _number's
+        # text, and one unit per distinct mask: the rows with none, or a
+        # column with every cell rewritten, share one.  Each distinct value
+        # (bit pattern) is rewritten once.
+        rows = len(chunk[0])
+        masks = np.zeros(rows, dtype=np.int64 if len(cells) < 64 else object)
+        for j, v, rewrite in floats:
+            masks[rewrite] |= 1 << j
+            index = np.flatnonzero(rewrite)
+            distinct, inverse = np.unique(v[index].view(np.int64), return_inverse=True)
+            texts = [_number(_format(x, _DIGITS)) for x in distinct.view(np.float64).tolist()]
+            part = cells[j]
+            for i, k in zip(index.tolist(), inverse.tolist()):
+                part[i] = texts[k]
+        masks = masks.tolist()
+        units = {mask: _unit(keys, widths, conversions, mask) for mask in set(masks)}
+        template = ",".join(map(units.__getitem__, masks))
+        del masks
+        runs += ["," if runs else "[", _rows(template, cells, rows)]
     return "".join(runs + ["\n]\n"]) if runs else "[]\n"
 
 

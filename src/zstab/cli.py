@@ -329,11 +329,12 @@ def cmd_integrate(args) -> tuple[str, list[str], int]:
             scheme, problem, _parse_floats(args.orders), args.h * args.steps
         )
     # With --probe, the trajectory is the probe's clean run, written after
-    # its twin has run too.  A fresh process writing a probed 10k-step
-    # oscillator as JSON peaked at 40.8 MiB RSS when the trajectory was
-    # written before the twin ran, and at 44.0 MiB so: numpy.random's first
-    # use (~6 MiB, the probe's direction) now precedes the writer.  A
-    # 1e5-step decay as CSV peaks at 45.5 MiB either way.
+    # its twin has run too, so numpy.random's first use (~6 MiB, the
+    # probe's direction) precedes the writer: in a fresh process (CPython
+    # 3.11, numpy 2.4), the probe plus a 10k-step oscillator's JSON peaked
+    # at 41.1 MiB RSS in this order, and at 37.9 MiB with the trajectory
+    # written before the twin ran.  The whole probed command peaks at
+    # 41.7 MiB, and a 1e5-step decay as CSV at 41.1 MiB.
     series = None
     if args.probe is None:
         traj = ivp.integrate(scheme, problem, args.h, args.steps)

@@ -139,15 +139,15 @@ def _recur(
         with np.errstate(all="ignore"):
             return _recur_floats(alphas, coef, history, args, f)
     blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
-    alphas = [np.asarray(a, dtype=float) for a in alphas]
+    terms = [(np.asarray(a, dtype=float), -1 - i) for i, a in enumerate(alphas)]
     coef = np.asarray(coef, dtype=float)
     zero = np.zeros(())
     live = None  # the elements of the live rows, once a row has blown up
     with np.errstate(all="ignore"):
         for n, x in enumerate(args):
             nxt = zero
-            for i, a in enumerate(alphas):
-                term = a * history[-1 - i]
+            for a, i in terms:
+                term = a * history[i]
                 nxt = nxt + term
                 # The old sum is freed before the term, as ``sum`` frees
                 # them: with the term freed first, a Table 8 sweep's ~150 KB

@@ -87,9 +87,9 @@ _EDGE_FLOATS = [
     1e-5, 0.5, 2.0, -3.0,
     999999999.9, 9999999999.0, 9999999999.5, 1e10, -1.5e10, 123456789012345.0,
     999999999999999.9, 9.9999999995e15, 1e16, 1.5e16, 1e100, 12345678901.0,
-    # Beside the cutoffs of the value rule in _json_column, 1e-9 |v| from an
-    # integer and 1e-4 in size, and below 1e9, where 10 digits keep one
-    # decimal.
+    # Beside the cutoffs of the value rule in _table._rewritten, 1e-9 |v|
+    # from an integer and 1e-4 in size, and below 1e9, where 10 digits keep
+    # one decimal.
     2.00000000004, -7.99999999996, 999999999.95, 999999999.4, 0.00009999999999,
 ]
 
@@ -181,6 +181,19 @@ def tables(draw):
                            [-math.nan, -0.0, 5e-324, 1.797693135e308]]), 3)
 # One column of empty strings, each row written "", across chunk boundaries.
 @example((["e"], [["", "", "", "", ""]]), 2)
+# JSON rows come from one %-template per chunk, with a variant unit for the
+# rows whose float cells are rewritten: text holding a conversion stays
+# literal in the keys and cells of every variant.
+@example((["%.10g%%s", "x"],
+          [["%.10g", "%%", "%s", "100%"], np.array([0.5, 1.0, 1 / 3, 1e-5])]), 4)
+# A column of rewritten cells only: one variant for every row.
+@example((["x"], [np.array([0.0, -0.0, 3.0, 1e-5, 1.5e10, math.inf, -math.inf, math.nan])]), 1)
+@example((["x"], [np.array([0.0, -0.0, 3.0, 1e-5, 1.5e10, math.inf, -math.inf, math.nan])]), 2)
+@example((["x"], [np.array([0.0, -0.0, 3.0, 1e-5, 1.5e10, math.inf, -math.inf, math.nan])]), 3)
+# A vector column rewritten in its second element only.
+@example((["y"], [np.array([[0.5, 2.0], [1 / 3, 0.25], [-0.75, -0.0], [0.125, 1e-7]])]), 3)
+# Rows of 64 cells, the last rewritten in two rows: a bitmask past int64.
+@example((["y", "x"], [np.full((3, 63), 0.5), np.array([1 / 3, 2.0, 1e-9])]), 2)
 @settings(max_examples=600, deadline=None)
 def test_columnar_writers_match_row_writers(table, chunk):
     names, columns = table
@@ -213,7 +226,7 @@ def test_json_column_picks_the_cells_that_need_rewriting():
     # Around the sizes 1e-4 and 1e9, around integers, around the points
     # 1e-9 |n| from them (the value rule's cutoff) and around the points
     # where .10g rounds to them, a column's JSON cells are those of the
-    # per-cell rule.
+    # per-cell rule, as one float column and as an (n, 2) vector column.
     centers = [0.0, 1e-4, -1e-4, 1e9, -1e9, 999999999.5]
     for n in (1.0, 2.0, -8.0, 12345.0, 999999999.0):
         half = 0.5 * 10.0 ** (math.floor(math.log10(abs(n))) - 9)  # half a last digit
@@ -222,4 +235,10 @@ def test_json_column_picks_the_cells_that_need_rewriting():
     for dtype in (np.float64, np.float32):
         values = np.concatenate([_walk(c, dtype) for c in centers])
         want = [_number(fmt(v)) for v in values.tolist()]
-        assert _table._json_column(values, 2) == want, dtype
+        lines = json_table(("x",), (values,)).splitlines()
+        assert [line[9:] for line in lines if line.startswith('    "x": ')] == want, dtype
+        odd = len(values) % 2  # the vectors end with the first value again
+        vectors = np.concatenate([values, values[:odd]]).reshape(-1, 2)
+        lines = json_table(("x",), (vectors,)).splitlines()
+        cells = [line.strip().rstrip(",") for line in lines if line.startswith(" " * 6)]
+        assert cells == want + want[:odd], dtype

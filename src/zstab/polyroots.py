@@ -283,17 +283,19 @@ def _aberth(coeffs: list[float]) -> list[complex]:
     """The roots of a square-free polynomial; none for a constant.
 
     Roots are updated one at a time with the newest values of the others
-    (Gauss-Seidel order).  A root stops moving once |p(z)| is down to
-    eps * sum_i |a_i| |z|^(n-i), the rounding level of evaluating it, or
-    its step is below eps |z|.  The roots are accepted when every |p(z)| is
-    within ``RESIDUAL_TOL`` of that sum, or, for a root of modulus below
-    2^-1022, within |p'(z)| 2^-1074, what rounding it to the subnormal grid
-    allows; a |p(z)| or sum that is not finite raises ``OverflowError``.
+    (Gauss-Seidel order).  One Horner pass gives p(z), p'(z) and the scale
+    sum_i |a_i| |z|^(n-i).  A root stops moving once |p(z)| is down to eps
+    times the scale, the rounding level of evaluating it, or its step is
+    below eps |z|.  The roots are accepted when every |p(z)| is within
+    ``RESIDUAL_TOL`` of the scale, or, for a root of modulus below 2^-1022,
+    within |p'(z)| 2^-1074, what rounding it to the subnormal grid allows;
+    a |p(z)| or scale that is not finite raises ``OverflowError``.
     """
     n = len(coeffs) - 1
     if not (coeffs[0] and coeffs[-1]):
         raise OverflowError("the leading or constant coefficient rounds to 0")
     mags = [abs(c) for c in coeffs]
+    tail = list(zip(coeffs[1:], mags[1:]))
     # 0j - b keeps the zero imaginary part of a real root positive.
     z = [(0j - coeffs[1]) / coeffs[0]] if n == 1 else _start(coeffs)
     live = list(range(n)) if n > 1 else []
@@ -303,12 +305,11 @@ def _aberth(coeffs: list[float]) -> list[complex]:
         moving = []
         for i in live:
             zi = z[i]
-            p, dp = coeffs[0], 0j
-            for c in coeffs[1:]:
+            r = abs(zi)
+            p, dp, scale = coeffs[0], 0j, 0.0 * r + mags[0]  # NaN where r is inf
+            for c, m in tail:
                 dp = dp * zi + p
                 p = p * zi + c
-            r, scale = abs(zi), 0.0
-            for m in mags:
                 scale = scale * r + m
             if abs(p) <= _EPS * scale:
                 continue
@@ -326,32 +327,21 @@ def _aberth(coeffs: list[float]) -> list[complex]:
         live = moving
 
     for zi in z:
-        p, r, scale = 0j, abs(zi), 0.0
+        p, dp, r, scale = 0j, 0j, abs(zi), 0.0
         for c, m in zip(coeffs, mags):
+            dp = dp * zi + p
             p = p * zi + c
             scale = scale * r + m
         if not math.isfinite(abs(p) + scale):
             raise OverflowError(f"residual {abs(p):.3e} at |z| = {r:.3e}")
         if abs(p) > RESIDUAL_TOL * scale and not (
-            r < _MIN_NORMAL and _on_subnormal_grid(coeffs, zi, abs(p))
+            r < _MIN_NORMAL and abs(p) <= abs(dp) * _SUBNORMAL_SPACING
         ):
             raise RootFindingError(
                 f"root finding did not converge within {MAX_ITERATIONS} iterations "
                 f"(residual {abs(p):.3e} at |z| = {r:.3e})"
             )
     return z
-
-
-def _on_subnormal_grid(coeffs: list[float], z: complex, residual: float) -> bool:
-    """Whether ``residual`` = |p(z)| is within what rounding a root to the
-    subnormal grid allows: |p'(z)| times its spacing, 2^-1074.  Below
-    2^-1022 a root is rarely a float, and the float nearest it may leave a
-    residual far above ``RESIDUAL_TOL`` of the terms that p(z) sums."""
-    p, dp = coeffs[0], 0j
-    for c in coeffs[1:]:
-        dp = dp * z + p
-        p = p * z + c
-    return residual <= abs(dp) * _SUBNORMAL_SPACING
 
 
 def find_roots(p: Polynomial) -> RootSet:
@@ -361,8 +351,8 @@ def find_roots(p: Polynomial) -> RootSet:
     coefficients, so roots that are distinct in those coefficients are
     reported apart however close they lie.  Each factor's roots are accepted
     when every residual is within ``RESIDUAL_TOL`` of sum_i |a_i| |z|^(n-i).
-    A root that lies nearer its own conjugate than any other root of its
-    factor does is real: its imaginary part is +0.0.
+    A root within 1e-8 |z| of the real axis, and nearer its own conjugate
+    than any other root of its factor, is real: its imaginary part is +0.0.
 
     Raises
     ------

@@ -4,7 +4,7 @@ A scheme advances the recurrence
 
     y_{n+1} = sum_i alpha_i * y_{n-i} + h * beta * f(t_n, y_n)
 
-with i = 0 .. d-1; ``_recur`` is the one loop that runs it, for the ODE
+with i = 0 .. d-1; ``_recur`` is the one entry that runs it, for the ODE
 solver and the block stack alike.  Zero stability is decided by the root
 condition on the characteristic polynomial rho^d - sum_i alpha_i
 rho^{d-1-i}; beta plays no part in it.  Consistency requires

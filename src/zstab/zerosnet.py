@@ -126,8 +126,14 @@ def _require_nonzero(lam: float) -> float:
 
 
 def zerosnet_coeffs(lam: float) -> Scheme:
-    """Scheme([3(1+L)/(4L), -1/L, (1+L)/(4L)], (3L-1)/(2L)) for L != 0."""
-    *alphas, beta = _family(_require_nonzero(lam))
+    """Scheme([3(1+L)/(4L), -1/L, (1+L)/(4L)], (3L-1)/(2L)) for L != 0.
+
+    Raises ``ValueError`` for an L so close to 0 that -1/L overflows.
+    """
+    lam = _require_nonzero(lam)
+    *alphas, beta = terms = _family(lam)
+    if not all(map(math.isfinite, terms)):
+        raise ValueError(f"lambda={lam!r} is too close to 0: the family's coefficients overflow")
     return Scheme(alphas, beta)
 
 

@@ -137,6 +137,15 @@ class TestAnalyze:
             assert pairs["moduli"] == "1;0.5;0.5"
             assert (pairs["zero_stable"], pairs["consistent"]) == ("true", "true")
 
+    @pytest.mark.parametrize("lam", ["1e-320", "-1e-310"])
+    @pytest.mark.parametrize(
+        "command", [("analyze",), ("integrate", "--h=0.1", "--steps=3")], ids=lambda c: c[0]
+    )
+    def test_lambda_too_close_to_zero_is_named(self, capsys, lam, command):
+        code, out, err = run(capsys, *command, f"--lambda={lam}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: lambda={lam} is too close to 0: the family's coefficients overflow\n"
+
     def test_strict_exit_code(self, capsys):
         code, _, _ = run(capsys, "analyze", "--alphas", "2", "--strict")
         assert code == EXIT_NOT_STABLE

@@ -345,16 +345,25 @@ class TestFindRoots:
             return
         assert sum(m for _, m in rs.roots) == len(coeffs) - 1
 
-    @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
-    def test_root_among_the_subnormals(self, tiny):
+    @pytest.mark.parametrize(
+        "coeffs, bigs",
+        [
+            pytest.param([1.0, -0.375, -5e-324], [0.375], id="5e-324"),
+            pytest.param([1.0, -0.375, -1e-320], [0.375], id="1e-320"),
+            pytest.param([1.0, -0.25, -0.125, -5e-324], [0.5, -0.25], id="cubic-5e-324"),
+        ],
+    )
+    def test_root_among_the_subnormals(self, coeffs, bigs):
         # r^2 - 0.375 r - tiny: the small root, -tiny / 0.375 to far below
         # the subnormal spacing, is no float, and the float nearest it leaves
         # a residual far above RESIDUAL_TOL of the terms that p(z) sums; it
-        # is accepted, as within |p'(z)| 2^-1074.
-        (big, m), (small, n) = find_roots(Polynomial([1.0, -0.375, -tiny])).roots
-        assert m == n == 1
-        assert abs(big - 0.375) <= 1e-15
-        assert small == complex(float(-Fraction(tiny) / Fraction(0.375)), 0.0)
+        # is accepted, as within |p'(z)| 2^-1074.  In the cubic, p'(z) comes
+        # from a Horner pass over more than two coefficients; its small root
+        # is exactly -4e-323.
+        *roots, (small, n) = find_roots(Polynomial(coeffs)).roots
+        assert [m for _, m in roots] == [1] * len(bigs) and n == 1
+        assert all(abs(z - b) <= 1e-15 for (z, _), b in zip(roots, bigs))
+        assert small == complex(float(-Fraction(coeffs[-1]) / Fraction(coeffs[-2])), 0.0)
         assert abs(small) < 2.0**-1022
 
     def test_unverifiable_roots_are_not_accepted(self):

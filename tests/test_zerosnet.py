@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -49,9 +50,13 @@ def _reference_coeffs(lam):
         # Where 4 lam overflows, every term is divided by lam.
         inv = 1.0 / lam
         alphas = [3.0 * (inv + 1.0) / 4.0, -1.0 / lam, (inv + 1.0) / 4.0]
-        return Scheme(alphas, (3.0 - inv) / 2.0)
-    alphas = [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)]
-    return Scheme(alphas, (3.0 * lam - 1.0) / (2.0 * lam))
+        beta = (3.0 - inv) / 2.0
+    else:
+        alphas = [3.0 * (1.0 + lam) / (4.0 * lam), -1.0 / lam, (1.0 + lam) / (4.0 * lam)]
+        beta = (3.0 * lam - 1.0) / (2.0 * lam)
+    if not all(math.isfinite(c) for c in (*alphas, beta)):
+        raise ValueError(f"lambda={lam!r} is too close to 0: the family's coefficients overflow")
+    return Scheme(alphas, beta)
 
 
 def _reference_roots(lam):
@@ -187,6 +192,14 @@ class TestCoefficients:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             zerosnet_coeffs(float("inf"))
+
+    @pytest.mark.parametrize("lam", [1e-320, -1e-310, 5e-324, -5.5e-309])
+    def test_lambda_too_close_to_zero_is_named(self, lam):
+        # -1/lambda overflows: the message names lambda, not the scheme's
+        # coefficients, which the caller never gave.
+        message = f"lambda={lam!r} is too close to 0: the family's coefficients overflow"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            zerosnet_coeffs(lam)
 
 
 class TestClosedFormRoots:

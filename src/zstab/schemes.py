@@ -5,16 +5,19 @@ A scheme advances the recurrence
     y_{n+1} = sum_i alpha_i * y_{n-i} + h * beta * f(t_n, y_n)
 
 with i = 0 .. d-1; ``_recur`` is the one entry that runs it, for the ODE
-solver and the block stack alike.  Zero stability is decided by the root
-condition on the characteristic polynomial rho^d - sum_i alpha_i
-rho^{d-1-i}; beta plays no part in it.  Consistency requires
-sum(alpha) = 1 and beta - sum(i * alpha_i) = 1.
+solver and the block stack alike: on Python floats for a run of one feature
+and, element by element, for an array state of a few elements, and on numpy
+arrays for every other state, with the same sums in the same order.  Zero
+stability is decided by the root condition on the characteristic
+polynomial rho^d - sum_i alpha_i rho^{d-1-i}; beta plays no part in it.
+Consistency requires sum(alpha) = 1 and beta - sum(i * alpha_i) = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Any, Callable, Iterable, Sequence
 
 from ._lazy import np
@@ -44,6 +47,10 @@ CONSISTENCY_TOL = 1e-9
 # host, the Table 8 sweep (16,000-element states) took 45 ms at best of 60
 # with one dot per state, 31 ms with slices of this size.
 _DOT_SLICE = 2**13
+# The most elements of an array state that ``_recur`` advances on Python
+# floats, element by element; past it numpy's per-call cost is the cheaper
+# (the crossover is measured in ``_recur``'s docstring).
+_FLOAT_ELEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -110,64 +117,84 @@ def _recur(
     Overflow inside a run is reported only through that return value, never
     as a warning.
 
-    The states are of one of two number types, decided by the newest one:
+    The states are of one of two kinds, decided by the newest one:
 
     - arrays of shape (..., width): every axis but the last indexes an
       independent run, a *row* (a single state is one row); the
-      coefficients, converted once to float64 arrays, broadcast against the
-      state, so one call advances many runs at once;
-    - Python floats (or numpy float scalars), one run of one feature: the
-      coefficients are converted once to floats, ``f`` returns a float and
-      the return value is 0-d.
+      coefficients broadcast against the state, so one call advances many
+      runs at once;
+    - Python floats (or numpy float scalars), one run of one feature: ``f``
+      returns a float and the return value is 0-d.
 
     Each step computes ((0 + a_0 y_n) + a_1 y_{n-1}) + ... + coef f in that
-    order, so both types give the same IEEE sums: the leading 0 is kept
-    because it turns a sum of -0.0 terms into +0.0.  A step is tested for
-    finiteness once: a float by its product with zero, which is zero only
-    if it is finite, however large; an array by its dot product with
-    itself, which is finite only if every element is.  That dot product
-    also overflows beyond ~1e154, so a step that fails it is tested again
-    by a dot product with zeros, and only a non-finite step has its rows
-    examined one by one.  A state of more than ``_DOT_SLICE`` = 2^13
-    elements is tested the same way slice by slice by ``_finite``, each
-    slice at most 2^13 elements long, so that no dot product wakes a second
-    BLAS thread; a smaller state keeps the one test, made inline.  Once a
-    row has blown up, only the live rows enter these products, so the rows
+    order on every path, so all give the same IEEE sums: the leading 0 is
+    kept because it turns a sum of -0.0 terms into +0.0.  The arithmetic
+    runs on one of three number types, chosen from the arguments alone:
+
+    - Python floats, for a run of floats (``_recur_floats``): each step is
+      tested by its product with zero, which is zero only if it is finite,
+      however large;
+    - Python floats element by element, for a small array state
+      (``_recur_small``): a plain float64 ndarray of 1 to
+      ``_FLOAT_ELEMENTS`` = 8 elements, an order of at most 3 and float
+      coefficients; each element is tested by ``math.isfinite``.  f still
+      gets the newest state as an array, which it must not write into (its
+      elements are read once, as it is made), and each step appends one.  A
+      3-step run of (rows, 2) states with the oscillator's rhs took 2.3-3.9
+      us per step on floats against 4.6-5.0 us on arrays from 1 to 8
+      elements, 4.8 against 4.9 us at 12 and longer on floats from 16 on
+      (best of 21, shared 2-vCPU host);
+    - float64 arrays for every other array state (``_recur_arrays``),
+      among them an ndarray subclass, which may define its own arithmetic,
+      and a small state from the first step whose f value would widen it
+      or is neither a float nor a float64 array: each step is tested by
+      ``_finite``.
+
+    Only a step that fails its test has its rows examined one by one, and
+    once a row has blown up, only the live rows enter the test, so the rows
     that stay finite keep the one test per step.
     """
     if isinstance(history[-1], float):
         with np.errstate(all="ignore"):
             return _recur_floats(alphas, coef, history, args, f)
     blew = np.zeros(np.shape(history[-1])[:-1], dtype=int)
+    steps = enumerate(args)
+    with np.errstate(all="ignore"):
+        if _small(alphas, coef, history):
+            blew, stopped = _recur_small(alphas, coef, history, steps, f, blew)
+            if stopped is None:
+                return blew
+            # f's value does not fit the small state: this step and the
+            # rest run on arrays, with the value f already returned.
+            n, x, value = stopped
+            steps, f = chain([(n, x)], steps), _first_then(value, f)
+        return _recur_arrays(alphas, coef, history, steps, f, blew)
+
+
+def _recur_arrays(alphas: Sequence, coef, history, steps: Iterable, f, blew) -> np.ndarray:
+    """``_recur`` on float64 arrays from the ``(n, x)`` pairs of ``steps``,
+    with the blow-up steps ``blew`` of the steps before; the caller holds
+    numpy's warnings off."""
     terms = [(np.asarray(a, dtype=float), -1 - i) for i, a in enumerate(alphas)]
     coef = np.asarray(coef, dtype=float)
     zero = np.zeros(())
     live = None  # the elements of the live rows, once a row has blown up
-    with np.errstate(all="ignore"):
-        for n, x in enumerate(args):
-            nxt = zero
-            for a, i in terms:
-                term = a * history[i]
-                nxt = nxt + term
-                # The old sum is freed before the term, as ``sum`` frees
-                # them: with the term freed first, a Table 8 sweep's ~150 KB
-                # states took 7282 minor page faults per sweep, against 5509.
-                del term
-            nxt = nxt + coef * f(x, history[-1])
-            flat = nxt.ravel() if live is None else nxt.take(live)
-            # _finite's test, made inline up to _DOT_SLICE elements: on the
-            # probe's 4-element states a call per step is a measurable cost.
-            if flat.size <= _DOT_SLICE:
-                finite = flat.dot(flat) < math.inf or flat.dot(np.zeros(flat.size)) == 0.0
-            else:
-                finite = _finite(flat)
-            if not finite:
-                bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
-                blew = np.where(bad & (blew == 0), n + 1, blew)
-                if np.all(blew):
-                    break
-                live = np.flatnonzero(np.broadcast_to((blew == 0)[..., None], nxt.shape))
-            history.append(nxt)
+    for n, x in steps:
+        nxt = zero
+        for a, i in terms:
+            term = a * history[i]
+            nxt = nxt + term
+            # The old sum is freed before the term, as ``sum`` frees
+            # them: with the term freed first, a Table 8 sweep's ~150 KB
+            # states took 7282 minor page faults per sweep, against 5509.
+            del term
+        nxt = nxt + coef * f(x, history[-1])
+        if not _finite(nxt.ravel() if live is None else nxt.take(live)):
+            blew = _blown(nxt, blew, n)
+            if np.all(blew):
+                break
+            live = np.flatnonzero(np.broadcast_to((blew == 0)[..., None], nxt.shape))
+        history.append(nxt)
     return blew
 
 
@@ -185,18 +212,132 @@ def _finite(flat: np.ndarray) -> bool:
     return flat.dot(flat) < math.inf or flat.dot(np.zeros(flat.size)) == 0.0
 
 
+def _blown(nxt: np.ndarray, blew: np.ndarray, n: int) -> np.ndarray:
+    """``blew`` with n + 1 for every row of the state ``nxt`` that holds a
+    non-finite element and had not blown up before."""
+    bad = ~np.all(np.isfinite(nxt).reshape(blew.shape + (-1,)), axis=-1)
+    return np.where(bad & (blew == 0), n + 1, blew)
+
+
+def _first_then(value, f):
+    """f, except that its first call returns ``value``."""
+    pending = [value]
+    return lambda x, y: pending.pop() if pending else f(x, y)
+
+
+def _fused(alphas: Sequence, coef) -> Callable[[float, float, float, float], float]:
+    """The step of a scheme of order 1 to 3 on Python floats, as one
+    expression of the newest states u = y_n, v = y_{n-1}, w = y_{n-2} and
+    q = f(x_n, y_n); an order below 3 ignores w, or v and w."""
+    a0, a1, a2 = (*map(float, alphas), 0.0, 0.0)[:3]
+    c = float(coef)
+    if len(alphas) == 1:
+        return lambda u, v, w, q: (0.0 + a0 * u) + c * q
+    if len(alphas) == 2:
+        return lambda u, v, w, q: ((0.0 + a0 * u) + a1 * v) + c * q
+    return lambda u, v, w, q: ((0.0 + a0 * u) + a1 * v) + a2 * w + c * q
+
+
+def _newest3(history, d: int) -> list:
+    """y_n, y_{n-1}, y_{n-2} of ``history`` for ``_fused``, with y_n in the
+    place of those an order-d scheme does not read."""
+    return [history[-1 - i] if i < d else history[-1] for i in range(3)]
+
+
+def _small(alphas: Sequence, coef, history) -> bool:
+    """Whether ``_recur_small`` takes this run: an order of at most 3, float
+    coefficients, and newest states that are plain float64 ndarrays of one
+    shape, of at least one axis and 1 to ``_FLOAT_ELEMENTS`` elements."""
+    d = len(alphas)
+    if d > 3 or len(history) < d or not all(isinstance(a, float) for a in (*alphas, coef)):
+        return False
+    newest = history[-1]
+    f64 = np.dtype(float)
+    return all(
+        type(y) is np.ndarray and y.dtype is f64 and y.shape == newest.shape
+        for y in _newest3(history, d)
+    ) and newest.ndim > 0 and 0 < newest.size <= _FLOAT_ELEMENTS
+
+
+def _recur_small(alphas: Sequence, coef, history, steps: Iterable, f, blew):
+    """``_recur`` on a small array state (see ``_small``), one ``_fused``
+    expression per element on Python floats, from the ``(n, x)`` pairs of
+    ``steps``; the caller holds numpy's warnings off.
+
+    f's value is read as the list of the state's elements: a float, or a
+    float64 ndarray that broadcasts to the state's shape.  Returns the
+    blow-up steps and None, or, at the first step whose f value is neither,
+    the blow-up steps before it and that step's (n, x, value), without
+    appending its state."""
+    step = _fused(alphas, coef)
+    state = history[-1]
+    shape, size, f64 = state.shape, state.size, state.dtype
+    y0, y1, y2 = (y.ravel().tolist() for y in _newest3(history, len(alphas)))
+    live = None  # a mask of the live rows' elements, once a row has blown up
+    append = history.append
+    for n, x in steps:
+        value = f(x, state)
+        if type(value) is np.ndarray and value.dtype is f64 and value.shape == shape:
+            g = value.ravel().tolist()
+        elif isinstance(value, float):
+            g = [float(value)] * size
+        else:
+            g = _broadcast(value, shape)
+            if g is None:
+                return blew, (n, x, value)
+        nxt = list(map(step, y0, y1, y2, g))
+        if len(shape) == 1:
+            state = np.array(nxt)
+        else:  # filled in place: a reshaped array is a view on a second one
+            state = np.empty(shape)
+            state.ravel()[:] = nxt
+        if not all(map(math.isfinite, nxt if live is None else compress(nxt, live))):
+            blew = _blown(state, blew, n)
+            if np.all(blew):
+                break
+            live = np.broadcast_to((blew == 0)[..., None], shape).ravel().tolist()
+        append(state)
+        y0, y1, y2 = nxt, y0, y1
+    return blew, None
+
+
+def _broadcast(value, shape: tuple) -> list | None:
+    """The elements of the float64 ndarray ``value`` broadcast to ``shape``,
+    or None where ``value`` is no such array or would widen the state."""
+    if type(value) is np.ndarray and value.dtype == float:
+        try:
+            if np.broadcast_shapes(value.shape, shape) == shape:
+                return np.broadcast_to(value, shape).ravel().tolist()
+        except ValueError:  # no common shape: the array loop raises it
+            pass
+    return None
+
+
 def _recur_floats(alphas: Sequence, coef, history, args: Iterable, f) -> np.ndarray:
     """``_recur`` on a run of Python floats, with the same sums in the same
-    order; the caller holds numpy's warnings off."""
+    order: the newest states in local variables for a scheme of order 1 to
+    3, a loop over the coefficients for a higher order.  The caller holds
+    numpy's warnings off."""
+    append = history.append
+    d = len(alphas)
+    if d <= 3:
+        step = _fused(alphas, coef)
+        y0, y1, y2 = _newest3(history, d)
+        for n, x in enumerate(args):
+            nxt = step(y0, y1, y2, f(x, y0))
+            if nxt * 0.0 != 0.0:  # zero only if nxt is finite, however large
+                return np.array(n + 1)
+            append(nxt)
+            y0, y1, y2 = nxt, y0, y1
+        return np.array(0)
     terms = [(float(a), -1 - i) for i, a in enumerate(alphas)]
     coef = float(coef)
-    append = history.append
     for n, x in enumerate(args):
         nxt = 0.0
         for a, i in terms:
             nxt = nxt + a * history[i]
         nxt = nxt + coef * f(x, history[-1])
-        if nxt * 0.0 != 0.0:  # zero only if nxt is finite, however large
+        if nxt * 0.0 != 0.0:
             return np.array(n + 1)
         append(nxt)
     return np.array(0)

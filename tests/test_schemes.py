@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zstab import ivp, schemes
 from zstab.schemes import (
+    _FLOAT_ELEMENTS,
     Scheme,
     _recur,
     characteristic_polynomial,
@@ -308,7 +310,11 @@ def _recurrences(draw):
     coefficient arrays on (rows, 2, width) states as the sweep passes them,
     or Python-float or numpy scalar coefficients on a history of Python
     floats with an f that returns a float, as a one-feature integrate
-    passes them."""
+    passes them.  Scalar coefficients also come on states of
+    _FLOAT_ELEMENTS elements, the most that _recur advances on Python
+    floats, and of one more, which it advances on arrays; f returns a
+    state-shaped array, a number, or an array of one row that broadcasts
+    over the rows."""
     d = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["float", "numpy", "rows", "scalar"]))
     rows = draw(st.integers(1, 3))
@@ -330,7 +336,11 @@ def _recurrences(draw):
     elif kind == "scalar":
         shape = (1,)
     else:
-        shape = draw(st.sampled_from([(width,), (rows, width)]))
+        shape = draw(st.sampled_from([
+            (width,), (rows, width),
+            (_FLOAT_ELEMENTS,), (_FLOAT_ELEMENTS, 1),
+            (_FLOAT_ELEMENTS + 1,), (_FLOAT_ELEMENTS + 1, 1),
+        ]))
     # One magnitude per row, often near the overflow threshold, so that rows
     # overflow at different steps.
     exponent = st.one_of(st.integers(-300, 300), st.integers(280, 307))
@@ -349,7 +359,9 @@ def _recurrences(draw):
     # A float times a list is a TypeError in the reference loop, so a list
     # comes only with array coefficients, as in the sweep.
     returns = draw(st.sampled_from(
-        ["array", "list", "zero"] if kind == "rows" else ["array", "zero"]
+        ["array", "list", "zero", "number", "row"] if kind == "rows"
+        else ["array", "zero", "number"] if kind == "scalar"
+        else ["array", "zero", "number", "row"]
     ))
     g = draw(st.floats(-2.0, 2.0))
     if returns == "array":
@@ -358,6 +370,12 @@ def _recurrences(draw):
     elif returns == "list":
         def f(n, y):
             return (g * y + n).tolist()
+    elif returns == "number":
+        def f(n, y):
+            return g + n
+    elif returns == "row":
+        def f(n, y):
+            return g * y[(0,) * (y.ndim - 1)] + n  # shape (width,)
     else:
         def f(n, y):
             return 0.0  # what growth_rate's blocks return
@@ -374,6 +392,16 @@ class TestRecurMatchesReference:
 
     @settings(max_examples=200, deadline=None)
     @given(_recurrences())
+    # On the probe's (2, 2) shape: row 1 overflows at step 28 while row 0
+    # stays finite; -0.0 terms sum to +0.0; 0 * inf turns one element NaN;
+    # f's value is one row, broadcast over both.
+    @example(([2.0], 1.0, [np.array([[1.0, -1.0], [1e300, -1e300]])], 40, lambda n, y: 0.0))
+    @example(([1.0, 1.0], -1.0, [np.full((2, 2), -0.0)] * 2, 3,
+              lambda n, y: np.full((2, 2), 0.0)))
+    @example(((0.0, 1.0), 1.0, [np.ones((2, 2)), np.array([[1.0, np.inf], [1.0, 2.0]])], 5,
+              lambda n, y: -y))
+    @example(([0.5, 0.25], 0.5, [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])],
+              4, lambda n, y: y[0] + np.array([1.0, -3.0])))
     def test_equal_to_reference(self, case):
         _assert_same_as_reference(*case)
 
@@ -445,6 +473,30 @@ class TestRecurMatchesReference:
         history = [np.array([1.0])]
         assert _recur([0.5], 1.0, history, range(4), f).tolist() == 3
         assert [y.shape for y in history] == [(1,), (1,), (2,)]
+
+
+class TestFloatElements:
+    """A small array state with float coefficients steps on Python floats,
+    which need no dot product; a larger one steps on arrays and tests every
+    step with ``_finite``."""
+
+    def test_probe_stack_never_calls_finite(self, monkeypatch):
+        def refuse(flat):
+            raise AssertionError("_finite called on a (2, 2) probe state")
+
+        monkeypatch.setattr(schemes, "_finite", refuse)
+        clean, series = ivp.zero_stability_probe(
+            zerosnet_coeffs(-1.8), ivp.oscillator_problem(), 1e-6, 0.1, 50
+        )
+        assert len(clean.states) == 3 + 50 and math.isfinite(series.ratio)
+
+    def test_state_past_the_limit_calls_finite_every_step(self, monkeypatch):
+        sizes = []
+        finite = schemes._finite
+        monkeypatch.setattr(schemes, "_finite", lambda flat: sizes.append(flat.size) or finite(flat))
+        history = [np.ones(_FLOAT_ELEMENTS + 1)]
+        assert _recur([0.5], 1.0, history, range(20), lambda n, y: 0.0).tolist() == 0
+        assert sizes == [_FLOAT_ELEMENTS + 1] * 20
 
 
 class _Dots(np.ndarray):

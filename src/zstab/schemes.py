@@ -138,17 +138,18 @@ def _recur(
       (``_recur_small``): a plain float64 ndarray of 1 to
       ``_FLOAT_ELEMENTS`` = 8 elements, an order of at most 3 and float
       coefficients; each element is tested by ``math.isfinite``.  f still
-      gets the newest state as an array, which it must not write into (its
-      elements are read once, as it is made), and each step appends one.  A
-      3-step run of (rows, 2) states with the oscillator's rhs took 2.3-3.9
-      us per step on floats against 4.6-5.0 us on arrays from 1 to 8
-      elements, 4.8 against 4.9 us at 12 and longer on floats from 16 on
-      (best of 21, shared 2-vCPU host);
+      gets the newest state as an array, whose elements are read again
+      after f returns, so that an f that writes into it gives the states of
+      the array loop, and each step appends one.  A
+      3-step run of (rows, 2) states with the oscillator's rhs took 2.4-4.2
+      us per step on floats against 4.6-5.6 us on arrays from 1 to 8
+      elements, 4.6-5.0 against 4.9-5.2 us at 10, 5.2-5.7 against 5.0-5.2
+      us at 12 (best of 21 in three runs, shared 2-vCPU host);
     - float64 arrays for every other array state (``_recur_arrays``),
       among them an ndarray subclass, which may define its own arithmetic,
-      and a small state from the first step whose f value would widen it
-      or is neither a float nor a float64 array: each step is tested by
-      ``_finite``.
+      and a small state from the first step whose f value is neither a
+      float nor a float64 array of the state's shape: each step is tested
+      by ``_finite``.
 
     Only a step that fails its test has its rows examined one by one, and
     once a row has blown up, only the live rows enter the test, so the rows
@@ -165,9 +166,11 @@ def _recur(
             if stopped is None:
                 return blew
             # f's value does not fit the small state: this step and the
-            # rest run on arrays, with the value f already returned.
-            n, x, value = stopped
-            steps, f = chain([(n, x)], steps), _first_then(value, f)
+            # rest run on arrays, with the value f already returned.  The
+            # array loop reads y_n as f found it, and y_n as f left it
+            # takes its place once the loop has made that f call.
+            n, x, value, before = stopped
+            steps, f = chain([(n, x)], steps), _first_then(value, f, history, before)
         return _recur_arrays(alphas, coef, history, steps, f, blew)
 
 
@@ -219,10 +222,20 @@ def _blown(nxt: np.ndarray, blew: np.ndarray, n: int) -> np.ndarray:
     return np.where(bad & (blew == 0), n + 1, blew)
 
 
-def _first_then(value, f):
-    """f, except that its first call returns ``value``."""
+def _first_then(value, f, history, before):
+    """f, except that its first call returns ``value``: ``before`` stands in
+    for the newest state of ``history`` until then, and that call puts the
+    state back."""
+    state, history[-1] = history[-1], before
     pending = [value]
-    return lambda x, y: pending.pop() if pending else f(x, y)
+
+    def call(x, y):
+        if not pending:
+            return f(x, y)
+        history[-1] = state
+        return pending.pop()
+
+    return call
 
 
 def _fused(alphas: Sequence, coef) -> Callable[[float, float, float, float], float]:
@@ -265,9 +278,9 @@ def _recur_small(alphas: Sequence, coef, history, steps: Iterable, f, blew):
     ``steps``; the caller holds numpy's warnings off.
 
     f's value is read as the list of the state's elements: a float, or a
-    float64 ndarray that broadcasts to the state's shape.  Returns the
-    blow-up steps and None, or, at the first step whose f value is neither,
-    the blow-up steps before it and that step's (n, x, value), without
+    float64 ndarray of the state's shape.  Returns the blow-up steps and
+    None, or, at the first step whose f value is neither, the blow-up steps
+    before it and that step's (n, x, value, y_n as f found it), without
     appending its state."""
     step = _fused(alphas, coef)
     state = history[-1]
@@ -282,13 +295,17 @@ def _recur_small(alphas: Sequence, coef, history, steps: Iterable, f, blew):
         elif isinstance(value, float):
             g = [float(value)] * size
         else:
-            g = _broadcast(value, shape)
-            if g is None:
-                return blew, (n, x, value)
+            return blew, (n, x, value, np.reshape(y0, shape))
         nxt = list(map(step, y0, y1, y2, g))
+        # y_n as f left it, which the array loop reads from the next step on.
+        y1, y2 = state.ravel().tolist(), y1
+        # A 1-D state is made by np.array, 456 ns for 4 elements against
+        # 744 ns for the in-place fill (shared 2-vCPU host); in any other
+        # shape, np.array(nxt).reshape(shape) would be a view that keeps a
+        # second array object alive with every state.
         if len(shape) == 1:
             state = np.array(nxt)
-        else:  # filled in place: a reshaped array is a view on a second one
+        else:
             state = np.empty(shape)
             state.ravel()[:] = nxt
         if not all(map(math.isfinite, nxt if live is None else compress(nxt, live))):
@@ -297,20 +314,8 @@ def _recur_small(alphas: Sequence, coef, history, steps: Iterable, f, blew):
                 break
             live = np.broadcast_to((blew == 0)[..., None], shape).ravel().tolist()
         append(state)
-        y0, y1, y2 = nxt, y0, y1
+        y0 = nxt
     return blew, None
-
-
-def _broadcast(value, shape: tuple) -> list | None:
-    """The elements of the float64 ndarray ``value`` broadcast to ``shape``,
-    or None where ``value`` is no such array or would widen the state."""
-    if type(value) is np.ndarray and value.dtype == float:
-        try:
-            if np.broadcast_shapes(value.shape, shape) == shape:
-                return np.broadcast_to(value, shape).ravel().tolist()
-        except ValueError:  # no common shape: the array loop raises it
-            pass
-    return None
 
 
 def _recur_floats(alphas: Sequence, coef, history, args: Iterable, f) -> np.ndarray:

@@ -498,6 +498,31 @@ class TestFloatElements:
         assert _recur([0.5], 1.0, history, range(20), lambda n, y: 0.0).tolist() == 0
         assert sizes == [_FLOAT_ELEMENTS + 1] * 20
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("returns", ["itself", "copy", "row", "int"])
+    def test_f_that_writes_into_its_state(self, shape, order, returns):
+        # The reference reads every state after f has written into it, as a
+        # propagate block or an rhs that works in place would; so must the
+        # float path, also where f's value hands the run over to arrays
+        # ("row" and "int", from step 3).
+        def f(n, y):
+            np.multiply(y, -0.5, out=y)
+            y.flat[1] += n
+            if returns == "itself":
+                return y
+            if returns == "copy" or n < 3:
+                return y + 1.0
+            return y[:1] * 2.0 if returns == "row" else 3
+
+        start = [np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) * (i + 1) for i in range(order)]
+        runs = []
+        for loop, steps in ((_recur, range(8)), (reference.recur, 8)):
+            history = [y.copy() for y in start]
+            blew = loop([0.5, 0.25, 0.125][:order], 1.0, history, steps, f)
+            runs.append(([(y.shape, y.tobytes()) for y in history], blew.tolist()))
+        assert runs[0] == runs[1]
+
 
 class _Dots(np.ndarray):
     """An array that records the size of every ``dot`` made on it; the
